@@ -54,7 +54,6 @@ fn bench_evolution_phase(c: &mut Criterion) {
             let mut key = 100_000;
             reproduce_into(
                 &genomes, &species, &config, &mut innov, &mut rng, 1, &mut key, 99, pool, arena,
-                None,
             )
         };
 

@@ -1,6 +1,6 @@
 //! Megapopulation hot paths at `--pop 10_000` scale: the geometric-skip
 //! attribute-mutation sweep (O(mutations) instead of O(genes)), capped
-//! speciation over the flat representative arena, population packing into
+//! speciation through the blocked columnar scan, population packing into
 //! a [`PopulationArena`], and the batched SoA activation kernel against
 //! the scalar one. These are the paths the megapopulation refactor exists
 //! for; the bench-regression gate keeps them from quietly sliding back to
@@ -10,7 +10,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use genesys_neat::trace::OpCounters;
 use genesys_neat::{
     BatchScratch, Genome, InnovationTracker, NeatConfig, Network, PopulationArena, Scratch,
-    SpeciesId, SpeciesSet, XorWow,
+    SpeciesSet, XorWow,
 };
 
 const POP: usize = 10_000;
@@ -68,40 +68,13 @@ fn bench_megapop(c: &mut Criterion) {
         });
     });
 
-    // Capped speciation (representative cap 64) over the megapopulation.
+    // Capped speciation (representative cap 64) over the megapopulation:
+    // at this size every genome takes the blocked `RepColumns` scan.
     group.bench_with_input(BenchmarkId::new("speciate", POP), &POP, |b, _| {
         let mut species = SpeciesSet::new();
         species.speciate(&genomes, &config, 0);
         b.iter(|| {
             species.speciate(&genomes, &config, 1);
-        });
-    });
-
-    // The same sweep with parent-species hints — the steady state of a
-    // live run, where reproduction hints every child with its parents'
-    // species. Hints are advisory (assignments stay bit-identical); the
-    // entry measures the hint fast path plus signature pruning.
-    group.bench_with_input(BenchmarkId::new("speciate_pruned", POP), &POP, |b, _| {
-        let mut species = SpeciesSet::new();
-        species.speciate(&genomes, &config, 0);
-        let mut hints: Vec<Option<SpeciesId>> = vec![None; genomes.len()];
-        for s in species.iter() {
-            for &m in &s.members {
-                hints[m] = Some(s.id);
-            }
-        }
-        species.speciate_with_hints(&genomes, &config, 1, None, Some(&hints));
-        let stats = species.scan_stats();
-        let scanned = stats.exact + stats.pruned;
-        eprintln!(
-            "speciate_pruned/{POP}: exact {} pruned {} hint_hits {} (prune rate {:.1}%)",
-            stats.exact,
-            stats.pruned,
-            stats.hint_hits,
-            100.0 * stats.pruned as f64 / scanned.max(1) as f64
-        );
-        b.iter(|| {
-            species.speciate_with_hints(&genomes, &config, 1, None, Some(&hints));
         });
     });
 

@@ -1,10 +1,11 @@
 //! Megapopulation smoke/scale run: CartPole evolution at `--pop`
 //! thousands-to-tens-of-thousands, exercising every megapopulation hot
-//! path end to end — geometric-skip mutation, capped speciation over the
-//! flat representative arena, and (with `--episodes N --batch B`) the
+//! path end to end — geometric-skip mutation, capped speciation through
+//! the blocked columnar scan, and (with `--episodes N --batch B`) the
 //! batched SoA rollout lanes — and **asserting the determinism contract**:
 //! the parallel run's history and final genomes must be bit-identical to
-//! the serial one.
+//! the serial one, and a rerun on the scalar speciation scan
+//! (`speciate_exact`) must be bit-identical to the blocked one.
 //!
 //! ```text
 //! megapop [--pop N] [--generations N] [--threads N] [--seed N]
@@ -99,22 +100,24 @@ fn main() {
         println!("determinism: serial and {threads}-worker runs are bit-identical");
     }
 
-    // Exact-speciation A/B: rerun with the signature-pruned scan forced
-    // off (every candidate distance computed exactly, no parent-species
-    // hints). Pruning is a pure acceleration, so the trajectory must be
-    // bit-identical — any divergence means the lower bound skipped a
-    // candidate that mattered.
+    // Exact-speciation A/B: rerun with the scalar scan forced
+    // (`speciate_exact`, one merge-join per candidate). The blocked
+    // `RepColumns` scan is a pure acceleration, so the trajectory must be
+    // bit-identical — any divergence means a blocked lane's distance
+    // differed from the scalar kernel's.
     let (exact_hist, exact_genomes, exact_s) =
         run(pop, generations, seed, episodes, batch, true, None);
     for (gen, (a, b)) in serial_hist.iter().zip(exact_hist.iter()).enumerate() {
         assert_eq!(
             a, b,
-            "generation {gen} diverged between pruned and exact speciation"
+            "generation {gen} diverged between blocked and exact speciation"
         );
     }
     assert_eq!(
         serial_genomes, exact_genomes,
-        "final populations diverged between pruned and exact speciation"
+        "final populations diverged between blocked and exact speciation"
     );
-    println!("exact A/B: pruned and exact speciation runs are bit-identical ({exact_s:.2}s exact)");
+    println!(
+        "exact A/B: blocked and exact speciation runs are bit-identical ({exact_s:.2}s exact)"
+    );
 }

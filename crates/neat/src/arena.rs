@@ -249,16 +249,10 @@ impl RepColumns {
     }
 
     /// Computes the compatibility distance of `genome` to every packed
-    /// lane whose bit is set in `active`, writing results into `out`
-    /// (inactive lanes get `+inf`). Each active lane's value is
+    /// lane, writing lane `i`'s result into `out[i]` (lanes past
+    /// [`RepColumns::lanes`] get `+inf`). Each lane's value is
     /// bit-identical to `gene_distance(genome, lane)`.
-    pub fn scan(
-        &self,
-        genome: GenomeView<'_>,
-        active: u16,
-        config: &NeatConfig,
-        out: &mut [f64; REP_BLOCK],
-    ) {
+    pub fn scan(&self, genome: GenomeView<'_>, config: &NeatConfig, out: &mut [f64; REP_BLOCK]) {
         // Runtime ISA dispatch: the scan is element-wise IEEE adds and
         // multiplies with no reassociation or contraction, so wider
         // vectors change throughput, never bits (detection is cached —
@@ -270,16 +264,16 @@ impl RepColumns {
                 && std::arch::is_x86_feature_detected!("avx512dq")
             {
                 // SAFETY: AVX-512 F/VL/DQ support was just verified.
-                unsafe { self.scan_avx512(genome, active, config, out) };
+                unsafe { self.scan_avx512(genome, config, out) };
                 return;
             }
             if std::arch::is_x86_feature_detected!("avx2") {
                 // SAFETY: AVX2 support was just verified at runtime.
-                unsafe { self.scan_avx2(genome, active, config, out) };
+                unsafe { self.scan_avx2(genome, config, out) };
                 return;
             }
         }
-        self.scan_body(genome, active, config, out);
+        self.scan_body(genome, config, out);
     }
 
     /// [`RepColumns::scan`] compiled with AVX2 enabled, so the dense-key
@@ -289,11 +283,10 @@ impl RepColumns {
     unsafe fn scan_avx2(
         &self,
         genome: GenomeView<'_>,
-        active: u16,
         config: &NeatConfig,
         out: &mut [f64; REP_BLOCK],
     ) {
-        self.scan_body(genome, active, config, out);
+        self.scan_body(genome, config, out);
     }
 
     /// [`RepColumns::scan`] compiled with AVX-512 F/VL/DQ enabled —
@@ -304,44 +297,32 @@ impl RepColumns {
     unsafe fn scan_avx512(
         &self,
         genome: GenomeView<'_>,
-        active: u16,
         config: &NeatConfig,
         out: &mut [f64; REP_BLOCK],
     ) {
-        self.scan_body(genome, active, config, out);
+        self.scan_body(genome, config, out);
     }
 
     #[inline(always)]
-    fn scan_body(
-        &self,
-        genome: GenomeView<'_>,
-        active: u16,
-        config: &NeatConfig,
-        out: &mut [f64; REP_BLOCK],
-    ) {
+    fn scan_body(&self, genome: GenomeView<'_>, config: &NeatConfig, out: &mut [f64; REP_BLOCK]) {
         let cd = config.compatibility_disjoint_coefficient;
         let cw = config.compatibility_weight_coefficient;
         out.fill(f64::INFINITY);
-        if active == 0 || self.lanes == 0 {
+        if self.lanes == 0 {
             return;
         }
 
-        // All lanes active? Then a key present in every lane ("dense") has
-        // exactly one entry per lane in ascending lane order, so entry `i`
-        // belongs to lane `i` — the hot loop is unit-stride f64 arithmetic
-        // with no mask tests, no lane indirection, and no counter updates
-        // (a scalar `dense_hits` stands in for every lane's `matched`
-        // increment). `matched`/`disjoint` of *inactive* lanes are dead
-        // values (their outputs stay +inf), so the masked paths only guard
-        // the arithmetic, never the counters.
+        // A key present in every lane ("dense") has exactly one entry per
+        // lane in ascending lane order, so entry `i` belongs to lane `i` —
+        // the hot loop is unit-stride f64 arithmetic with no lane
+        // indirection and no counter updates (a scalar `dense_hits` stands
+        // in for every lane's `matched` increment).
         //
         // Bit-identity of the branch-free attribute terms: the `+1.0` per
         // differing discrete attribute becomes `+ t` with `t ∈ {0.0, 1.0}`.
         // When `t == 1.0` it is the scalar op verbatim; when `t == 0.0`,
         // `d + 0.0` is bitwise `d` (d is non-negative or a quiet NaN —
         // never `-0.0` — and x86/LLVM addition preserves both).
-        let full = active.count_ones() as usize == self.lanes;
-
         let mut acc = [0.0f64; REP_BLOCK];
         let mut matched = [0u32; REP_BLOCK];
         let mut disjoint = [0u32; REP_BLOCK];
@@ -358,7 +339,7 @@ impl RepColumns {
                 let (gb, gr) = (g.bias, g.response);
                 let ga = f64::from(g.activation as u8);
                 let gg = f64::from(g.aggregation as u8);
-                if full && span.len() == self.lanes {
+                if span.len() == self.lanes {
                     dense_hits += 1;
                     if self.lanes == REP_BLOCK {
                         // Fixed trip count: full blocks (the common case at
@@ -398,14 +379,11 @@ impl RepColumns {
                 } else {
                     for (j, &lane) in self.node_lane[span.clone()].iter().enumerate() {
                         let lane = lane as usize;
-                        if active & (1u16 << lane) != 0 {
-                            let e = span.start + j;
-                            let mut d =
-                                (gb - self.node_bias[e]).abs() + (gr - self.node_resp[e]).abs();
-                            d += f64::from(u8::from(ga != self.node_act[e]));
-                            d += f64::from(u8::from(gg != self.node_agg[e]));
-                            acc[lane] += d * cw;
-                        }
+                        let e = span.start + j;
+                        let mut d = (gb - self.node_bias[e]).abs() + (gr - self.node_resp[e]).abs();
+                        d += f64::from(u8::from(ga != self.node_act[e]));
+                        d += f64::from(u8::from(gg != self.node_agg[e]));
+                        acc[lane] += d * cw;
                         matched[lane] += 1;
                     }
                 }
@@ -415,10 +393,6 @@ impl RepColumns {
                 }
             }
         }
-        // Finish loops run branch-free over every lane: the counters are
-        // maintained unconditionally in all paths, so inactive lanes hold
-        // valid counts (only `acc` is mask-guarded) — their results are
-        // well-defined garbage that the final select discards for `+inf`.
         let mut node_dist = [0.0f64; REP_BLOCK];
         for lane in 0..self.lanes {
             let dis = disjoint[lane] + (genome.nodes.len() as u32 - matched[lane] - dense_hits);
@@ -441,7 +415,7 @@ impl RepColumns {
                 let g = &genome.conns[gi];
                 let gw = g.weight;
                 let ge = f64::from(u8::from(g.enabled));
-                if full && span.len() == self.lanes {
+                if span.len() == self.lanes {
                     dense_hits += 1;
                     if self.lanes == REP_BLOCK {
                         let weight: &[f64; REP_BLOCK] =
@@ -465,12 +439,10 @@ impl RepColumns {
                 } else {
                     for (j, &lane) in self.conn_lane[span.clone()].iter().enumerate() {
                         let lane = lane as usize;
-                        if active & (1u16 << lane) != 0 {
-                            let e = span.start + j;
-                            let d = (gw - self.conn_weight[e]).abs()
-                                + (ge - self.conn_enabled[e]).abs();
-                            acc[lane] += d * cw;
-                        }
+                        let e = span.start + j;
+                        let d =
+                            (gw - self.conn_weight[e]).abs() + (ge - self.conn_enabled[e]).abs();
+                        acc[lane] += d * cw;
                         matched[lane] += 1;
                     }
                 }
@@ -483,12 +455,7 @@ impl RepColumns {
         for lane in 0..self.lanes {
             let dis = disjoint[lane] + (genome.conns.len() as u32 - matched[lane] - dense_hits);
             let max_conns = genome.conns.len().max(self.conn_lens[lane]).max(1);
-            let d = node_dist[lane] + (acc[lane] + cd * f64::from(dis)) / max_conns as f64;
-            out[lane] = if active & (1u16 << lane) != 0 {
-                d
-            } else {
-                f64::INFINITY
-            };
+            out[lane] = node_dist[lane] + (acc[lane] + cd * f64::from(dis)) / max_conns as f64;
         }
     }
 }
@@ -630,14 +597,9 @@ mod tests {
             let mut cols = RepColumns::new();
             cols.build(&views[..lanes]);
             assert_eq!(cols.lanes(), lanes);
-            let full: u16 = if lanes == 16 {
-                u16::MAX
-            } else {
-                (1u16 << lanes) - 1
-            };
             for g in &genomes {
                 let mut out = [0.0f64; REP_BLOCK];
-                cols.scan(GenomeView::of(g), full, &c, &mut out);
+                cols.scan(GenomeView::of(g), &c, &mut out);
                 for (lane, want) in genomes.iter().take(lanes).enumerate() {
                     let scalar = g.distance(want, &c);
                     assert_eq!(
@@ -647,20 +609,7 @@ mod tests {
                         g.key()
                     );
                 }
-            }
-        }
-        // Partial masks: inactive lanes report +inf, active lanes exact.
-        let mut cols = RepColumns::new();
-        cols.build(&views[..8]);
-        let mask = 0b1010_0101u16;
-        let mut out = [0.0f64; REP_BLOCK];
-        cols.scan(GenomeView::of(&genomes[20]), mask, &c, &mut out);
-        for lane in 0..8 {
-            if mask & (1 << lane) != 0 {
-                let scalar = genomes[20].distance(&genomes[lane], &c);
-                assert_eq!(out[lane].to_bits(), scalar.to_bits(), "lane {lane}");
-            } else {
-                assert_eq!(out[lane], f64::INFINITY, "masked lane {lane}");
+                assert!(out[lanes..].iter().all(|&d| d == f64::INFINITY));
             }
         }
     }

@@ -133,16 +133,14 @@ pub struct NeatConfig {
     /// reproducible and worker-count-invariant) trajectories than an
     /// uncapped run would.
     pub species_representative_cap: usize,
-    /// Disables the signature-pruned speciation fast path: every genome ×
-    /// representative distance is computed exactly, with no lower-bound
-    /// pruning, no columnar batching and no parent-species hints.
+    /// Scores every speciation candidate with the scalar early-exit loop,
+    /// one merge-join per representative, at any population size —
+    /// instead of the blocked columnar scan populations of 128 or more
+    /// take by default.
     ///
-    /// The pruned path is **bit-identical** to the exact path by
-    /// construction (pruning only skips candidates a provable lower bound
-    /// rules out; see `docs/speciation.md`), so this knob exists for A/B
-    /// verification and debugging, not for correctness. The environment
-    /// variable `GENESYS_SPECIATE_EXACT` (any value other than `0`)
-    /// forces exact mode regardless of this field.
+    /// The blocked scan is **bit-identical** to the scalar one by
+    /// construction (see `docs/speciation.md`), so this knob is the
+    /// blocked scan's test oracle, not a behavioural choice.
     pub speciate_exact: bool,
 
     // -- reproduction ---------------------------------------------------------
@@ -447,7 +445,7 @@ impl NeatConfigBuilder {
         species_elitism: usize,
         /// Sets the speciation representative-comparison ceiling.
         species_representative_cap: usize,
-        /// Forces the exact (unpruned) speciation path.
+        /// Forces the scalar speciation scan (the blocked scan's oracle).
         speciate_exact: bool,
         /// Sets per-species elitism.
         elitism: usize,

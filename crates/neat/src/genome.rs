@@ -29,216 +29,6 @@ use std::collections::{HashMap, HashSet};
 /// Bytes per gene in the hardware encoding (64-bit gene word, Fig 6).
 pub const GENE_BYTES: usize = 8;
 
-/// Fixed-point scale of the signature's quantized weight sums: weights are
-/// truncated to `2^-20` resolution, so each term carries strictly less
-/// than one unit of quantization error — the slack the lower bound
-/// subtracts back out.
-const SIG_WEIGHT_SCALE: f64 = (1u64 << 20) as f64;
-
-/// O(1) summary of a genome's gene set, maintained **incrementally** by
-/// every mutation, crossover and clone path, from which
-/// [`Genome::distance_lower_bound`] derives a provable lower bound on the
-/// NEAT compatibility distance without touching the gene streams.
-///
-/// Contents (all updates are wrapping / XOR, so maintenance commutes and
-/// an incremental signature is bit-equal to a from-scratch
-/// [`Genome::recompute_signature`] after *any* mutation sequence):
-///
-/// * gene counts per cluster;
-/// * a 128-bit **parity bitsketch** per cluster (`bit id % 128` for nodes,
-///   a SplitMix-hashed bucket of the `(src, dst)` key for conns): the
-///   popcount of two sketches' XOR never exceeds the symmetric difference
-///   of the underlying key sets, so it lower-bounds the disjoint count;
-/// * quantized weight moments (`Σ trunc(w·2^20)` and `Σ trunc(|w|·2^20)`)
-///   that lower-bound the matched-weight distance when the conn key sets
-///   are indistinguishable;
-/// * a non-finite attribute counter (plus a guard for weights too large to
-///   quantize): any non-zero count disables the bound entirely
-///   (`-inf`), so NaN/infinity poisoning can never cause a wrong prune.
-///
-/// Signatures are **not serialized** in snapshots: they are recomputed by
-/// the gene-insertion path when a genome is decoded, which keeps the wire
-/// format independent of the sketch layout (see `docs/speciation.md`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct GenomeSignature {
-    node_count: u32,
-    conn_count: u32,
-    node_sketch: u128,
-    conn_sketch: u128,
-    weight_qsum: i64,
-    weight_qabs: i64,
-    nonfinite: u32,
-}
-
-impl GenomeSignature {
-    /// From-scratch signature of two sorted gene clusters.
-    pub(crate) fn of(nodes: &[NodeGene], conns: &[ConnGene]) -> GenomeSignature {
-        let mut sig = GenomeSignature::default();
-        for n in nodes {
-            sig.add_node(n);
-        }
-        for c in conns {
-            sig.add_conn(c);
-        }
-        sig
-    }
-
-    fn node_bit(id: NodeId) -> u128 {
-        1u128 << (id.0 % 128)
-    }
-
-    fn conn_bit(key: ConnKey) -> u128 {
-        // SplitMix64-style finalizer over the packed key so structurally
-        // adjacent connections land in unrelated parity buckets.
-        let mut z = ((u64::from(key.src.0) << 32) | u64::from(key.dst.0))
-            .wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^= z >> 31;
-        1u128 << (z & 127)
-    }
-
-    /// Non-finite tally of one node gene (bias and response counted
-    /// separately, so attribute-level updates stay local).
-    fn node_nonfinite(n: &NodeGene) -> u32 {
-        u32::from(!n.bias.is_finite()) + u32::from(!n.response.is_finite())
-    }
-
-    /// Non-finite tally of one conn weight. Finite weights at or beyond
-    /// the quantization scale also count: their `trunc(w·2^20)` term would
-    /// carry more than one unit of error, which would break the
-    /// subtracted-slack argument of the weight bound.
-    fn weight_nonfinite(w: f64) -> u32 {
-        u32::from(!w.is_finite() || w.abs() >= SIG_WEIGHT_SCALE)
-    }
-
-    /// `trunc(w·2^20)` — NaN quantizes to 0 and infinities saturate, both
-    /// harmless because [`GenomeSignature::conn_nonfinite`] disables the
-    /// bound for such genes.
-    fn quantize(w: f64) -> i64 {
-        (w * SIG_WEIGHT_SCALE) as i64
-    }
-
-    pub(crate) fn add_node(&mut self, n: &NodeGene) {
-        self.node_count = self.node_count.wrapping_add(1);
-        self.node_sketch ^= Self::node_bit(n.id);
-        self.nonfinite = self.nonfinite.wrapping_add(Self::node_nonfinite(n));
-    }
-
-    pub(crate) fn remove_node(&mut self, n: &NodeGene) {
-        self.node_count = self.node_count.wrapping_sub(1);
-        self.node_sketch ^= Self::node_bit(n.id);
-        self.nonfinite = self.nonfinite.wrapping_sub(Self::node_nonfinite(n));
-    }
-
-    pub(crate) fn add_conn(&mut self, c: &ConnGene) {
-        self.conn_count = self.conn_count.wrapping_add(1);
-        self.conn_sketch ^= Self::conn_bit(c.key);
-        self.add_conn_weight(c.weight);
-    }
-
-    pub(crate) fn remove_conn(&mut self, c: &ConnGene) {
-        self.conn_count = self.conn_count.wrapping_sub(1);
-        self.conn_sketch ^= Self::conn_bit(c.key);
-        self.remove_conn_weight(c.weight);
-    }
-
-    /// Weight-only update half: folds a weight into the moment sums
-    /// (used when a mutation changes a weight without touching the key).
-    pub(crate) fn add_conn_weight(&mut self, w: f64) {
-        self.weight_qsum = self.weight_qsum.wrapping_add(Self::quantize(w));
-        self.weight_qabs = self.weight_qabs.wrapping_add(Self::quantize(w.abs()));
-        self.nonfinite = self.nonfinite.wrapping_add(Self::weight_nonfinite(w));
-    }
-
-    /// Inverse of [`GenomeSignature::add_conn_weight`].
-    pub(crate) fn remove_conn_weight(&mut self, w: f64) {
-        self.weight_qsum = self.weight_qsum.wrapping_sub(Self::quantize(w));
-        self.weight_qabs = self.weight_qabs.wrapping_sub(Self::quantize(w.abs()));
-        self.nonfinite = self.nonfinite.wrapping_sub(Self::weight_nonfinite(w));
-    }
-
-    /// Bias/response update half for in-place attribute mutations.
-    pub(crate) fn replace_node_attr(&mut self, old: f64, new: f64) {
-        self.nonfinite = self
-            .nonfinite
-            .wrapping_sub(u32::from(!old.is_finite()))
-            .wrapping_add(u32::from(!new.is_finite()));
-    }
-
-    /// Moves one node id between sketch buckets (provisional-id remap).
-    pub(crate) fn remap_node(&mut self, old: NodeId, new: NodeId) {
-        self.node_sketch ^= Self::node_bit(old) ^ Self::node_bit(new);
-    }
-
-    /// Moves one conn key between sketch buckets (provisional-id remap).
-    pub(crate) fn remap_conn(&mut self, old: ConnKey, new: ConnKey) {
-        self.conn_sketch ^= Self::conn_bit(old) ^ Self::conn_bit(new);
-    }
-
-    /// True when any tracked attribute is non-finite (or a weight exceeds
-    /// the quantization range): the lower bound is disabled for this
-    /// genome.
-    pub fn has_nonfinite(&self) -> bool {
-        self.nonfinite != 0
-    }
-
-    /// Provable lower bound on `gene_distance(a, b)` (see
-    /// [`Genome::distance_lower_bound`] for the contract). O(1).
-    pub fn lower_bound(a: &GenomeSignature, b: &GenomeSignature, config: &NeatConfig) -> f64 {
-        let cd = config.compatibility_disjoint_coefficient;
-        let cw = config.compatibility_weight_coefficient;
-        // Any non-finite coefficient or attribute disables the bound: the
-        // exact distance may then be NaN, which compares unlike any finite
-        // bound under `total_cmp`.
-        if !cd.is_finite()
-            || !cw.is_finite()
-            || cd < 0.0
-            || cw < 0.0
-            || a.nonfinite != 0
-            || b.nonfinite != 0
-        {
-            return f64::NEG_INFINITY;
-        }
-
-        // Nodes: the XOR-parity popcount and the count gap each
-        // lower-bound the disjoint node count; matched attribute
-        // distances are >= 0, so dropping them keeps a lower bound.
-        let dn =
-            ((a.node_sketch ^ b.node_sketch).count_ones()).max(a.node_count.abs_diff(b.node_count));
-        let max_nodes = a.node_count.max(b.node_count).max(1);
-        let node_lb = cd * f64::from(dn) / f64::from(max_nodes);
-
-        let dc =
-            ((a.conn_sketch ^ b.conn_sketch).count_ones()).max(a.conn_count.abs_diff(b.conn_count));
-        let max_conns = a.conn_count.max(b.conn_count).max(1);
-        let conn_lb = if dc > 0 {
-            cd * f64::from(dc) / f64::from(max_conns)
-        } else {
-            // The key sets are indistinguishable. Either they really are
-            // equal — then every conn is matched and the matched-weight
-            // distance is at least the gap between the quantized weight
-            // sums (minus one quantization unit per term) — or a sketch
-            // collision hides a symmetric difference, which (equal
-            // counts) has at least two elements, costing `2·cd`. The min
-            // of the two covers both cases.
-            let slack = i64::from(a.conn_count).wrapping_add(i64::from(b.conn_count));
-            let gap = a
-                .weight_qsum
-                .wrapping_sub(b.weight_qsum)
-                .unsigned_abs()
-                .max(a.weight_qabs.wrapping_sub(b.weight_qabs).unsigned_abs());
-            let units = gap.saturating_sub(slack.unsigned_abs());
-            let weight_lb = cw * (units as f64 / SIG_WEIGHT_SCALE);
-            weight_lb.min(2.0 * cd) / f64::from(max_conns)
-        };
-
-        // A hair of slack absorbs any rounding difference between this
-        // arithmetic and the exact merge-join accumulation.
-        (node_lb + conn_lb) * (1.0 - 1e-9)
-    }
-}
-
 /// One individual: a collection of node and connection genes plus the
 /// fitness it earned in the environment.
 #[derive(Debug, PartialEq)]
@@ -251,10 +41,6 @@ pub struct Genome {
     num_inputs: usize,
     num_outputs: usize,
     fitness: Option<f64>,
-    /// Incrementally maintained [`GenomeSignature`]. Participating in the
-    /// derived `PartialEq` is intentional: every bit-identity test in the
-    /// suite then doubles as a signature-exactness test.
-    signature: GenomeSignature,
 }
 
 impl Clone for Genome {
@@ -266,7 +52,6 @@ impl Clone for Genome {
             num_inputs: self.num_inputs,
             num_outputs: self.num_outputs,
             fitness: self.fitness,
-            signature: self.signature,
         }
     }
 
@@ -280,7 +65,6 @@ impl Clone for Genome {
         self.num_inputs = source.num_inputs;
         self.num_outputs = source.num_outputs;
         self.fitness = source.fitness;
-        self.signature = source.signature;
     }
 }
 
@@ -311,7 +95,6 @@ impl Genome {
                 conns.push(ConnGene::new(src, dst, weight));
             }
         }
-        let signature = GenomeSignature::of(&nodes, &conns);
         Genome {
             key,
             nodes,
@@ -319,7 +102,6 @@ impl Genome {
             num_inputs: config.num_inputs,
             num_outputs: config.num_outputs,
             fitness: None,
-            signature,
         }
     }
 
@@ -334,7 +116,6 @@ impl Genome {
             num_inputs: 0,
             num_outputs: 0,
             fitness: None,
-            signature: GenomeSignature::default(),
         }
     }
 
@@ -361,7 +142,6 @@ impl Genome {
             num_inputs,
             num_outputs,
             fitness: None,
-            signature: GenomeSignature::default(),
         };
         for n in nodes {
             genome.insert_node(n);
@@ -418,30 +198,16 @@ impl Genome {
     /// Inserts (or replaces) a node gene, keeping the cluster sorted.
     fn insert_node(&mut self, gene: NodeGene) {
         match self.node_pos(gene.id) {
-            Ok(i) => {
-                self.signature.remove_node(&self.nodes[i]);
-                self.signature.add_node(&gene);
-                self.nodes[i] = gene;
-            }
-            Err(i) => {
-                self.signature.add_node(&gene);
-                self.nodes.insert(i, gene);
-            }
+            Ok(i) => self.nodes[i] = gene,
+            Err(i) => self.nodes.insert(i, gene),
         }
     }
 
     /// Inserts (or replaces) a connection gene, keeping the cluster sorted.
     fn insert_conn(&mut self, gene: ConnGene) {
         match self.conn_pos(gene.key) {
-            Ok(i) => {
-                self.signature.remove_conn(&self.conns[i]);
-                self.signature.add_conn(&gene);
-                self.conns[i] = gene;
-            }
-            Err(i) => {
-                self.signature.add_conn(&gene);
-                self.conns.insert(i, gene);
-            }
+            Ok(i) => self.conns[i] = gene,
+            Err(i) => self.conns.insert(i, gene),
         }
     }
 
@@ -456,11 +222,9 @@ impl Genome {
                 .find(|&&(provisional, _)| provisional == id)
                 .map(|&(_, real)| real)
         };
-        let sig = &mut self.signature;
         let mut nodes_touched = false;
         for n in &mut self.nodes {
             if let Some(real) = lookup(n.id) {
-                sig.remap_node(n.id, real);
                 n.id = real;
                 nodes_touched = true;
             }
@@ -473,9 +237,7 @@ impl Genome {
             let src = lookup(c.key.src);
             let dst = lookup(c.key.dst);
             if src.is_some() || dst.is_some() {
-                let new = ConnKey::new(src.unwrap_or(c.key.src), dst.unwrap_or(c.key.dst));
-                sig.remap_conn(c.key, new);
-                c.key = new;
+                c.key = ConnKey::new(src.unwrap_or(c.key.src), dst.unwrap_or(c.key.dst));
                 conns_touched = true;
             }
         }
@@ -643,30 +405,25 @@ impl Genome {
         // Sorted-by-id node cluster ⇒ inputs occupy positions
         // 0..num_inputs, so the non-input genes are exactly the tail.
         let first = self.num_inputs.min(self.nodes.len());
-        let sig = &mut self.signature;
         let targets = &mut self.nodes[first..];
         geometric_hits(rng, config.bias_mutate_rate, targets.len(), |rng, i| {
             let node = &mut targets[i];
-            let old = node.bias;
             node.bias = if rng.chance(config.bias_replace_rate) {
                 rng.uniform(config.bias_min, config.bias_max)
             } else {
                 (node.bias + rng.next_gaussian() * config.bias_perturb_power)
                     .clamp(config.bias_min, config.bias_max)
             };
-            sig.replace_node_attr(old, node.bias);
             ops.perturb += 1;
         });
         geometric_hits(rng, config.response_mutate_rate, targets.len(), |rng, i| {
             let node = &mut targets[i];
-            let old = node.response;
             node.response = if rng.chance(config.response_replace_rate) {
                 rng.uniform(config.response_min, config.response_max)
             } else {
                 (node.response + rng.next_gaussian() * config.response_perturb_power)
                     .clamp(config.response_min, config.response_max)
             };
-            sig.replace_node_attr(old, node.response);
             ops.perturb += 1;
         });
         geometric_hits(
@@ -690,14 +447,12 @@ impl Genome {
         let conns = &mut self.conns;
         geometric_hits(rng, config.weight_mutate_rate, conns.len(), |rng, i| {
             let conn = &mut conns[i];
-            sig.remove_conn_weight(conn.weight);
             conn.weight = if rng.chance(config.weight_replace_rate) {
                 rng.uniform(config.weight_min, config.weight_max)
             } else {
                 (conn.weight + rng.next_gaussian() * config.weight_perturb_power)
                     .clamp(config.weight_min, config.weight_max)
             };
-            sig.add_conn_weight(conn.weight);
             ops.perturb += 1;
         });
         geometric_hits(rng, config.enabled_mutate_rate, conns.len(), |_rng, i| {
@@ -789,9 +544,7 @@ impl Genome {
                         continue;
                     }
                     let weight = rng.uniform(-1.0, 1.0);
-                    let gene = ConnGene::new(src, dst, weight);
-                    self.signature.add_conn(&gene);
-                    self.conns.insert(i, gene);
+                    self.conns.insert(i, ConnGene::new(src, dst, weight));
                     ops.add_conn += 1;
                     return;
                 }
@@ -823,19 +576,12 @@ impl Genome {
         let pos = interface + pick;
         let victim = self.nodes[pos].id;
         debug_assert_eq!(self.nodes[pos].node_type, NodeType::Hidden);
-        self.signature.remove_node(&self.nodes[pos]);
         self.nodes.remove(pos);
         // Pruning "dangling connections" is exactly what the hardware does
         // by comparing stored deleted-node IDs against the conn stream.
         let before = self.conns.len();
-        let sig = &mut self.signature;
-        self.conns.retain(|c| {
-            let keep = c.key.src != victim && c.key.dst != victim;
-            if !keep {
-                sig.remove_conn(c);
-            }
-            keep
-        });
+        self.conns
+            .retain(|c| c.key.src != victim && c.key.dst != victim);
         ops.delete_node += 1;
         ops.delete_conn += (before - self.conns.len()) as u64;
     }
@@ -846,7 +592,6 @@ impl Genome {
             return;
         }
         let pick = rng.below(self.conns.len());
-        self.signature.remove_conn(&self.conns[pick]);
         self.conns.remove(pick);
         ops.delete_conn += 1;
     }
@@ -1015,11 +760,6 @@ impl Genome {
             child.conns.push(gene);
             ops.crossover += 1;
         }
-
-        // A child mixes genes from both parents, so the cheapest correct
-        // signature is a from-scratch fold over the fresh gene buffers
-        // (one O(genes) pass on top of the merge-join just performed).
-        child.signature = GenomeSignature::of(&child.nodes, &child.conns);
     }
 
     // ------------------------------------------------------------- distance
@@ -1036,26 +776,6 @@ impl Genome {
     /// implementation, so distances are bit-identical.
     pub fn distance(&self, other: &Genome, config: &NeatConfig) -> f64 {
         crate::arena::gene_distance(&self.nodes, &self.conns, &other.nodes, &other.conns, config)
-    }
-
-    /// The incrementally maintained O(1) summary of this genome's gene set.
-    pub fn signature(&self) -> &GenomeSignature {
-        &self.signature
-    }
-
-    /// From-scratch signature of the current gene buffers — the oracle the
-    /// incremental maintenance is tested against. O(genes).
-    pub fn recompute_signature(&self) -> GenomeSignature {
-        GenomeSignature::of(&self.nodes, &self.conns)
-    }
-
-    /// O(1) lower bound on [`Genome::distance`]: for every pair of genomes
-    /// and every config, `a.distance_lower_bound(b, c) <=
-    /// a.distance(b, c)` (and is `-inf` — never pruning — whenever the
-    /// exact distance could be NaN). See [`GenomeSignature`] for the
-    /// construction and `docs/speciation.md` for the proof sketch.
-    pub fn distance_lower_bound(&self, other: &Genome, config: &NeatConfig) -> f64 {
-        GenomeSignature::lower_bound(&self.signature, &other.signature, config)
     }
 }
 
@@ -1519,135 +1239,6 @@ mod tests {
                 .iter()
                 .all(|n| n.node_type == NodeType::Hidden));
         }
-    }
-
-    #[test]
-    fn incremental_signature_matches_from_scratch_after_mutation_storm() {
-        let c = cfg();
-        let mut r = rng();
-        let mut innov = InnovationTracker::new(c.first_hidden_id());
-        let mut g = Genome::initial(0, &c, &mut r);
-        assert_eq!(*g.signature(), g.recompute_signature());
-        for gen in 0..200 {
-            let mut ops = OpCounters::new();
-            innov.begin_generation();
-            g.mutate(&c, &mut innov, &mut r, &mut ops);
-            assert_eq!(
-                *g.signature(),
-                g.recompute_signature(),
-                "signature drifted at iteration {gen}"
-            );
-        }
-    }
-
-    #[test]
-    fn crossover_and_clone_preserve_signature_exactness() {
-        let c = cfg();
-        let mut r = rng();
-        let mut innov = InnovationTracker::new(c.first_hidden_id());
-        let mut ops = OpCounters::new();
-        let mut p1 = Genome::initial(0, &c, &mut r);
-        let mut p2 = Genome::initial(1, &c, &mut r);
-        for _ in 0..4 {
-            p1.mutate(&c, &mut innov, &mut r, &mut ops);
-            p2.mutate(&c, &mut innov, &mut r, &mut ops);
-        }
-        let child = Genome::crossover(2, &p1, &p2, 0.5, &mut r, &mut ops);
-        assert_eq!(*child.signature(), child.recompute_signature());
-        let mut slot = Genome::shell();
-        slot.clone_from(&child);
-        assert_eq!(*slot.signature(), slot.recompute_signature());
-    }
-
-    #[test]
-    fn remap_new_nodes_keeps_signature_exact() {
-        use crate::innovation::SplitRecorder;
-        let c = cfg();
-        let mut r = rng();
-        let mut ops = OpCounters::new();
-        let mut recorder = SplitRecorder::new();
-        let mut g = Genome::initial(0, &c, &mut r);
-        g.mutate_add_node(&mut recorder, &mut r, &mut ops);
-        g.mutate_add_node(&mut recorder, &mut r, &mut ops);
-        let mut tracker = InnovationTracker::new(c.first_hidden_id());
-        let map: Vec<(NodeId, NodeId)> = recorder
-            .requests()
-            .iter()
-            .map(|&(key, provisional)| (provisional, tracker.node_for_split(key)))
-            .collect();
-        g.remap_new_nodes(&map);
-        assert_eq!(*g.signature(), g.recompute_signature());
-    }
-
-    #[test]
-    fn signature_lower_bound_never_exceeds_exact_distance() {
-        let c = cfg();
-        let mut r = rng();
-        let mut innov = InnovationTracker::new(c.first_hidden_id());
-        let mut ops = OpCounters::new();
-        let mut pool: Vec<Genome> = (0..24).map(|k| Genome::initial(k, &c, &mut r)).collect();
-        for round in 0..6 {
-            for g in &mut pool {
-                innov.begin_generation();
-                g.mutate(&c, &mut innov, &mut r, &mut ops);
-            }
-            for a in &pool {
-                for b in &pool {
-                    let lb = a.distance_lower_bound(b, &c);
-                    let d = a.distance(b, &c);
-                    assert!(
-                        lb <= d,
-                        "round {round}: lb {lb} > exact {d} for {} vs {}",
-                        a.key(),
-                        b.key()
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn signature_lower_bound_is_positive_for_structural_divergence() {
-        let c = cfg();
-        let mut r = rng();
-        let mut innov = InnovationTracker::new(c.first_hidden_id());
-        let mut ops = OpCounters::new();
-        let a = Genome::initial(0, &c, &mut r);
-        let mut b = a.clone();
-        for _ in 0..5 {
-            b.mutate_add_node(&mut innov, &mut r, &mut ops);
-        }
-        let lb = a.distance_lower_bound(&b, &c);
-        assert!(
-            lb > 0.0,
-            "structural gap must be visible to the bound: {lb}"
-        );
-        assert!(lb <= a.distance(&b, &c));
-    }
-
-    #[test]
-    fn signature_lower_bound_disabled_by_nonfinite_attributes() {
-        let c = cfg();
-        let g = Genome::initial(0, &c, &mut rng());
-        let nodes: Vec<NodeGene> = g
-            .nodes()
-            .map(|n| {
-                let mut n = *n;
-                if n.id == NodeId(3) {
-                    n.bias = f64::INFINITY;
-                }
-                n
-            })
-            .collect();
-        let conns: Vec<ConnGene> = g.conns().copied().collect();
-        let poisoned = Genome::from_parts(1, 3, 2, nodes, conns).unwrap();
-        assert!(poisoned.signature().has_nonfinite());
-        assert_eq!(
-            poisoned.distance_lower_bound(&g, &c),
-            f64::NEG_INFINITY,
-            "poisoned genomes must never be pruned"
-        );
-        assert_eq!(*poisoned.signature(), poisoned.recompute_signature());
     }
 
     #[test]

@@ -77,7 +77,6 @@ pub mod genome;
 pub mod hyperneat;
 pub mod innovation;
 pub mod island;
-pub mod layers;
 pub mod network;
 pub mod population;
 pub mod reproduction;
@@ -86,7 +85,6 @@ pub mod session;
 pub mod species;
 pub mod stats;
 pub mod trace;
-pub mod tuning;
 
 pub use activation::Activation;
 pub use aggregation::Aggregation;
@@ -95,11 +93,10 @@ pub use config::{InitialWeights, NeatConfig, NeatConfigBuilder};
 pub use error::{ConfigError, GenomeError};
 pub use executor::{Executor, WorkerLocal};
 pub use gene::{ConnGene, ConnKey, NodeGene, NodeId, NodeType};
-pub use genome::{Genome, GenomeSignature};
+pub use genome::Genome;
 pub use hyperneat::{HyperNeat, Substrate};
 pub use innovation::{InnovationSource, InnovationTracker, SplitRecorder};
 pub use island::{island_seed, Archipelago, ArchipelagoState, EvolutionBackend};
-pub use layers::{LayerConfig, LayerGene, LayerGenome};
 pub use network::{BatchScratch, Network, NetworkPlan, Scratch};
 pub use population::{Population, RunOutcome, RunResult};
 pub use reproduction::{ChildKind, ChildPlan, ReproductionReport};
@@ -111,4 +108,3 @@ pub use session::{
 pub use species::{SpeciateScanStats, Species, SpeciesId, SpeciesSet};
 pub use stats::{GenerationStats, PopulationDiagnostics};
 pub use trace::{GenerationTrace, OpKind, ReproductionOp};
-pub use tuning::{tune_weights, TuningConfig, TuningResult};

@@ -14,7 +14,7 @@ use crate::network::{Network, NetworkPlan};
 use crate::reproduction::reproduce_into;
 use crate::rng::XorWow;
 use crate::session::{EvolutionState, SessionError};
-use crate::species::{SpeciesId, SpeciesSet};
+use crate::species::SpeciesSet;
 use crate::stats::GenerationStats;
 use crate::trace::GenerationTrace;
 use std::sync::Arc;
@@ -82,13 +82,6 @@ pub struct Population {
     /// heap allocation. Pure cache — never serialized, no effect on
     /// results.
     plans: WorkerLocal<NetworkPlan>,
-    /// Speciation hints for the *current* genomes: each child's parent
-    /// species, recorded by the reproduction step that built it (entry
-    /// `i` hints genome `i`). Advisory warm-start only — speciation
-    /// verifies every hint with an exact distance check, so assignments
-    /// are bit-identical with or without them. Never serialized; empty
-    /// after a resume or restore (an empty/misaligned vector is ignored).
-    pending_hints: Vec<Option<SpeciesId>>,
 }
 
 impl Population {
@@ -121,7 +114,6 @@ impl Population {
             last_champion: None,
             arena: Vec::new(),
             plans: WorkerLocal::new(NetworkPlan::new),
-            pending_hints: Vec::new(),
         }
     }
 
@@ -192,7 +184,6 @@ impl Population {
             last_champion: None,
             arena: Vec::new(),
             plans: WorkerLocal::new(NetworkPlan::new),
-            pending_hints: Vec::new(),
         }
     }
 
@@ -200,10 +191,9 @@ impl Population {
     /// boundary — the [`EvolutionState`] a [`crate::session::Session`]
     /// checkpoints. Restoring it via [`Population::from_state`] and
     /// evolving N more generations is bit-identical to never stopping
-    /// (the reproduction arena, the speciation scan scratch and the
-    /// speciation hints are warm-start caches with no influence on
-    /// results, so they are not captured; genome signatures are
-    /// recomputed from the genes on restore).
+    /// (the reproduction arena and the speciation scan scratch are
+    /// warm-start caches with no influence on results, so they are not
+    /// captured).
     pub fn export_state(&self) -> EvolutionState {
         EvolutionState {
             config: self.config.clone(),
@@ -258,7 +248,6 @@ impl Population {
             last_champion: None,
             arena: Vec::new(),
             plans: WorkerLocal::new(NetworkPlan::new),
-            pending_hints: Vec::new(),
         })
     }
 
@@ -418,13 +407,8 @@ impl Population {
         let pool = self.executor.clone();
         let pool = pool.as_deref();
         let speciate_start = Instant::now();
-        self.species.speciate_with_hints(
-            &self.genomes,
-            &self.config,
-            self.generation,
-            pool,
-            Some(&self.pending_hints),
-        );
+        self.species
+            .speciate_on(&self.genomes, &self.config, self.generation, pool);
         self.species
             .remove_stagnant(&self.genomes, &self.config, self.generation);
         self.species.share_fitness(&self.genomes);
@@ -442,7 +426,6 @@ impl Population {
             self.seed,
             pool,
             &mut self.arena,
-            Some(&mut self.pending_hints),
         );
         let reproduce_ns = reproduce_start.elapsed().as_nanos() as u64;
         let mut stats = GenerationStats::collect(
@@ -523,13 +506,6 @@ impl Population {
             self.genomes[slot].clone_from(migrant);
             self.genomes[slot].set_key(self.next_key);
             self.next_key += 1;
-            // The displaced resident's speciation hint described a genome
-            // that no longer sits in this slot; the immigrant's species id
-            // belongs to another island's id space. Drop the hint (hints
-            // are advisory, so this only costs scan order, never bits).
-            if let Some(hint) = self.pending_hints.get_mut(slot) {
-                *hint = None;
-            }
         }
     }
 

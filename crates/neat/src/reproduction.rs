@@ -100,7 +100,7 @@ use crate::gene::NodeId;
 use crate::genome::Genome;
 use crate::innovation::{InnovationTracker, SplitRecorder};
 use crate::rng::XorWow;
-use crate::species::{SpeciesId, SpeciesSet};
+use crate::species::SpeciesSet;
 use crate::trace::{ChildTrace, GenerationTrace, OpCounters};
 
 /// Result of one reproduction step.
@@ -142,12 +142,6 @@ pub struct ChildPlan {
     pub key: u64,
     /// Seed of the child's private PRNG stream (see [`child_seed`]).
     pub seed: u64,
-    /// Species the parents were drawn from — the next speciation pass's
-    /// *hint* (`None` for [`ChildKind::TopUp`] slots, whose parent is the
-    /// global best regardless of species). A hint is advisory: speciation
-    /// verifies it with an exact distance check and produces bit-identical
-    /// assignments whether the hint is right, wrong, stale, or absent.
-    pub parent_species: Option<SpeciesId>,
 }
 
 /// Derives the seed of one child's private PRNG stream from
@@ -250,8 +244,7 @@ pub fn plan_offspring(
                 next_key: &mut u64,
                 parent1: usize,
                 parent2: usize,
-                kind: ChildKind,
-                parent_species: Option<SpeciesId>| {
+                kind: ChildKind| {
         let child_index = plans.len();
         plans.push(ChildPlan {
             child_index,
@@ -260,7 +253,6 @@ pub fn plan_offspring(
             kind,
             key: *next_key,
             seed: child_seed(base_seed, generation as u64, child_index as u64),
-            parent_species,
         });
         *next_key += 1;
     };
@@ -280,14 +272,7 @@ pub fn plan_offspring(
         // Elites pass through unchanged.
         let elites = config.elitism.min(spawn);
         for &elite_idx in ranked.iter().take(elites) {
-            push(
-                &mut plans,
-                next_key,
-                elite_idx,
-                elite_idx,
-                ChildKind::Elite,
-                Some(s.id),
-            );
+            push(&mut plans, next_key, elite_idx, elite_idx, ChildKind::Elite);
         }
 
         // Parent pool: the surviving top fraction, at least two if possible.
@@ -306,23 +291,9 @@ pub fn plan_offspring(
                 } else {
                     (p2, p1)
                 };
-                push(
-                    &mut plans,
-                    next_key,
-                    hi,
-                    lo,
-                    ChildKind::Crossover,
-                    Some(s.id),
-                );
+                push(&mut plans, next_key, hi, lo, ChildKind::Crossover);
             } else {
-                push(
-                    &mut plans,
-                    next_key,
-                    p1,
-                    p1,
-                    ChildKind::CloneMutate,
-                    Some(s.id),
-                );
+                push(&mut plans, next_key, p1, p1, ChildKind::CloneMutate);
             }
         }
     }
@@ -341,7 +312,7 @@ pub fn plan_offspring(
             .map(|(i, _)| i)
             .unwrap_or(0);
         while plans.len() < config.pop_size {
-            push(&mut plans, next_key, best, best, ChildKind::TopUp, None);
+            push(&mut plans, next_key, best, best, ChildKind::TopUp);
         }
     }
     plans.truncate(config.pop_size);
@@ -366,12 +337,6 @@ struct ChildOutcome {
 /// When `pool` is given, children are built in parallel as index-keyed
 /// executor jobs; results are bit-identical to the serial path (see the
 /// module-level determinism contract). Returns the generation trace.
-///
-/// When `hints` is given, it is overwritten with each child's
-/// [`ChildPlan::parent_species`] (one entry per offspring slot, in child
-/// order) — the speciation hints for the *next* generation's
-/// [`SpeciesSet::speciate_with_hints`]. Hints are purely advisory and do
-/// not affect any evolved bit (see [`crate::species`]).
 #[allow(clippy::too_many_arguments)]
 pub fn reproduce_into(
     genomes: &[Genome],
@@ -384,7 +349,6 @@ pub fn reproduce_into(
     base_seed: u64,
     pool: Option<&Executor>,
     offspring: &mut Vec<Genome>,
-    hints: Option<&mut Vec<Option<SpeciesId>>>,
 ) -> GenerationTrace {
     innovations.begin_generation();
 
@@ -392,10 +356,6 @@ pub fn reproduce_into(
     let plan = plan_offspring(
         genomes, species, config, rng, generation, next_key, base_seed,
     );
-    if let Some(hints) = hints {
-        hints.clear();
-        hints.extend(plan.iter().map(|p| p.parent_species));
-    }
 
     // ---- Phase 2: parallel execute into the arena ----------------------
     offspring.truncate(plan.len());
@@ -521,7 +481,6 @@ pub fn reproduce(
         base_seed,
         None,
         &mut offspring,
-        None,
     );
     ReproductionReport { offspring, trace }
 }
@@ -619,7 +578,6 @@ mod tests {
                 99,
                 pool,
                 &mut offspring,
-                None,
             );
             (offspring, trace, innov.next_node_id())
         };
@@ -641,7 +599,7 @@ mod tests {
             let mut rng = XorWow::seed_from_u64_value(3);
             let mut key = 0;
             reproduce_into(
-                &genomes, &species, &c, &mut innov, &mut rng, 0, &mut key, 5, None, offspring, None,
+                &genomes, &species, &c, &mut innov, &mut rng, 0, &mut key, 5, None, offspring,
             )
         };
         let mut fresh = Vec::new();

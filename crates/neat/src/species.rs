@@ -8,51 +8,35 @@
 //! sharing normalizes member fitness within each species before offspring
 //! are allocated.
 //!
-//! # The two-tier pruned scan
+//! # The scan
 //!
 //! The expensive part of speciation is comparing every genome against the
-//! retained species representatives — naively `O(population × species)`
-//! exact gene-stream merges. The scan here skips most of them without
-//! changing a single assignment bit:
+//! retained species representatives — `O(population × candidates)` exact
+//! gene-stream merges. Each genome's **scan row** walks the candidates in
+//! creation order and stops at the first one under the compatibility
+//! threshold; a genome that matches none records the nearest candidate
+//! instead (earliest index on ties, NaN ordered by [`f64::total_cmp`]).
 //!
-//! 1. **Signature lower bound.** Every genome carries a
-//!    [`GenomeSignature`] — gene counts, 128-bit innovation bitsketches
-//!    and quantized weight moments, maintained incrementally by every
-//!    mutation/crossover/clone. [`GenomeSignature::lower_bound`] turns a
-//!    pair of signatures into a provable lower bound on the exact
-//!    compatibility distance in `O(1)`. A candidate representative is
-//!    skipped only when its bound shows it can neither match (bound ≥
-//!    compatibility threshold) nor improve on the best distance already
-//!    in hand — so every skipped comparison provably could not have
-//!    changed the outcome.
-//! 2. **Parent-species hints.** A child that was just produced from
-//!    parents of species `h` very likely still belongs to `h`.
-//!    [`SpeciesSet::speciate_with_hints`] accepts such hints and
-//!    verifies each with one exact check against `h`'s representative,
-//!    then only has to prove no *earlier* candidate matches — a scan in
-//!    which the lower bound rules out nearly every candidate.
+//! The population size picks the kernel that computes the rows:
 //!
-//! Unpruned candidates are compared through a columnar representative
-//! pack ([`RepColumns`]): up to [`REP_BLOCK`] representatives' gene
-//! clusters merged into one key-sorted stream, so one pass over the
-//! genome scores the whole block with the same arithmetic, in the same
-//! order, as the scalar kernel. Candidate blocks grow geometrically
-//! (1, 2, 4, … [`REP_BLOCK`]) so genomes that match their first
-//! candidate never pay for a full pack.
+//! * at least `BLOCKED_SCAN_MIN_POP` (128) genomes: the **blocked scan**.
+//!   The candidates are packed into columnar blocks ([`RepColumns`]) of
+//!   geometric sizes 1, 2, 4, … [`REP_BLOCK`], so one pass over the genome
+//!   scores a whole block with the same arithmetic, in the same order, as
+//!   the scalar kernel. Genomes that match their first candidate never pay
+//!   for a full block.
+//! * below that: the scalar early-exit loop, one merge-join per candidate.
 //!
-//! Per-genome scan rows are computed as index-keyed jobs on the
-//! persistent [`Executor`]; the actual cluster **assignment is a
-//! deterministic serial fold** over the precomputed rows. Rows are pure
-//! functions of `(genome, representatives)` and pruning decisions are
-//! bit-exact by construction, so the clustering is bit-identical at any
-//! worker count — including the serial path ([`SpeciesSet::speciate`])
-//! and the exact reference path ([`NeatConfig::speciate_exact`] or the
-//! `GENESYS_SPECIATE_EXACT` environment variable), which computes every
-//! distance scalar-and-unpruned. Populations under
-//! `BLOCKED_SCAN_MIN_POP` (128) take the same scalar scan by default — at
-//! that scale the blocked machinery costs more than the distances it
-//! saves, and the rows are bit-identical either way. See
-//! `docs/speciation.md` for the lower-bound proof sketch.
+//! Both kernels produce bit-identical rows, so the cutoff is purely a cost
+//! choice. [`NeatConfig::speciate_exact`] forces the scalar loop at every
+//! population size; it is the blocked scan's test oracle.
+//!
+//! Scan rows are computed as index-keyed jobs on the persistent
+//! [`Executor`]; the actual cluster **assignment is a deterministic serial
+//! fold** over the precomputed rows. Rows are pure functions of
+//! `(genome, candidate representatives)`, so the clustering is
+//! bit-identical at any worker count, including the serial path
+//! ([`SpeciesSet::speciate`]). See `docs/speciation.md`.
 //!
 //! # Representative cap
 //!
@@ -69,16 +53,8 @@
 use crate::arena::{GenomeView, PopulationArena, RepColumns, REP_BLOCK};
 use crate::config::NeatConfig;
 use crate::executor::Executor;
-use crate::genome::{Genome, GenomeSignature};
+use crate::genome::Genome;
 use std::fmt;
-use std::sync::OnceLock;
-
-/// True when the `GENESYS_SPECIATE_EXACT` environment variable forces the
-/// exact (unpruned) speciation path. Read once per process.
-fn env_speciate_exact() -> bool {
-    static EXACT: OnceLock<bool> = OnceLock::new();
-    *EXACT.get_or_init(|| std::env::var("GENESYS_SPECIATE_EXACT").is_ok_and(|v| v != "0"))
-}
 
 /// Identifier of a species.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -136,47 +112,37 @@ impl Species {
     }
 }
 
-/// Per-call counters of the two-tier speciation scan — how many exact
-/// distances were computed, how many candidates the signature lower bound
-/// pruned, and how many genomes the parent-species hint short-circuited.
-/// Reset at the start of every `speciate*` call.
+/// Per-call counters of the speciation scan, reset at the start of every
+/// [`SpeciesSet::speciate_on`] call.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SpeciateScanStats {
-    /// Exact merge-join distances computed.
+    /// Candidate distances the scan consumed: per genome, the candidates
+    /// in creation order up to and including its first match (all of them
+    /// when none matches). The blocked and the scalar kernel report the
+    /// same count.
     pub exact: u64,
-    /// Candidate comparisons skipped by the signature lower bound.
+    /// Always 0: the scan has no pruning tier. Kept so existing readers
+    /// of the counters still compile.
     pub pruned: u64,
-    /// Genomes placed directly into their hinted parent species.
+    /// Always 0: the scan takes no placement hints. Kept so existing
+    /// readers of the counters still compile.
     pub hint_hits: u64,
 }
 
-/// How many lanes of a block the signature lower bound probes before an
-/// all-miss run writes the block off (the adaptive skip in `scan_row`).
-/// Pruning any *subset* of prunable lanes is sound, so this is purely a
-/// cost knob: hostile populations (nothing prunable) pay for at most this
-/// many bounds per block, converged ones keep pruning.
-const LB_PROBE_LANES: usize = 4;
-
 /// Populations below this use the plain scalar early-exit scan instead of
 /// the blocked columnar one. The blocked scan's per-call costs — packing
-/// representatives into [`RepColumns`], zeroing per-block lane arrays,
-/// probing lower bounds — amortize over the population; under roughly a
-/// hundred genomes they exceed the distances they save (measured ~2×
-/// slower at pop 64, break-even near 128, 3×+ faster at 10⁴). Both scans
-/// produce bit-identical rows, so the cutoff is purely a cost choice.
+/// representatives into [`RepColumns`] and zeroing per-block lane arrays —
+/// amortize over the population; under roughly a hundred genomes they
+/// exceed the distances they save. On a 6-input population on a 2-vCPU
+/// x86-64 VM the blocked scan measured 1.5× slower at pop 64, 1.1× slower
+/// at 96, 1.3× faster at 128 and 2.5× faster at 10⁴. Both scans produce
+/// bit-identical rows, so the cutoff is purely a cost choice.
 const BLOCKED_SCAN_MIN_POP: usize = 128;
-
-/// Debug-only soundness check: the lower bound must never exceed the exact
-/// distance. NaN distances compare unordered to every bound, which is fine —
-/// the poison guard makes the bound `-inf` there, so nothing is pruned.
-fn lb_sound(lb: f64, d: f64) -> bool {
-    lb.partial_cmp(&d) != Some(std::cmp::Ordering::Greater)
-}
 
 /// Per-genome result of the candidate scan: everything the serial
 /// assignment fold needs, computed as a **pure function** of
-/// `(genome, fixed candidate representatives, hint)` so rows can be
-/// produced serially or on any worker count with bit-identical content.
+/// `(genome, fixed candidate representatives)` so rows can be produced
+/// serially or on any worker count with bit-identical content.
 #[derive(Debug, Clone, Copy)]
 struct ScanRow {
     /// First candidate (creation order) under the threshold; `u32::MAX`
@@ -184,17 +150,13 @@ struct ScanRow {
     matched: u32,
     /// Distance to the matched candidate's representative.
     matched_d: f64,
-    /// Argmin over the computed candidates (`u32::MAX` when none) — ties
+    /// Argmin over the visited candidates (`u32::MAX` when none) — ties
     /// resolve to the earliest index, NaN via `total_cmp`.
     nearest_s: u32,
     /// Distance to the nearest candidate's representative.
     nearest_d: f64,
-    /// Exact distances this row computed.
+    /// Candidate distances this row consumed.
     exact: u32,
-    /// Candidates the lower bound pruned.
-    pruned: u32,
-    /// Whether the parent-species hint placed this genome.
-    hint_hit: bool,
 }
 
 impl Default for ScanRow {
@@ -205,191 +167,68 @@ impl Default for ScanRow {
             nearest_s: u32::MAX,
             nearest_d: f64::INFINITY,
             exact: 0,
-            pruned: 0,
-            hint_hit: false,
         }
     }
 }
 
-/// Shared read-only context of one `speciate` call's row computation.
+impl ScanRow {
+    /// Folds candidate `s` at distance `d` into the row. Candidates must
+    /// arrive in ascending index order; returns true when `s` is the
+    /// first match, which ends the scan.
+    fn visit(&mut self, s: usize, d: f64, threshold: f64) -> bool {
+        self.exact += 1;
+        if d < threshold {
+            self.matched = s as u32;
+            self.matched_d = d;
+            return true;
+        }
+        // Strict `<` keeps the earliest candidate on ties; total_cmp keeps
+        // NaN distances from poisoning the argmin.
+        if self.nearest_s == u32::MAX || d.total_cmp(&self.nearest_d).is_lt() {
+            self.nearest_s = s as u32;
+            self.nearest_d = d;
+        }
+        false
+    }
+}
+
+/// Shared read-only context of one `speciate_on` call's row computation.
 struct ScanCtx<'a> {
     genomes: &'a [Genome],
     config: &'a NeatConfig,
     candidates: usize,
-    /// Compute every candidate distance with the plain scalar early-exit
-    /// loop — no blocks, no lower bounds, no hints. Set in exact mode
-    /// ([`NeatConfig::speciate_exact`], the reference path) and for
-    /// populations under [`BLOCKED_SCAN_MIN_POP`], where the blocked
-    /// machinery's per-call cost outweighs the distances it saves. Both
-    /// paths produce bit-identical rows, so this is purely a cost choice.
+    /// Use the scalar early-exit loop instead of the blocked scan: set in
+    /// exact mode ([`NeatConfig::speciate_exact`]) and for populations
+    /// under [`BLOCKED_SCAN_MIN_POP`].
     scalar: bool,
     rep_arena: &'a PopulationArena,
-    rep_sigs: &'a [GenomeSignature],
     blocks: &'a [RepColumns],
     block_starts: &'a [usize],
-    hints: Option<&'a [Option<SpeciesId>]>,
-    hint_index: &'a [(SpeciesId, u32)],
 }
 
 impl ScanCtx<'_> {
     /// Scans genome `g_idx` against the fixed candidate representatives.
-    ///
-    /// Pure in `(genome, candidate set, hint)`: the same row is produced
-    /// on the serial path and on every worker count.
-    ///
-    /// Correctness of the two shortcuts (`docs/speciation.md` has the full
-    /// argument):
-    ///
-    /// * **Pruning**: candidate `s` is skipped only when its lower bound
-    ///   satisfies both `lb >= threshold` (so `d_s >= threshold` — `s`
-    ///   cannot be the first match) and `lb >= B` where `B` is the best
-    ///   distance frozen at the block boundary (so `d_s >= B >=` the final
-    ///   nearest distance, and on a tie the holder of `B` has the smaller
-    ///   index — `s` cannot be the argmin either).
-    /// * **Hint**: with `d_hint < threshold` a match is guaranteed at the
-    ///   hint or earlier, so the nearest-candidate tracking is moot and
-    ///   earlier candidates can be skipped on `lb >= threshold` alone.
+    /// Pure in `(genome, candidate set)`: the same row is produced on the
+    /// serial path and on every worker count, by either kernel.
     fn scan_row(&self, g_idx: usize) -> ScanRow {
         let mut row = ScanRow::default();
-        if self.candidates == 0 {
-            return row;
-        }
-        let genome = &self.genomes[g_idx];
-        let view = GenomeView::of(genome);
+        let view = GenomeView::of(&self.genomes[g_idx]);
         let threshold = self.config.compatibility_threshold;
-
         if self.scalar {
             for s in 0..self.candidates {
                 let d = view.distance(self.rep_arena.view(s), self.config);
-                row.exact += 1;
-                if d < threshold {
-                    row.matched = s as u32;
-                    row.matched_d = d;
-                    return row;
-                }
-                if row.nearest_s == u32::MAX || d.total_cmp(&row.nearest_d).is_lt() {
-                    row.nearest_s = s as u32;
-                    row.nearest_d = d;
+                if row.visit(s, d, threshold) {
+                    break;
                 }
             }
             return row;
         }
-
-        let sig = genome.signature();
-
-        // Hint fast path: check the parent species' representative first;
-        // on a hit, only candidates *before* it that the lower bound
-        // cannot exclude need an exact check.
-        if let Some(hints) = self.hints {
-            if let Some(hint_id) = hints[g_idx] {
-                if let Ok(pos) = self
-                    .hint_index
-                    .binary_search_by(|&(id, _)| id.cmp(&hint_id))
-                {
-                    let h = self.hint_index[pos].1 as usize;
-                    let d_h = view.distance(self.rep_arena.view(h), self.config);
-                    row.exact += 1;
-                    if d_h < threshold {
-                        for s in 0..h {
-                            let lb =
-                                GenomeSignature::lower_bound(sig, &self.rep_sigs[s], self.config);
-                            if lb >= threshold {
-                                row.pruned += 1;
-                                continue;
-                            }
-                            let d = view.distance(self.rep_arena.view(s), self.config);
-                            row.exact += 1;
-                            debug_assert!(lb_sound(lb, d), "lower bound {lb} above exact {d}");
-                            if d < threshold {
-                                row.matched = s as u32;
-                                row.matched_d = d;
-                                return row;
-                            }
-                        }
-                        row.matched = h as u32;
-                        row.matched_d = d_h;
-                        row.hint_hit = true;
-                        return row;
-                    }
-                    // The hinted representative drifted out of range: fall
-                    // through to the full scan (recomputing its lane is
-                    // bit-identical, so the row stays hint-independent).
-                }
-            }
-        }
-
-        // Blocked columnar scan with lower-bound pruning.
         let mut out = [0.0f64; REP_BLOCK];
-        let mut lbs = [f64::NEG_INFINITY; REP_BLOCK];
-        // Pruning decisions never change the row (a skipped candidate is
-        // provably neither the first match nor the argmin), so *when* to
-        // try pruning is a free heuristic: after a full block of bounds
-        // fires zero prunes, this genome's signature is too loose against
-        // this candidate set and the remaining blocks skip the bound
-        // computation. Depends only on (genome, candidate set) — still a
-        // pure row, identical on every worker count.
-        let mut lb_live = true;
-        for (b, block) in self.blocks.iter().enumerate() {
-            let start = self.block_starts[b];
-            let lanes = block.lanes();
-            let mut active: u16 = if lanes >= 16 {
-                u16::MAX
-            } else {
-                (1u16 << lanes) - 1
-            };
-            // No bound can fire until a first distance exists (B = +inf
-            // would never beat a finite lb), so block 0 skips the lb
-            // computation entirely.
-            lbs[..lanes].fill(f64::NEG_INFINITY);
-            if lb_live && row.nearest_s != u32::MAX {
-                let frozen = row.nearest_d;
-                let mut fired = false;
-                for (lane, lb_slot) in lbs.iter_mut().enumerate().take(lanes) {
-                    // Probing is free to stop anywhere: every un-probed
-                    // lane just stays active (lb = -inf never prunes). If
-                    // the first few bounds all fail to fire, the block is
-                    // written off without paying for the rest.
-                    if lane == LB_PROBE_LANES && !fired {
-                        break;
-                    }
-                    let lb = GenomeSignature::lower_bound(
-                        sig,
-                        &self.rep_sigs[start + lane],
-                        self.config,
-                    );
-                    *lb_slot = lb;
-                    if lb >= threshold && lb >= frozen {
-                        active &= !(1u16 << lane);
-                        row.pruned += 1;
-                        fired = true;
-                    }
-                }
-                lb_live = fired;
-                if active == 0 {
-                    continue;
-                }
-            }
-            block.scan(view, active, self.config, &mut out);
-            for lane in 0..lanes {
-                if active & (1u16 << lane) == 0 {
-                    continue;
-                }
-                let d = out[lane];
-                row.exact += 1;
-                debug_assert!(
-                    lb_sound(lbs[lane], d),
-                    "lower bound {} above exact {d}",
-                    lbs[lane]
-                );
-                let s = (start + lane) as u32;
-                if d < threshold {
-                    row.matched = s;
-                    row.matched_d = d;
+        for (block, &start) in self.blocks.iter().zip(self.block_starts) {
+            block.scan(view, self.config, &mut out);
+            for (lane, &d) in out.iter().take(block.lanes()).enumerate() {
+                if row.visit(start + lane, d, threshold) {
                     return row;
-                }
-                if row.nearest_s == u32::MAX || d.total_cmp(&row.nearest_d).is_lt() {
-                    row.nearest_s = s;
-                    row.nearest_d = d;
                 }
             }
         }
@@ -408,15 +247,11 @@ pub struct SpeciesSet {
     /// generation, so distance scans walk contiguous gene memory instead
     /// of one heap allocation per species (buffers reused across calls).
     rep_arena: PopulationArena,
-    /// Candidate representatives' signatures, packed alongside the arena.
-    rep_sigs: Vec<GenomeSignature>,
     /// Columnar representative blocks (geometric sizes 1, 2, 4, …,
     /// [`REP_BLOCK`]) for the batched one-genome-versus-K distance scan.
     blocks: Vec<RepColumns>,
     /// First candidate index of each block.
     block_starts: Vec<usize>,
-    /// Sorted `(species id, candidate index)` pairs for hint resolution.
-    hint_index: Vec<(SpeciesId, u32)>,
     /// Every genome's distance to its assigned species' *old*
     /// representative, captured during the fold so representative
     /// re-election needs no further distance computations.
@@ -476,43 +311,19 @@ impl SpeciesSet {
 
     /// Clusters `genomes` into species by compatibility distance, with the
     /// per-genome candidate scans computed on `pool` when given (see the
-    /// module docs for the determinism argument). Equivalent to
-    /// [`SpeciesSet::speciate_with_hints`] with no hints.
-    pub fn speciate_on(
-        &mut self,
-        genomes: &[Genome],
-        config: &NeatConfig,
-        generation: usize,
-        pool: Option<&Executor>,
-    ) {
-        self.speciate_with_hints(genomes, config, generation, pool, None);
-    }
-
-    /// Clusters `genomes` into species by compatibility distance.
+    /// module docs for the determinism argument).
     ///
     /// Each genome joins the first existing species whose representative is
     /// within [`NeatConfig::compatibility_threshold`]; otherwise it founds a
     /// new species. Afterwards each non-empty species re-elects the member
     /// closest to the old representative as its new representative
     /// (`neat-python` behaviour); empty species are dropped.
-    ///
-    /// `hints` optionally carries each genome's parent species id (from the
-    /// reproduction plan): a hinted genome is first checked against its
-    /// parent's retained representative, and earlier candidates are
-    /// examined only when the signature lower bound cannot rule them out —
-    /// a bit-neutral short-circuit (the hint never changes which species
-    /// wins, only how many exact distances finding it costs). A hints
-    /// slice of the wrong length is ignored; hints are also ignored in
-    /// exact mode (see [`NeatConfig::speciate_exact`]) and for
-    /// populations under the blocked-scan cutoff (`BLOCKED_SCAN_MIN_POP`),
-    /// which take the scalar scan the hints exist to avoid.
-    pub fn speciate_with_hints(
+    pub fn speciate_on(
         &mut self,
         genomes: &[Genome],
         config: &NeatConfig,
         generation: usize,
         pool: Option<&Executor>,
-        hints: Option<&[Option<SpeciesId>]>,
     ) {
         for s in &mut self.species {
             s.members.clear();
@@ -522,33 +333,18 @@ impl SpeciesSet {
         // Only the first `cap` species (creation order) are assignment
         // candidates; the scan never examines more than that.
         let candidates = existing.min(cap);
-        let exact_mode = config.speciate_exact || env_speciate_exact();
-        // Small populations take the scalar scan (same rows, cheaper at
-        // this scale — see `BLOCKED_SCAN_MIN_POP`); hints only exist to
-        // save blocked-scan work, so they are dropped with it.
-        let scalar = exact_mode || genomes.len() < BLOCKED_SCAN_MIN_POP;
-        let hints = if scalar { None } else { hints };
-        let hints = hints.filter(|h| h.len() == genomes.len());
+        let scalar = config.speciate_exact || genomes.len() < BLOCKED_SCAN_MIN_POP;
+        let threshold = config.compatibility_threshold;
         self.scan_stats = SpeciateScanStats::default();
 
-        // Pack the candidate representatives (and, for the blocked scan,
-        // their signatures) into the flat arena so every scan streams
-        // contiguous gene memory.
+        // Pack the candidate representatives into the flat arena so every
+        // scan streams contiguous gene memory.
         self.rep_arena.pack(
             self.species
                 .iter()
                 .take(candidates)
                 .map(|s| &s.representative),
         );
-        self.rep_sigs.clear();
-        if !scalar {
-            self.rep_sigs.extend(
-                self.species
-                    .iter()
-                    .take(candidates)
-                    .map(|s| *s.representative.signature()),
-            );
-        }
 
         // Columnar blocks over the candidates, geometric sizes
         // 1, 2, 4, …, REP_BLOCK: early blocks stay cheap for genomes that
@@ -578,36 +374,18 @@ impl SpeciesSet {
             self.blocks.clear();
         }
 
-        // Hint resolution map: species id → candidate index, sorted for
-        // binary search (ids are unique).
-        self.hint_index.clear();
-        if hints.is_some() {
-            self.hint_index.extend(
-                self.species
-                    .iter()
-                    .take(candidates)
-                    .enumerate()
-                    .map(|(i, s)| (s.id, i as u32)),
-            );
-            self.hint_index.sort_unstable_by_key(|&(id, _)| id);
-        }
-
         // Phase 1: one scan row per genome — a pure function of the genome
         // and the fixed candidate set, so serial and parallel production
         // are bit-identical (index-keyed jobs on the pool; see module
-        // docs). Rows keep the lazy first-match early exit at block
-        // granularity and prune candidates via the signature lower bound.
+        // docs).
         let ctx = ScanCtx {
             genomes,
             config,
             candidates,
             scalar,
             rep_arena: &self.rep_arena,
-            rep_sigs: &self.rep_sigs,
             blocks: &self.blocks,
             block_starts: &self.block_starts,
-            hints,
-            hint_index: &self.hint_index,
         };
         self.rows.clear();
         self.rows.resize(genomes.len(), ScanRow::default());
@@ -623,69 +401,36 @@ impl SpeciesSet {
                 }
             }
         }
-        for row in &self.rows {
-            self.scan_stats.exact += u64::from(row.exact);
-            self.scan_stats.pruned += u64::from(row.pruned);
-            self.scan_stats.hint_hits += u64::from(row.hint_hit);
-        }
 
         // Phase 2 (serial fold): deterministic assignment in genome order —
         // first candidate species (in creation order) under the threshold
-        // wins, exactly as the lazy serial scan this replaced. At most
-        // `cap` candidates are ever scanned; past the cap an unmatched
-        // genome joins the nearest candidate instead of founding. Species
-        // founded *during* the fold are scanned serially here (they cannot
-        // appear in the precomputed rows; their indices all exceed the
-        // row candidates', so seeding `nearest` from the row preserves the
-        // earliest-index tie-break). Every member's distance to its
+        // wins. At most `cap` candidates are ever scanned; past the cap an
+        // unmatched genome joins the nearest candidate instead of founding.
+        // Species founded *during* the fold cannot appear in the
+        // precomputed rows; their indices all exceed the row candidates',
+        // so continuing the row over them serially keeps the
+        // earliest-index tie-break. Every member's distance to its
         // assigned species' old representative is captured so phase 3
         // below re-elects representatives without recomputing anything.
-        let cd = config.compatibility_disjoint_coefficient;
-        let cw = config.compatibility_weight_coefficient;
-        let coeffs_finite = cd.is_finite() && cw.is_finite();
         self.assigned_dist.clear();
         self.assigned_dist.resize(genomes.len(), 0.0);
         for (idx, genome) in genomes.iter().enumerate() {
-            let row = self.rows[idx];
-            if row.matched != u32::MAX {
-                self.species[row.matched as usize].members.push(idx);
-                self.assigned_dist[idx] = row.matched_d;
-                continue;
-            }
-            let mut placed = false;
-            let mut nearest: Option<(usize, f64)> =
-                (row.nearest_s != u32::MAX).then_some((row.nearest_s as usize, row.nearest_d));
-            let scan = self.species.len().min(cap);
-            for s in candidates..scan {
-                let d = genome.distance(&self.species[s].representative, config);
-                self.scan_stats.exact += 1;
-                if d < config.compatibility_threshold {
-                    self.species[s].members.push(idx);
-                    self.assigned_dist[idx] = d;
-                    placed = true;
-                    break;
-                }
-                // Strict `<` keeps the earliest species on ties; total_cmp
-                // keeps NaN distances from poisoning the argmin.
-                if nearest.is_none_or(|(_, best)| d.total_cmp(&best).is_lt()) {
-                    nearest = Some((s, d));
+            let mut row = self.rows[idx];
+            if row.matched == u32::MAX {
+                for s in candidates..self.species.len().min(cap) {
+                    let d = genome.distance(&self.species[s].representative, config);
+                    if row.visit(s, d, threshold) {
+                        break;
+                    }
                 }
             }
-            if placed {
-                continue;
-            }
-            if self.species.len() < cap {
+            self.scan_stats.exact += u64::from(row.exact);
+            if row.matched == u32::MAX && self.species.len() < cap {
                 let id = SpeciesId(self.next_id);
                 self.next_id += 1;
-                // A founder's distance to itself is exactly +0.0 whenever
-                // everything involved is finite; otherwise (NaN/inf
-                // attributes, non-finite coefficients) compute what the
-                // re-election pass would have seen.
-                self.assigned_dist[idx] = if coeffs_finite && !genome.signature().has_nonfinite() {
-                    0.0
-                } else {
-                    genome.distance(genome, config)
-                };
+                // What re-election would measure for the founder: exactly
+                // +0.0 with finite genes and coefficients.
+                self.assigned_dist[idx] = genome.distance(genome, config);
                 self.species.push(Species {
                     id,
                     representative: genome.clone(),
@@ -695,11 +440,17 @@ impl SpeciesSet {
                     best_fitness: f64::NEG_INFINITY,
                     adjusted_fitness: 0.0,
                 });
-            } else {
-                let (s, d) = nearest.expect("cap >= 1 so at least one candidate was scanned");
-                self.species[s].members.push(idx);
-                self.assigned_dist[idx] = d;
+                continue;
             }
+            // Past the cap an unmatched genome joins its nearest candidate
+            // (cap >= 1, so at least one candidate was scanned).
+            let (s, d) = if row.matched != u32::MAX {
+                (row.matched, row.matched_d)
+            } else {
+                (row.nearest_s, row.nearest_d)
+            };
+            self.species[s as usize].members.push(idx);
+            self.assigned_dist[idx] = d;
         }
 
         // Phase 3: re-elect representatives from the captured

@@ -232,7 +232,7 @@ proptest! {
             let mut offspring = Vec::new();
             let trace = genesys::neat::reproduction::reproduce_into(
                 &genomes, &species, &c, &mut innov, &mut r, 0, &mut key, seed, pool,
-                &mut offspring, None,
+                &mut offspring,
             );
             (offspring, trace)
         };

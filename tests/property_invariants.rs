@@ -246,66 +246,4 @@ proptest! {
         let hits = (0..n).filter(|_| rng.chance(p)).count() as f64 / n as f64;
         prop_assert!((hits - p).abs() < 0.06, "p={p}, hits={hits}");
     }
-
-    /// The signature lower bound never exceeds the exact compatibility
-    /// distance, for arbitrary genome pairs under arbitrary mutation
-    /// histories — the soundness condition the pruned speciation scan
-    /// rests on (a violation could change species assignments).
-    #[test]
-    fn signature_lower_bound_is_sound(
-        config in arb_config(),
-        seed in any::<u64>(),
-        steps_a in 0usize..30,
-        steps_b in 0usize..30,
-    ) {
-        let mut rng = XorWow::seed_from_u64_value(seed);
-        let mut innov = InnovationTracker::new(config.first_hidden_id());
-        let mut ops = OpCounters::new();
-        let mut a = Genome::initial(0, &config, &mut rng);
-        let mut b = Genome::initial(1, &config, &mut rng);
-        for _ in 0..steps_a {
-            a.mutate(&config, &mut innov, &mut rng, &mut ops);
-        }
-        for _ in 0..steps_b {
-            b.mutate(&config, &mut innov, &mut rng, &mut ops);
-        }
-        let lb = a.distance_lower_bound(&b, &config);
-        let d = a.distance(&b, &config);
-        // Not `lb <= d`: a NaN distance (impossible here, but the
-        // invariant is stated for all inputs) satisfies the bound only
-        // when "greater" is the one ordering ruled out.
-        prop_assert!(
-            lb.partial_cmp(&d) != Some(std::cmp::Ordering::Greater),
-            "lower bound {lb} exceeds exact distance {d}"
-        );
-        // The bound is symmetric, like the distance itself.
-        let lb_rev = b.distance_lower_bound(&a, &config);
-        prop_assert_eq!(lb.to_bits(), lb_rev.to_bits());
-    }
-
-    /// The incrementally-maintained signature equals a from-scratch
-    /// recomputation after any mutation sequence, and crossover children
-    /// get exact signatures too — so the pruned scan never consults a
-    /// stale summary.
-    #[test]
-    fn incremental_signature_matches_recompute(
-        config in arb_config(),
-        seed in any::<u64>(),
-        steps in 0usize..40,
-    ) {
-        let mut rng = XorWow::seed_from_u64_value(seed);
-        let mut innov = InnovationTracker::new(config.first_hidden_id());
-        let mut ops = OpCounters::new();
-        let mut a = Genome::initial(0, &config, &mut rng);
-        let mut b = Genome::initial(1, &config, &mut rng);
-        for _ in 0..steps {
-            a.mutate(&config, &mut innov, &mut rng, &mut ops);
-            prop_assert_eq!(*a.signature(), a.recompute_signature());
-        }
-        for _ in 0..steps / 2 {
-            b.mutate(&config, &mut innov, &mut rng, &mut ops);
-        }
-        let child = Genome::crossover(2, &a, &b, 0.5, &mut rng, &mut ops);
-        prop_assert_eq!(*child.signature(), child.recompute_signature());
-    }
 }
