@@ -101,6 +101,12 @@ pub enum ServeError {
     Io(String),
     /// The server/scheduler thread is gone (shut down or panicked).
     Disconnected,
+    /// The TCP front end already serves its cap of connections; the new
+    /// one gets this reply (request id 0) and is closed.
+    TooManyConnections {
+        /// The cap ([`crate::net::MAX_CONNECTIONS`]).
+        cap: usize,
+    },
     /// An error reported by the remote peer, preserving its wire code.
     Remote {
         /// The stable numeric code ([`ServeError::code`] of the original).
@@ -147,6 +153,7 @@ impl ServeError {
             },
             ServeError::Io(_) => 500,
             ServeError::Disconnected => 501,
+            ServeError::TooManyConnections { .. } => 502,
             ServeError::Remote { code, .. } => *code,
         }
     }
@@ -167,6 +174,9 @@ impl fmt::Display for ServeError {
             ServeError::Session(e) => write!(f, "session state: {e}"),
             ServeError::Io(e) => write!(f, "i/o: {e}"),
             ServeError::Disconnected => write!(f, "server disconnected"),
+            ServeError::TooManyConnections { cap } => {
+                write!(f, "too many connections: the server is at its cap of {cap}")
+            }
             ServeError::Remote { code, message } => {
                 write!(f, "remote error {code}: {message}")
             }
@@ -222,6 +232,7 @@ mod tests {
         assert_eq!(ServeError::Snapshot(SnapshotError::BadMagic).code(), 300);
         assert_eq!(ServeError::Session(SessionError::EmptyState).code(), 401);
         assert_eq!(ServeError::Io(String::new()).code(), 500);
+        assert_eq!(ServeError::TooManyConnections { cap: 256 }.code(), 502);
         let remote = ServeError::Remote {
             code: 303,
             message: "x".into(),

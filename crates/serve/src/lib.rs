@@ -22,8 +22,10 @@
 //! * [`workload`] — the wire-nameable workloads ([`WorkloadSpec`]):
 //!   gym episode rollouts, the drifting nonstationary workload, and a
 //!   synthetic load-test fitness.
-//! * [`net`] — a hand-rolled nonblocking TCP poll loop (offline
-//!   constraint: no I/O registry deps) plus the blocking [`WireClient`].
+//! * [`net`] — a blocking TCP front end on the standard library alone
+//!   (offline constraint: no I/O registry deps): an accept loop, a reader
+//!   and a writer thread per connection, at most [`MAX_CONNECTIONS`]
+//!   connections; plus the blocking [`WireClient`].
 //!
 //! # Determinism
 //!
@@ -83,7 +85,7 @@ pub mod server;
 pub mod workload;
 
 pub use error::{FrameError, ServeError};
-pub use net::{serve, WireClient};
+pub use net::{serve, WireClient, MAX_CONNECTIONS};
 pub use protocol::{Reply, Request, ServerStats, MAX_FRAME_BYTES, PROTOCOL_VERSION};
 pub use server::{Client, Server, ServerConfig};
 pub use workload::{ServeWorkload, WorkloadSpec};

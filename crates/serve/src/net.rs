@@ -1,20 +1,56 @@
-//! Hand-rolled nonblocking TCP transport (no registry I/O deps — the
-//! same offline constraint as `vendor/`).
+//! Blocking TCP transport built on the standard library alone (no
+//! registry I/O deps — the same offline constraint as `vendor/`).
 //!
-//! [`serve`] runs a poll loop in the calling thread: a nonblocking
-//! listener plus per-connection read/write buffers, extracting complete
-//! frames with [`crate::protocol::take_frame`], dispatching them to the
-//! scheduler through a [`Client`], and flushing replies opportunistically
-//! (partial writes and `WouldBlock` are normal states, not errors).
+//! # Threads
+//!
+//! [`serve`] runs the accept loop in the calling thread and gives every
+//! accepted connection two threads of its own:
+//!
+//! * a **reader** blocks in `read`, cuts complete frames out with
+//!   [`crate::protocol::take_frame`], decodes each and hands it to the
+//!   scheduler through [`Client`], with a completion callback that sends
+//!   the reply into the connection's reply channel;
+//! * a **writer** blocks on that channel and writes each reply out whole.
+//!
+//! The scheduler never touches a socket, so a client that stops reading
+//! stalls only its own writer. The writer ends once every sender of the
+//! channel is gone — the reader has stopped and every in-flight request
+//! has been answered — so replies still go out after the peer closes its
+//! write side. It then shuts the socket down, which is also how a write
+//! failure stops the reader.
+//!
+//! # Reply order
+//!
 //! Requests carry caller-chosen correlation ids, so a connection can
-//! pipeline arbitrarily many requests; replies come back tagged and
-//! possibly out of request order.
+//! pipeline arbitrarily many requests. Replies come back tagged, in the
+//! order the scheduler completes them: a `step(n)` queues generations,
+//! and verbs sent after it are answered before it finishes.
+//!
+//! # Malformed frames
 //!
 //! Malformed frames never kill the server: a body that fails
 //! [`crate::protocol::decode_request`] earns an error reply (correlated
 //! by a best-effort header peek) and the connection keeps going, since
 //! framing is still intact. Only an oversize length prefix — where
-//! framing itself is lost — closes the connection, after an error reply.
+//! framing itself is lost — stops the reader, after an error reply with
+//! request id 0; the connection closes once in-flight replies are out.
+//!
+//! # Connection cap
+//!
+//! At most [`MAX_CONNECTIONS`] connections are served at once, each
+//! counted until both its threads have exited. One more gets a single
+//! [`ServeError::TooManyConnections`] reply (request id 0) and is closed
+//! without spawning a thread.
+//!
+//! # Shutdown
+//!
+//! A blocked `accept` cannot observe the `shutdown` flag, so the listener
+//! stays nonblocking and the loop sleeps 2 ms between empty polls; only
+//! new connections wait on that sleep, never a request. Once the flag is
+//! set, [`serve`] shuts every live socket down, joins the readers and
+//! returns. It does not join the writers: one may be waiting on a queued
+//! `step(n)` whose callback fires, or drops, only when the
+//! [`crate::Server`] is dropped.
 //!
 //! [`WireClient`] is the matching blocking client: `send` (pipeline),
 //! `recv` (next reply, any id) and `call` (one request, wait for its
@@ -25,54 +61,38 @@ use crate::protocol::{decode_reply, encode_reply, encode_request, request_id_of,
 use crate::protocol::{decode_request, Reply, Request};
 use crate::server::Client;
 use std::io::{ErrorKind, Read, Write};
-use std::net::{TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Shutdown, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::Duration;
 
 const READ_CHUNK: usize = 64 * 1024;
 
-struct Conn {
-    stream: TcpStream,
-    rbuf: Vec<u8>,
-    wbuf: Vec<u8>,
-    /// Replies completed by the scheduler, tagged with their request id.
-    replies: Receiver<(u32, Result<Reply, ServeError>)>,
-    reply_tx: Sender<(u32, Result<Reply, ServeError>)>,
-    dispatched: u64,
-    completed: u64,
-    /// Peer closed its write side (or the stream failed): read no more.
-    eof: bool,
-    /// The connection is unrecoverable (framing lost or writes failing);
-    /// replies are discarded and it closes once in-flight work settles.
-    broken: bool,
-}
+/// How long the accept loop sleeps when no connection is pending.
+const ACCEPT_POLL: Duration = Duration::from_millis(2);
 
-impl Conn {
-    fn new(stream: TcpStream) -> Conn {
-        let (reply_tx, replies) = mpsc::channel();
-        Conn {
-            stream,
-            rbuf: Vec::new(),
-            wbuf: Vec::new(),
-            replies,
-            reply_tx,
-            dispatched: 0,
-            completed: 0,
-            eof: false,
-            broken: false,
-        }
-    }
+/// Connections [`serve`] handles at once; one past the cap is answered
+/// with [`ServeError::TooManyConnections`] and closed.
+pub const MAX_CONNECTIONS: usize = 256;
 
-    /// All dispatched requests have been answered and flushed.
-    fn drained(&self) -> bool {
-        self.wbuf.is_empty() && self.dispatched == self.completed
-    }
+/// A reply completed by the scheduler, tagged with its request id.
+type Tagged = (u32, Result<Reply, ServeError>);
+
+/// A live connection as the accept loop holds it. The socket is shared
+/// with both threads (`&TcpStream` reads and writes), so each connection
+/// costs one descriptor.
+struct Served {
+    stream: Arc<TcpStream>,
+    reader: JoinHandle<()>,
+    writer: JoinHandle<()>,
 }
 
 /// Serves the scheduler behind `client` on `listener` until `shutdown`
-/// turns true. Runs in the calling thread; spawn it on a dedicated one.
+/// turns true. Accepts in the calling thread (spawn it on a dedicated
+/// one); see the [module docs](self) for the per-connection threads and
+/// what shutdown waits for.
 ///
 /// # Errors
 ///
@@ -84,162 +104,123 @@ pub fn serve(
     shutdown: &Arc<AtomicBool>,
 ) -> std::io::Result<()> {
     listener.set_nonblocking(true)?;
-    let mut conns: Vec<Conn> = Vec::new();
+    let mut live: Vec<Served> = Vec::new();
     while !shutdown.load(Ordering::Relaxed) {
-        let mut progress = false;
-
-        // Accept.
-        loop {
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    if stream.set_nonblocking(true).is_ok() {
-                        conns.push(Conn::new(stream));
-                        progress = true;
-                    }
+        match listener.accept() {
+            Ok((stream, _)) => {
+                live.retain(|c| !(c.reader.is_finished() && c.writer.is_finished()));
+                if live.len() >= MAX_CONNECTIONS {
+                    refuse(stream);
+                } else if let Ok(conn) = open(client, stream) {
+                    live.push(conn);
                 }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(_) => break,
             }
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(_) => std::thread::sleep(ACCEPT_POLL),
         }
-
-        for conn in &mut conns {
-            progress |= pump_read(conn, client);
-            progress |= pump_replies(conn);
-            progress |= pump_write(conn);
-        }
-        // A connection retires once the peer is done sending and every
-        // dispatched request has settled (answered and flushed, or
-        // discarded on a broken connection). In-flight callbacks hold
-        // the reply channel, so a conn never drops with work pending.
-        conns.retain(|c| {
-            if c.broken {
-                !c.drained()
-            } else {
-                !(c.eof && c.drained())
-            }
-        });
-
-        if !progress {
-            std::thread::sleep(Duration::from_micros(500));
-        }
+    }
+    for conn in &live {
+        let _ = conn.stream.shutdown(Shutdown::Both);
+    }
+    for conn in live {
+        let _ = conn.reader.join();
     }
     Ok(())
 }
 
-/// Reads available bytes and dispatches every complete frame. Returns
-/// whether any work happened.
-fn pump_read(conn: &mut Conn, client: &Client) -> bool {
-    if conn.eof || conn.broken {
-        return false;
-    }
-    let mut progress = false;
+/// Answers a connection past [`MAX_CONNECTIONS`] and closes it.
+fn refuse(mut stream: TcpStream) {
+    let refusal = ServeError::TooManyConnections {
+        cap: MAX_CONNECTIONS,
+    };
+    let _ = stream.write_all(&encode_reply(0, &Err(refusal)));
+}
+
+/// Puts an accepted socket in blocking mode (some platforms hand it the
+/// listener's nonblocking flag) and spawns its reader and writer.
+fn open(client: &Client, stream: TcpStream) -> std::io::Result<Served> {
+    stream.set_nonblocking(false)?;
+    stream.set_nodelay(true)?;
+    let stream = Arc::new(stream);
+    let (replies_tx, replies) = mpsc::channel();
+    let writer = {
+        let stream = Arc::clone(&stream);
+        std::thread::Builder::new()
+            .name("genesys-serve-write".into())
+            .spawn(move || write_replies(&stream, &replies))?
+    };
+    let reader = {
+        let stream = Arc::clone(&stream);
+        let client = client.clone();
+        std::thread::Builder::new()
+            .name("genesys-serve-read".into())
+            .spawn(move || read_requests(&stream, &client, &replies_tx))?
+    };
+    Ok(Served {
+        stream,
+        reader,
+        writer,
+    })
+}
+
+/// The reader thread: reads until EOF, a read error or a framing loss,
+/// dispatching every complete frame.
+fn read_requests(mut stream: &TcpStream, client: &Client, replies: &Sender<Tagged>) {
+    let mut rbuf = Vec::new();
     let mut chunk = [0u8; READ_CHUNK];
     loop {
-        match conn.stream.read(&mut chunk) {
-            Ok(0) => {
-                conn.eof = true;
-                break;
-            }
-            Ok(n) => {
-                conn.rbuf.extend_from_slice(&chunk[..n]);
-                progress = true;
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+        match stream.read(&mut chunk) {
+            Ok(0) => return,
+            Ok(n) => rbuf.extend_from_slice(&chunk[..n]),
             Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-            Err(_) => {
-                conn.eof = true;
-                break;
+            Err(_) => return,
+        }
+        loop {
+            match take_frame(&mut rbuf) {
+                Ok(Some(body)) => dispatch(client, &body, replies),
+                Ok(None) => break,
+                Err(e) => {
+                    // Framing lost: answer with the typed error, then stop.
+                    let _ = replies.send((0, Err(e)));
+                    return;
+                }
             }
         }
     }
-    loop {
-        match take_frame(&mut conn.rbuf) {
-            Ok(Some(body)) => {
-                progress = true;
-                dispatch(conn, client, &body);
-            }
-            Ok(None) => break,
-            Err(e) => {
-                // Framing lost: answer with the typed error, then close.
-                conn.wbuf.extend_from_slice(&encode_reply(0, &Err(e)));
-                conn.broken = true;
-                break;
-            }
-        }
-    }
-    progress
 }
 
 /// Decodes one request body and hands it to the scheduler; parse
 /// failures are answered immediately with a typed error reply.
-fn dispatch(conn: &mut Conn, client: &Client, body: &[u8]) {
+fn dispatch(client: &Client, body: &[u8], replies: &Sender<Tagged>) {
     match decode_request(body) {
         Ok((id, request)) => {
-            let tx = conn.reply_tx.clone();
+            let tx = replies.clone();
             let sent = client.dispatch(
                 request,
                 Box::new(move |result| {
                     let _ = tx.send((id, result));
                 }),
             );
-            match sent {
-                Ok(()) => conn.dispatched += 1,
-                Err(e) => conn.wbuf.extend_from_slice(&encode_reply(id, &Err(e))),
+            if let Err(e) = sent {
+                let _ = replies.send((id, Err(e)));
             }
         }
         Err(e) => {
             let id = request_id_of(body).unwrap_or(0);
-            conn.wbuf.extend_from_slice(&encode_reply(id, &Err(e)));
+            let _ = replies.send((id, Err(e)));
         }
     }
 }
 
-/// Moves completed replies into the write buffer.
-fn pump_replies(conn: &mut Conn) -> bool {
-    let mut progress = false;
-    while let Ok((id, result)) = conn.replies.try_recv() {
-        conn.wbuf.extend_from_slice(&encode_reply(id, &result));
-        conn.completed += 1;
-        progress = true;
-    }
-    progress
-}
-
-/// Flushes as much of the write buffer as the socket accepts. A write
-/// failure marks the connection broken and discards the buffer (the peer
-/// is gone; nothing can be delivered).
-fn pump_write(conn: &mut Conn) -> bool {
-    if conn.wbuf.is_empty() {
-        return false;
-    }
-    let mut written = 0;
-    loop {
-        match conn.stream.write(&conn.wbuf[written..]) {
-            Ok(0) => {
-                conn.eof = true;
-                conn.broken = true;
-                conn.wbuf.clear();
-                return true;
-            }
-            Ok(n) => {
-                written += n;
-                if written == conn.wbuf.len() {
-                    break;
-                }
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-            Err(_) => {
-                conn.eof = true;
-                conn.broken = true;
-                conn.wbuf.clear();
-                return true;
-            }
+/// The writer thread: writes each reply until the channel closes or a
+/// write fails, then shuts the socket down (which stops the reader too).
+fn write_replies(mut stream: &TcpStream, replies: &Receiver<Tagged>) {
+    for (id, result) in replies {
+        if stream.write_all(&encode_reply(id, &result)).is_err() {
+            break;
         }
     }
-    conn.wbuf.drain(..written);
-    written > 0
+    let _ = stream.shutdown(Shutdown::Both);
 }
 
 /// Blocking wire client: the TCP twin of [`Client`]. Supports pipelining

@@ -148,7 +148,7 @@ impl Client {
     }
 
     /// Sends one request with an explicit completion callback (the
-    /// non-blocking form the poll loop uses to pipeline).
+    /// non-blocking form a connection's reader thread uses to pipeline).
     pub(crate) fn dispatch(&self, request: Request, reply: ReplyFn) -> Result<(), ServeError> {
         self.tx
             .send(Command::Request(request, reply))

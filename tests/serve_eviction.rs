@@ -1,21 +1,32 @@
 //! End-to-end guarantees of the session server: interleaved multi-tenant
 //! stepping with checkpoint/evict/resume is **bit-identical** to direct
 //! `Session` runs at any worker count, and the TCP layer answers corrupt
-//! frames with typed errors without dying.
+//! frames with typed errors without dying, pipelines replies in
+//! completion order, isolates a client that stops reading, caps its
+//! connections and shuts down without waiting for queued work.
 
 use genesys::gym::EnvKind;
 use genesys::neat::{NeatConfig, Session};
 use genesys::serve::net::serve;
 use genesys::serve::protocol::{decode_reply, encode_request, take_frame};
-use genesys::serve::{Reply, Request, ServeError, Server, ServerConfig, WireClient, WorkloadSpec};
+use genesys::serve::{
+    Reply, Request, ServeError, Server, ServerConfig, WireClient, WorkloadSpec, MAX_CONNECTIONS,
+};
 use genesys::soc::snapshot_to_bytes;
 use std::io::{Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::Arc;
+use std::thread::JoinHandle;
+use std::time::Duration;
 
 const GENERATIONS: u32 = 6;
+
+/// How long a wire test waits for something that should take
+/// milliseconds, so a deadlock fails the test instead of hanging it.
+const DEADLINE: Duration = Duration::from_secs(10);
 
 fn temp_dir(tag: &str) -> PathBuf {
     let dir =
@@ -231,17 +242,86 @@ fn resumed_checkpoints_continue_bit_identically_across_servers() {
     assert_eq!(image, direct_image(seed, &workload, &config));
 }
 
+/// A server behind [`serve`] on a loopback port.
+struct Wire {
+    server: Server,
+    addr: SocketAddr,
+    shutdown: Arc<AtomicBool>,
+    net: JoinHandle<std::io::Result<()>>,
+}
+
+impl Wire {
+    fn start(tag: &str) -> Wire {
+        let server = Server::start(ServerConfig::new(temp_dir(tag))).unwrap();
+        let client = server.client();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let shutdown = Arc::new(AtomicBool::new(false));
+        let net = {
+            let shutdown = Arc::clone(&shutdown);
+            std::thread::spawn(move || serve(&client, listener, &shutdown))
+        };
+        Wire {
+            server,
+            addr,
+            shutdown,
+            net,
+        }
+    }
+
+    /// Sets the shutdown flag and waits, within [`DEADLINE`], for
+    /// [`serve`] to return. The server itself stays up.
+    fn stop(self) -> Server {
+        self.shutdown.store(true, Ordering::Relaxed);
+        let net = self.net;
+        within("serve after shutdown", move || net.join())
+            .expect("net thread")
+            .expect("serve ends cleanly");
+        self.server
+    }
+}
+
+/// Runs `f` on a helper thread and returns its result, failing if that
+/// takes longer than [`DEADLINE`]; a panic in `f` propagates.
+fn within<T: Send + 'static>(what: &str, f: impl FnOnce() -> T + Send + 'static) -> T {
+    let (tx, rx) = mpsc::channel();
+    let helper = std::thread::spawn(move || {
+        let _ = tx.send(f());
+    });
+    match rx.recv_timeout(DEADLINE) {
+        Err(RecvTimeoutError::Timeout) => panic!("{what} did not return within {DEADLINE:?}"),
+        out => {
+            if let Err(panic) = helper.join() {
+                std::panic::resume_unwind(panic);
+            }
+            out.expect("the helper sent its result")
+        }
+    }
+}
+
+fn submit_over(
+    conn: &mut WireClient,
+    seed: u64,
+    workload: WorkloadSpec,
+    config: NeatConfig,
+) -> u64 {
+    match conn
+        .call(&Request::Submit {
+            seed,
+            workload,
+            config: Box::new(config),
+        })
+        .unwrap()
+    {
+        Reply::Submitted { session, .. } => session,
+        other => panic!("expected Submitted, got {other:?}"),
+    }
+}
+
 #[test]
 fn corrupt_wire_frames_get_typed_replies_and_the_server_survives() {
-    let server = Server::start(ServerConfig::new(temp_dir("wire"))).unwrap();
-    let client = server.client();
-    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap();
-    let shutdown = Arc::new(AtomicBool::new(false));
-    let net_thread = {
-        let shutdown = Arc::clone(&shutdown);
-        std::thread::spawn(move || serve(&client, listener, &shutdown))
-    };
+    let wire = Wire::start("wire");
+    let addr = wire.addr;
 
     // A well-framed body with a bad protocol version: typed error reply,
     // connection stays usable.
@@ -277,30 +357,215 @@ fn corrupt_wire_frames_get_typed_replies_and_the_server_survives() {
     assert!(rest.is_empty(), "connection closes after framing loss");
 
     // Meanwhile real work over the wire still matches a direct run.
+    let mut conn = WireClient::connect(addr).unwrap();
+    assert_direct_round_trip(&mut conn);
+
+    wire.stop();
+}
+
+/// Submits the first tenant over `conn`, steps it [`GENERATIONS`] and
+/// checks its checkpoint against the direct run.
+fn assert_direct_round_trip(conn: &mut WireClient) {
     let (seed, workload, config) = tenants().remove(0);
-    let mut wire = WireClient::connect(addr).unwrap();
-    let Reply::Submitted { session, .. } = wire
-        .call(&Request::Submit {
-            seed,
-            workload,
-            config: Box::new(config.clone()),
+    let session = submit_over(conn, seed, workload, config.clone());
+    conn.call(&Request::Step {
+        session,
+        generations: GENERATIONS,
+    })
+    .unwrap();
+    let Reply::Snapshot { image, .. } = conn.call(&Request::Checkpoint { session }).unwrap() else {
+        panic!("expected Snapshot")
+    };
+    assert_eq!(image, direct_image(seed, &workload, &config));
+}
+
+#[test]
+fn pipelined_requests_are_answered_once_each_in_completion_order() {
+    let wire = Wire::start("pipeline");
+    let mut conn = WireClient::connect(wire.addr).unwrap();
+    // A's generations are slow enough that the reader dispatches the
+    // three requests behind its step long before the eighth quantum, and
+    // the scheduler drains commands between quanta.
+    let heavy = NeatConfig::builder(3, 2).pop_size(600).build().unwrap();
+    let a = submit_over(&mut conn, 1, WorkloadSpec::Synthetic, heavy);
+    let (seed, workload, config) = tenants().remove(0);
+    let b = submit_over(&mut conn, seed, workload, config);
+
+    let step = conn
+        .send(&Request::Step {
+            session: a,
+            generations: 8,
+        })
+        .unwrap();
+    let stats = conn.send(&Request::Stats).unwrap();
+    let observe = conn.send(&Request::Observe { session: b, max: 8 }).unwrap();
+    let checkpoint = conn.send(&Request::Checkpoint { session: b }).unwrap();
+
+    let order = within("the pipelined replies", move || {
+        let mut order = Vec::new();
+        for _ in 0..4 {
+            let (id, reply) = conn.recv().unwrap();
+            let ok = match reply.unwrap() {
+                Reply::Stepped {
+                    session,
+                    generation,
+                    ..
+                } => id == step && session == a && generation == 8,
+                Reply::Stats(_) => id == stats,
+                Reply::Events { session, .. } => id == observe && session == b,
+                Reply::Snapshot { session, .. } => id == checkpoint && session == b,
+                other => panic!("unexpected reply {other:?}"),
+            };
+            assert!(ok, "reply to request {id} does not match the request");
+            order.push(id);
+        }
+        order
+    });
+    let mut answered = order.clone();
+    answered.sort_unstable();
+    assert_eq!(
+        answered,
+        [step, stats, observe, checkpoint],
+        "every id exactly once"
+    );
+    assert_eq!(
+        order.last(),
+        Some(&step),
+        "the immediate verbs overtake the queued step: {order:?}"
+    );
+    wire.stop();
+}
+
+/// Reply bytes the stalled connection has queued: more than the loopback
+/// socket buffers hold while the peer does not read.
+const STALLED_BYTES: usize = 8 << 20;
+
+#[test]
+fn a_client_that_never_reads_stalls_only_its_own_connection() {
+    let wire = Wire::start("slow-reader");
+    let local = wire.server.client();
+    let config = NeatConfig::builder(3, 2).pop_size(1000).build().unwrap();
+    let Reply::Submitted { session: big, .. } = local
+        .call(Request::Submit {
+            seed: 5,
+            workload: WorkloadSpec::Synthetic,
+            config: Box::new(config),
         })
         .unwrap()
     else {
         panic!("expected Submitted")
     };
-    wire.call(&Request::Step {
-        session,
-        generations: GENERATIONS,
-    })
-    .unwrap();
-    let Reply::Snapshot { image, .. } = wire.call(&Request::Checkpoint { session }).unwrap() else {
+    let Reply::Snapshot { image, .. } = local.call(Request::Checkpoint { session: big }).unwrap()
+    else {
         panic!("expected Snapshot")
     };
-    assert_eq!(image, direct_image(seed, &workload, &config));
+    let count = STALLED_BYTES / image.len() + 1;
 
-    shutdown.store(true, Ordering::Relaxed);
-    net_thread.join().unwrap().unwrap();
+    // X pipelines checkpoints of the big session and does not read, so
+    // its writer blocks once the socket buffers are full.
+    let mut x = WireClient::connect(wire.addr).unwrap();
+    let ids: Vec<u32> = (0..count)
+        .map(|_| x.send(&Request::Checkpoint { session: big }).unwrap())
+        .collect();
+
+    // Y's requests queue behind X's at the scheduler, so its round trip
+    // completes only after every X reply has been produced.
+    let addr = wire.addr;
+    let y = within("the other connection's round trip", move || {
+        let mut y = WireClient::connect(addr).unwrap();
+        assert_direct_round_trip(&mut y);
+        y
+    });
+
+    // X's stalled replies are intact once it reads.
+    within("the stalled replies", move || {
+        for want in ids {
+            let (id, reply) = x.recv().unwrap();
+            assert_eq!(id, want, "one connection's replies keep completion order");
+            match reply.unwrap() {
+                Reply::Snapshot { image: got, .. } => {
+                    assert!(got == image, "stalled image changed")
+                }
+                other => panic!("expected Snapshot, got {other:?}"),
+            }
+        }
+    });
+    drop(y);
+    wire.stop();
+}
+
+#[test]
+fn connections_past_the_cap_get_a_typed_error_then_eof() {
+    let wire = Wire::start("cap");
+    let mut held: Vec<TcpStream> = (0..MAX_CONNECTIONS)
+        .map(|_| TcpStream::connect(wire.addr).unwrap())
+        .collect();
+
+    // Accepts are FIFO, so this one arrives with the cap already full.
+    let mut extra = TcpStream::connect(wire.addr).unwrap();
+    extra.set_read_timeout(Some(DEADLINE)).unwrap();
+    let (id, result) = read_one_reply(&mut extra);
+    assert_eq!(id, 0);
+    match result {
+        Err(ServeError::Remote { code, .. }) => assert_eq!(code, 502, "TooManyConnections"),
+        other => panic!("expected Remote TooManyConnections, got {other:?}"),
+    }
+    let mut rest = Vec::new();
+    extra.read_to_end(&mut rest).unwrap();
+    assert!(rest.is_empty(), "a refused connection is closed");
+
+    // A slot frees once both threads of a closed connection have exited.
+    drop(held.pop());
+    let addr = wire.addr;
+    within("a freed slot", move || loop {
+        let mut conn = WireClient::connect(addr).unwrap();
+        let sent = conn.send(&Request::Stats).unwrap();
+        match conn.recv().unwrap() {
+            (id, Ok(Reply::Stats(_))) if id == sent => break,
+            (0, Err(ServeError::Remote { code: 502, .. })) => {
+                std::thread::sleep(Duration::from_millis(5))
+            }
+            other => panic!("expected Stats or a refusal, got {other:?}"),
+        }
+    });
+
+    drop(held);
+    wire.stop();
+}
+
+#[test]
+fn shutdown_returns_without_waiting_for_queued_steps() {
+    let wire = Wire::start("shutdown");
+    let mut idle = TcpStream::connect(wire.addr).unwrap();
+    let addr = wire.addr;
+    let busy = within("queueing a long step", move || {
+        let mut busy = WireClient::connect(addr).unwrap();
+        let (seed, workload, config) = tenants().remove(0);
+        let session = submit_over(&mut busy, seed, workload, config);
+        busy.send(&Request::Step {
+            session,
+            generations: 1_000_000,
+        })
+        .unwrap();
+        // The scheduler handles commands in order, so the stats reply
+        // proves the step is queued. Accepts are FIFO, so `idle` is
+        // being served too.
+        let stats = busy.send(&Request::Stats).unwrap();
+        let (id, reply) = busy.recv().unwrap();
+        assert_eq!(id, stats);
+        assert!(matches!(reply, Ok(Reply::Stats(_))));
+        busy
+    });
+
+    // `serve` joins the readers but not the writers: the busy
+    // connection's writer waits on the step until the server drops.
+    let server = wire.stop();
+    idle.set_read_timeout(Some(DEADLINE)).unwrap();
+    let mut rest = Vec::new();
+    idle.read_to_end(&mut rest).unwrap();
+    assert!(rest.is_empty(), "shutdown closes idle connections");
+    within("dropping the server", move || drop(server));
+    drop(busy);
 }
 
 /// Blocking read of exactly one reply frame from a raw socket.

@@ -189,6 +189,7 @@ fn pinned_errors() -> Vec<(ServeError, u32)> {
         (ServeError::SessionBusy(5), 202),
         (ServeError::Io("gone".into()), 500),
         (ServeError::Disconnected, 501),
+        (ServeError::TooManyConnections { cap: 256 }, 502),
     ]
 }
 
