@@ -27,7 +27,7 @@ use genesys_gym::{episode_into, Environment, RolloutScratch};
 use genesys_neat::trace::OpCounters;
 use genesys_neat::{
     Backend, EvalContext, Evaluator, EvolutionState, GenerationStats, Genome, NeatConfig, Network,
-    RunState, SessionError, SpeciesSet, XorWow,
+    NetworkPlan, RunState, SessionError, SpeciesSet, XorWow,
 };
 
 /// Inference-phase accounting (walkthrough steps 1–6).
@@ -239,15 +239,19 @@ impl GenesysSoc {
         let mut best_fit = f64::NEG_INFINITY;
         let mut fitness_sum = 0.0;
         let mut one_pass_macs = 0u64;
+        // One compile buffer for the generation: recompiling through it
+        // allocates only when a genome outgrows every earlier one.
+        let mut plan = NetworkPlan::new();
         for idx in 0..self.genomes.len() {
             let genome = &self.genomes[idx];
-            let net = Network::from_genome(genome).expect("resident genomes are valid");
-            let timing = inference_timing(&net, &self.soc.adam);
+            Network::compile_into(&mut plan, genome).expect("resident genomes are valid");
+            let net = plan.network();
+            let timing = inference_timing(net, &self.soc.adam);
             one_pass_macs += net.num_macs();
             // Step 1: map the genome over the MAC units (one pass of its
             // genes from the buffer).
             buffer.read_genes(genome.num_genes() as u64);
-            let (fitness, steps) = eval(idx, &net);
+            let (fitness, steps) = eval(idx, net);
             // Steps 2–5: every environment step is one packed inference.
             inference.env_steps += steps;
             inference.cycles += steps * timing.total_cycles();

@@ -41,7 +41,7 @@ impl Acrobot {
             steps: 0,
             done: false,
         };
-        env.reset();
+        env.reset_into(&mut [0.0; 6]);
         env
     }
 

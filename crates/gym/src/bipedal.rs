@@ -61,7 +61,7 @@ impl Bipedal {
             steps: 0,
             done: false,
         };
-        env.reset();
+        env.reset_into(&mut [0.0; 24]);
         env
     }
 

@@ -6,7 +6,10 @@
 //! Observation: four floats. Action: one binary value (Table I).
 
 use crate::env::{binary_action, ActionKind, Environment};
-use genesys_neat::XorWow;
+use crate::episode_seed;
+use genesys_neat::{
+    EvalContext, Evaluation, Genome, LaneScratch, Network, NetworkPlan, XorWow, LANES,
+};
 
 const GRAVITY: f64 = 9.8;
 const MASS_CART: f64 = 1.0;
@@ -40,7 +43,7 @@ impl CartPole {
             steps: 0,
             done: false,
         };
-        env.reset();
+        env.reset_into(&mut [0.0; 4]);
         env
     }
 
@@ -48,6 +51,44 @@ impl CartPole {
     pub fn state(&self) -> [f64; 4] {
         self.state
     }
+}
+
+/// The CartPole dynamics and termination rule: the one copy, shared by
+/// [`CartPole::step_into`] and the lane stepper ([`Lanes`]).
+///
+/// Advances `state` by one Euler step under the push the raw network
+/// output `action` selects. `cos_t` and `sin_t` are the cosine and sine of
+/// the current pole angle, computed by the caller so that the lane stepper
+/// can run every lane's `sin_cos` back to back.
+/// `steps` counts the step being taken. Returns the next state and
+/// whether the episode is over (the cart left the track, the pole fell,
+/// or the step limit is reached).
+#[inline(always)]
+fn dynamics(
+    state: [f64; 4],
+    action: f64,
+    cos_t: f64,
+    sin_t: f64,
+    steps: usize,
+) -> ([f64; 4], bool) {
+    let force = if binary_action(action) {
+        FORCE_MAG
+    } else {
+        -FORCE_MAG
+    };
+    let [x, x_dot, theta, theta_dot] = state;
+    let temp = (force + POLE_MASS_LENGTH * theta_dot * theta_dot * sin_t) / TOTAL_MASS;
+    let theta_acc = (GRAVITY * sin_t - cos_t * temp)
+        / (LENGTH * (4.0 / 3.0 - MASS_POLE * cos_t * cos_t / TOTAL_MASS));
+    let x_acc = temp - POLE_MASS_LENGTH * theta_acc * cos_t / TOTAL_MASS;
+    let next = [
+        x + TAU * x_dot,
+        x_dot + TAU * x_acc,
+        theta + TAU * theta_dot,
+        theta_dot + TAU * theta_acc,
+    ];
+    let fell = next[0].abs() > X_LIMIT || next[2].abs() > THETA_LIMIT;
+    (next, fell || steps >= CartPole::MAX_STEPS)
 }
 
 impl Environment for CartPole {
@@ -82,33 +123,253 @@ impl Environment for CartPole {
             obs.copy_from_slice(&self.state);
             return (0.0, true);
         }
-        let force = if binary_action(action[0]) {
-            FORCE_MAG
-        } else {
-            -FORCE_MAG
-        };
-        let [x, x_dot, theta, theta_dot] = self.state;
-        let cos_t = theta.cos();
-        let sin_t = theta.sin();
-        let temp = (force + POLE_MASS_LENGTH * theta_dot * theta_dot * sin_t) / TOTAL_MASS;
-        let theta_acc = (GRAVITY * sin_t - cos_t * temp)
-            / (LENGTH * (4.0 / 3.0 - MASS_POLE * cos_t * cos_t / TOTAL_MASS));
-        let x_acc = temp - POLE_MASS_LENGTH * theta_acc * cos_t / TOTAL_MASS;
-        self.state = [
-            x + TAU * x_dot,
-            x_dot + TAU * x_acc,
-            theta + TAU * theta_dot,
-            theta_dot + TAU * theta_acc,
-        ];
+        let (sin_t, cos_t) = self.state[2].sin_cos();
         self.steps += 1;
-        let fell = self.state[0].abs() > X_LIMIT || self.state[2].abs() > THETA_LIMIT;
-        self.done = fell || self.steps >= Self::MAX_STEPS;
+        (self.state, self.done) = dynamics(self.state, action[0], cos_t, sin_t, self.steps);
         obs.copy_from_slice(&self.state);
         (1.0, self.done)
     }
 
     fn max_steps(&self) -> usize {
         Self::MAX_STEPS
+    }
+}
+
+/// One lane's genome and its episode tallies (see [`Lanes`]).
+#[derive(Debug, Clone)]
+struct Lane {
+    /// Index of the lane's genome in the run being evaluated.
+    genome: usize,
+    /// The genome's environment, seeded and reset as
+    /// `EpisodeEvaluator::evaluate` does; the lane steps its state in
+    /// [`Lanes`]' SoA arrays and uses the env for its resets.
+    env: CartPole,
+    /// Episodes finished.
+    episodes: usize,
+    /// Reward summed over the finished episodes.
+    total: f64,
+    /// Steps summed over the finished episodes.
+    env_steps: u64,
+}
+
+impl Lane {
+    fn new(genome: usize, seed: u64) -> Lane {
+        Lane {
+            genome,
+            env: CartPole::new(seed),
+            episodes: 0,
+            total: 0.0,
+            env_steps: 0,
+        }
+    }
+}
+
+/// The CartPole lane stepper: evaluates a run of genomes with up to
+/// [`LANES`] of them stepping their episodes in lockstep, each lane a
+/// different genome with its own network plan and episode.
+///
+/// Every step runs in three phases over the live lanes: the lockstep
+/// network kernel ([`Network::activate_lanes_into`]), every lane's
+/// `sin_cos θ`, then [`dynamics`] on the SoA lane state. Both `sin_cos`
+/// halves come from one libm `sincos` call per lane, the call the scalar
+/// [`CartPole::step_into`] compiles to as well; separate `cos` and `sin`
+/// phases would cost two calls per lane.
+///
+/// A lane whose episode ends starts its genome's next episode (a reset of
+/// the same env) or, once the genome's episodes are done, refills with
+/// the run's next genome; lanes left without work are swapped out of the
+/// live prefix. Each lane's trajectory is the scalar loop's
+/// (`episode_into` over `CartPole::step_into`) bit for bit, so every
+/// genome's [`Evaluation`] equals `EpisodeEvaluator::evaluate`'s.
+#[derive(Debug)]
+pub(crate) struct Lanes {
+    /// One compile buffer per lane.
+    plans: Vec<NetworkPlan>,
+    /// `plans` index of each lane. Compaction swaps these, not the plans,
+    /// and every run starts from the identity, so the same run compiles
+    /// the same genomes into the same plans (and, once warm, allocates
+    /// nothing).
+    plan_of: [usize; LANES],
+    lanes: Vec<Lane>,
+    scratch: LaneScratch,
+    x: [f64; LANES],
+    x_dot: [f64; LANES],
+    theta: [f64; LANES],
+    theta_dot: [f64; LANES],
+    /// Steps taken in the running episode.
+    steps: [usize; LANES],
+    /// Reward of the running episode.
+    reward: [f64; LANES],
+    done: [bool; LANES],
+    cos: [f64; LANES],
+    sin: [f64; LANES],
+    /// Observations, lane after lane (the kernel's input layout).
+    inputs: [f64; 4 * LANES],
+    outputs: [f64; LANES],
+}
+
+impl Lanes {
+    pub(crate) fn new() -> Lanes {
+        Lanes {
+            plans: (0..LANES).map(|_| NetworkPlan::new()).collect(),
+            plan_of: std::array::from_fn(|l| l),
+            lanes: vec![Lane::new(0, 0); LANES],
+            scratch: LaneScratch::new(),
+            x: [0.0; LANES],
+            x_dot: [0.0; LANES],
+            theta: [0.0; LANES],
+            theta_dot: [0.0; LANES],
+            steps: [0; LANES],
+            reward: [0.0; LANES],
+            done: [false; LANES],
+            cos: [0.0; LANES],
+            sin: [0.0; LANES],
+            inputs: [0.0; 4 * LANES],
+            outputs: [0.0; LANES],
+        }
+    }
+
+    /// Evaluates `genomes[k]` under `first` with index `first.index + k`,
+    /// averaging `episodes` episodes, into `out[k]`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `genomes.len() != out.len()`, a genome is cyclic, or its
+    /// interface is not CartPole's 4 inputs and 1 output.
+    pub(crate) fn evaluate(
+        &mut self,
+        genomes: &[Genome],
+        first: EvalContext,
+        episodes: usize,
+        out: &mut [Evaluation],
+    ) {
+        assert_eq!(genomes.len(), out.len(), "one output slot per genome");
+        self.plan_of = std::array::from_fn(|l| l);
+        let mut next = 0;
+        let mut live = 0;
+        while live < LANES && next < genomes.len() {
+            self.start(live, next, &genomes[next], first);
+            live += 1;
+            next += 1;
+        }
+        while live > 0 {
+            self.step(live);
+            let mut l = 0;
+            while l < live {
+                if !self.done[l] {
+                    l += 1;
+                    continue;
+                }
+                let lane = &mut self.lanes[l];
+                lane.total += self.reward[l];
+                lane.env_steps += self.steps[l] as u64;
+                lane.episodes += 1;
+                if lane.episodes < episodes {
+                    // The next episode resets the same env.
+                    self.reset(l);
+                    l += 1;
+                    continue;
+                }
+                // `EpisodeEvaluator::evaluate` returns a lone episode's
+                // reward as is, and the mean of several.
+                let fitness = if episodes == 1 {
+                    self.reward[l]
+                } else {
+                    lane.total / episodes as f64
+                };
+                out[lane.genome] = Evaluation {
+                    fitness,
+                    env_steps: lane.env_steps,
+                };
+                if next < genomes.len() {
+                    self.start(l, next, &genomes[next], first);
+                    next += 1;
+                    l += 1;
+                } else {
+                    // Swap the last live lane in and look at it next.
+                    live -= 1;
+                    self.swap(l, live);
+                }
+            }
+        }
+    }
+
+    /// Puts genome `k` of the run into lane `l` and starts its first
+    /// episode: the env's constructor resets once, then the episode's
+    /// reset, as in `episode_rollout_with`.
+    fn start(&mut self, l: usize, k: usize, genome: &Genome, first: EvalContext) {
+        Network::compile_into(&mut self.plans[self.plan_of[l]], genome)
+            .expect("population genomes are valid");
+        let index = first.index + k as u64;
+        self.lanes[l] = Lane::new(k, episode_seed(first.base_seed, first.generation, index));
+        self.reset(l);
+    }
+
+    /// Starts a new episode in lane `l` on the lane's env.
+    fn reset(&mut self, l: usize) {
+        let mut obs = [0.0; 4];
+        self.lanes[l].env.reset_into(&mut obs);
+        [self.x[l], self.x_dot[l], self.theta[l], self.theta_dot[l]] = obs;
+        self.steps[l] = 0;
+        self.reward[l] = 0.0;
+        self.done[l] = false;
+    }
+
+    /// One step of lanes `0..live`, phase by phase across the lanes: the
+    /// network kernel, every lane's `sin_cos`, then the dynamics.
+    fn step(&mut self, live: usize) {
+        // Lets the compiler drop the per-lane bounds checks below.
+        assert!(live <= LANES);
+        for l in 0..live {
+            self.inputs[4 * l..4 * l + 4].copy_from_slice(&[
+                self.x[l],
+                self.x_dot[l],
+                self.theta[l],
+                self.theta_dot[l],
+            ]);
+        }
+        let nets: [&Network; LANES] =
+            std::array::from_fn(|l| self.plans[self.plan_of[l]].network());
+        Network::activate_lanes_into(
+            &nets[..live],
+            &mut self.scratch,
+            &self.inputs[..4 * live],
+            &mut self.outputs[..live],
+        );
+        for l in 0..live {
+            (self.sin[l], self.cos[l]) = self.theta[l].sin_cos();
+        }
+        for l in 0..live {
+            self.steps[l] += 1;
+            let state = [self.x[l], self.x_dot[l], self.theta[l], self.theta_dot[l]];
+            let (next, done) = dynamics(
+                state,
+                self.outputs[l],
+                self.cos[l],
+                self.sin[l],
+                self.steps[l],
+            );
+            [self.x[l], self.x_dot[l], self.theta[l], self.theta_dot[l]] = next;
+            self.done[l] = done;
+            self.reward[l] += 1.0;
+        }
+    }
+
+    /// Exchanges lanes `a` and `b`, plans and state alike.
+    fn swap(&mut self, a: usize, b: usize) {
+        self.plan_of.swap(a, b);
+        self.lanes.swap(a, b);
+        for column in [
+            &mut self.x,
+            &mut self.x_dot,
+            &mut self.theta,
+            &mut self.theta_dot,
+            &mut self.reward,
+        ] {
+            column.swap(a, b);
+        }
+        self.steps.swap(a, b);
+        self.done.swap(a, b);
     }
 }
 

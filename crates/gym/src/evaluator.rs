@@ -9,12 +9,15 @@
 //! [`EvalContext`] — so fitness is bit-identical at any worker count and
 //! across checkpoint/resume.
 
+use crate::cartpole::Lanes;
 use crate::nonstationary::DriftingCartPole;
 use crate::{
     episode_batch_into, episode_into, episode_rollout_with, episode_seed, EnvKind, Environment,
     RolloutBatchScratch, RolloutScratch,
 };
-use genesys_neat::{EvalContext, Evaluation, Evaluator, Network, WorkerLocal};
+use genesys_neat::{
+    evaluate_each, EvalContext, Evaluation, Evaluator, Genome, Network, NetworkPlan, WorkerLocal,
+};
 
 /// Env-rollout workload: each genome earns its fitness from episodes of
 /// `kind`, seeded by [`episode_seed`]`(base_seed, generation, index)`.
@@ -24,6 +27,20 @@ use genesys_neat::{EvalContext, Evaluation, Evaluator, Network, WorkerLocal};
 /// steady-state evaluation hot loop performs zero heap allocations per
 /// environment step — the same property `run_workload` had before the
 /// session API.
+///
+/// # Population lanes
+///
+/// For [`EnvKind::CartPole`] with `batch == 1`, runs of genomes handed to
+/// [`Evaluator::evaluate_genomes`] go through a lane stepper: up to 16
+/// genomes step their episodes in lockstep, each lane with its own network
+/// plan and episode, and a lane refills with the run's next genome when
+/// its genome's episodes are done. The contract is bit-identity: every
+/// genome gets exactly the [`Evaluation`] that [`Evaluator::evaluate`]
+/// gives it (same initial state — the env constructor's reset, then the
+/// episode's — same reward sum and step count, same per-episode resets of
+/// one env when `episodes > 1`, same `total / episodes`). Lane buffers
+/// (plans, SoA state) are pooled per worker like the rollout scratch.
+/// Other kinds, and `batch > 1`, evaluate genome by genome.
 ///
 /// # Batched evaluation
 ///
@@ -45,6 +62,7 @@ pub struct EpisodeEvaluator {
     batch: usize,
     scratch: WorkerLocal<RolloutScratch>,
     batch_scratch: WorkerLocal<RolloutBatchScratch>,
+    lanes: WorkerLocal<Lanes>,
 }
 
 impl EpisodeEvaluator {
@@ -56,6 +74,7 @@ impl EpisodeEvaluator {
             batch: 1,
             scratch: WorkerLocal::new(RolloutScratch::new),
             batch_scratch: WorkerLocal::new(RolloutBatchScratch::new),
+            lanes: WorkerLocal::new(Lanes::new),
         }
     }
 
@@ -133,6 +152,23 @@ impl Evaluator for EpisodeEvaluator {
                 }
             }
         })
+    }
+
+    /// CartPole runs with `batch == 1` go through the lane stepper (see the
+    /// type docs); every other run evaluates genome by genome.
+    fn evaluate_genomes(
+        &self,
+        genomes: &[Genome],
+        first: EvalContext,
+        plan: &mut NetworkPlan,
+        out: &mut [Evaluation],
+    ) {
+        if self.kind == EnvKind::CartPole && self.batch == 1 {
+            self.lanes
+                .with(|lanes| lanes.evaluate(genomes, first, self.episodes, out));
+        } else {
+            evaluate_each(self, genomes, first, plan, out);
+        }
     }
 }
 
@@ -334,6 +370,72 @@ mod tests {
             .evaluate(ctx, &net);
         assert_eq!(scalar.fitness.to_bits(), batch_one.fitness.to_bits());
         assert_eq!(scalar.env_steps, batch_one.env_steps);
+    }
+
+    /// `count` CartPole genomes of mixed topology and weights, so their
+    /// episodes end at different steps and lanes refill out of order.
+    fn mixed_cartpole_genomes(count: usize) -> Vec<genesys_neat::Genome> {
+        let mut config = EnvKind::CartPole.neat_config();
+        config.initial_weights = genesys_neat::InitialWeights::Uniform { lo: -2.0, hi: 2.0 };
+        config.node_add_prob = 0.5;
+        config.conn_add_prob = 0.5;
+        let mut rng = genesys_neat::XorWow::seed_from_u64_value(17);
+        let mut innov = genesys_neat::InnovationTracker::new(config.first_hidden_id());
+        let mut ops = genesys_neat::trace::OpCounters::new();
+        (0..count)
+            .map(|k| {
+                let mut genome = genesys_neat::Genome::initial(k as u64, &config, &mut rng);
+                for _ in 0..k % 6 {
+                    genome.mutate(&config, &mut innov, &mut rng, &mut ops);
+                }
+                genome
+            })
+            .collect()
+    }
+
+    /// The lane path equals per-genome `evaluate` in fitness bits and step
+    /// counts, for runs shorter than, equal to and longer than the lane
+    /// count, with one episode and with several.
+    #[test]
+    fn cartpole_lanes_match_per_genome_evaluate() {
+        let genomes = mixed_cartpole_genomes(300);
+        let first = EvalContext {
+            base_seed: 77,
+            generation: 3,
+            index: 40,
+        };
+        for episodes in [1, 3] {
+            let eval = EpisodeEvaluator::new(EnvKind::CartPole).episodes(episodes);
+            for len in [1, 15, 16, 17, 300] {
+                let run = &genomes[..len];
+                let mut out = vec![
+                    Evaluation {
+                        fitness: 0.0,
+                        env_steps: 0,
+                    };
+                    len
+                ];
+                eval.evaluate_genomes(run, first, &mut NetworkPlan::new(), &mut out);
+                let mut lengths = std::collections::BTreeSet::new();
+                for (k, (genome, got)) in run.iter().zip(&out).enumerate() {
+                    let net = Network::from_genome(genome).unwrap();
+                    let ctx = EvalContext {
+                        index: first.index + k as u64,
+                        ..first
+                    };
+                    let want = eval.evaluate(ctx, &net);
+                    assert_eq!(
+                        (got.fitness.to_bits(), got.env_steps),
+                        (want.fitness.to_bits(), want.env_steps),
+                        "episodes {episodes}, run of {len}, genome {k}"
+                    );
+                    lengths.insert(want.env_steps);
+                }
+                if len == 300 {
+                    assert!(lengths.len() > 10, "episodes of many lengths");
+                }
+            }
+        }
     }
 
     #[test]

@@ -35,6 +35,22 @@
 //! drift phase serialized across checkpoints) plug into
 //! `genesys_neat::Session`.
 //!
+//! # Population lanes
+//!
+//! A session hands its workload each generation's genomes in contiguous
+//! runs (`Evaluator::evaluate_genomes`). For [`EnvKind::CartPole`] with
+//! `batch == 1` (any episode count), [`EpisodeEvaluator`] steps the run's
+//! genomes in 16 lockstep lanes, each lane a *different* genome with its
+//! own network plan and episode, refilled from the run as episodes end:
+//! the lockstep network kernel (`Network::activate_lanes_into`), then
+//! every lane's `sin_cos`, then the shared CartPole dynamics on SoA lane
+//! state. Every lane's trajectory — initial state, reward sum, step count,
+//! per-episode resets — is the scalar [`episode_into`] loop's bit for bit,
+//! so fitness, step counts and whole session trajectories equal those of
+//! genome-by-genome evaluation at any worker count. Every other workload
+//! (the other environments, `batch > 1`, drift, scenario tasks, the SoC)
+//! evaluates genome by genome.
+//!
 //! # Quickstart
 //!
 //! ```

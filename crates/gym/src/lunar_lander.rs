@@ -57,7 +57,7 @@ impl LunarLander {
             done: false,
             prev_shaping: None,
         };
-        env.reset();
+        env.reset_into(&mut [0.0; 8]);
         env
     }
 

@@ -38,7 +38,7 @@ impl MountainCar {
             steps: 0,
             done: false,
         };
-        env.reset();
+        env.reset_into(&mut [0.0; 2]);
         env
     }
 

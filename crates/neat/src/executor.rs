@@ -33,6 +33,14 @@
 //!    semantics), so an `Executor` with `workers == 1` still makes progress
 //!    even before its worker wakes, and small batches finish without a
 //!    full pool wake-up.
+//! 5. A job may cover a contiguous **chunk** of items rather than one (the
+//!    population's evaluation hands each job a run of genomes, for
+//!    workloads that step several genomes in lockstep). The chunking is a
+//!    pure function of the item count and the worker count, each chunk
+//!    writes only its own disjoint output slots, and every item's result
+//!    must still be a pure function of that item's index — never of the
+//!    chunk it landed in or of its neighbours — so results are identical
+//!    at any chunk length, and therefore at any worker count.
 //!
 //! A panic inside a job is caught on the worker, remaining queued jobs are
 //! drained unexecuted, and the payload is re-raised on the submitting

@@ -58,7 +58,6 @@ use crate::population::Population;
 use crate::session::{Backend, EvalContext, Evaluator, EvolutionState, RunState, SessionError};
 use crate::stats::GenerationStats;
 use crate::trace::{GenerationTrace, OpCounters};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Derives island `i`'s private base seed from the run's seed: a
@@ -395,24 +394,13 @@ fn evaluate_island(
     generation: u64,
 ) -> (u64, u64, u64) {
     let eval_start = std::time::Instant::now();
-    let env_steps = AtomicU64::new(0);
-    let macs = island.evaluate_indexed(|index, net| {
-        let evaluation = workload.evaluate(
-            EvalContext {
-                base_seed: island_base,
-                generation,
-                index: index as u64,
-            },
-            net,
-        );
-        env_steps.fetch_add(evaluation.env_steps, Ordering::Relaxed);
-        evaluation.fitness
-    });
-    (
-        macs,
-        env_steps.load(Ordering::Relaxed),
-        eval_start.elapsed().as_nanos() as u64,
-    )
+    let first = EvalContext {
+        base_seed: island_base,
+        generation,
+        index: 0,
+    };
+    let (macs, env_steps) = island.evaluate_workload(workload, first);
+    (macs, env_steps, eval_start.elapsed().as_nanos() as u64)
 }
 
 impl Backend for Archipelago {

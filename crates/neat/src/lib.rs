@@ -97,13 +97,14 @@ pub use genome::Genome;
 pub use hyperneat::{HyperNeat, Substrate};
 pub use innovation::{InnovationSource, InnovationTracker, SplitRecorder};
 pub use island::{island_seed, Archipelago, ArchipelagoState, EvolutionBackend};
-pub use network::{BatchScratch, Network, NetworkPlan, Scratch};
+pub use network::{BatchScratch, LaneScratch, Network, NetworkPlan, Scratch, LANES};
 pub use population::{Population, RunOutcome, RunResult};
 pub use reproduction::{ChildKind, ChildPlan, ReproductionReport};
 pub use rng::XorWow;
 pub use session::{
-    Backend, BestSummary, EvalContext, Evaluation, Evaluator, EvolutionState, GenerationEvent,
-    OwnedGenerationEvent, RunState, Session, SessionBuilder, SessionError, SessionReport,
+    evaluate_each, Backend, BestSummary, EvalContext, Evaluation, Evaluator, EvolutionState,
+    GenerationEvent, OwnedGenerationEvent, RunState, Session, SessionBuilder, SessionError,
+    SessionReport,
 };
 pub use species::{SpeciateScanStats, Species, SpeciesId, SpeciesSet};
 pub use stats::{GenerationStats, PopulationDiagnostics};

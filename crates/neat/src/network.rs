@@ -36,6 +36,15 @@
 //! order, so fitness values are reproducible across the compiled and
 //! interpreted paths and across any worker count (see
 //! `crate::executor`'s determinism contract).
+//!
+//! # Lockstep lanes
+//!
+//! [`Network::activate_lanes_into`] evaluates up to [`LANES`] networks of
+//! *different* topologies at once (a population's genomes, one
+//! observation each), wavefront by wavefront across the lanes. It shares
+//! the aggregation fold with [`Network::activate_into`], allocates nothing
+//! in steady state (caller-owned [`LaneScratch`]) and is bit-identical to
+//! it on every lane.
 
 use crate::activation::Activation;
 use crate::aggregation::Aggregation;
@@ -89,6 +98,28 @@ impl BatchScratch {
     /// Creates an empty workspace (buffers grow on first use).
     pub fn new() -> BatchScratch {
         BatchScratch::default()
+    }
+}
+
+/// Most networks one [`Network::activate_lanes_into`] call evaluates.
+pub const LANES: usize = 16;
+
+/// Reusable workspace for [`Network::activate_lanes_into`], with the
+/// ownership rules of [`Scratch`]: reuse it across calls, lane counts and
+/// networks of any size; never share it between concurrent evaluations;
+/// its contents carry no information between calls.
+#[derive(Debug, Clone, Default)]
+pub struct LaneScratch {
+    /// Every lane's value slots, lane after lane.
+    values: Vec<f64>,
+    /// Sort buffer for [`Aggregation::Median`] nodes.
+    sorted: Vec<f64>,
+}
+
+impl LaneScratch {
+    /// Creates an empty workspace (buffers grow on first use).
+    pub fn new() -> LaneScratch {
+        LaneScratch::default()
     }
 }
 
@@ -399,69 +430,133 @@ impl Network {
         // slots them first, so slot i == input i.
         values[..self.num_inputs].copy_from_slice(inputs);
         for i in 0..self.slots.len() {
-            let edges = &self.edges[self.edge_offsets[i]..self.edge_offsets[i + 1]];
-            // Aggregation folded into the edge walk; fold order and empty
-            // cases match `Aggregation::apply` bit for bit.
-            let agg = if edges.is_empty() {
-                match self.aggregations[i] {
-                    Aggregation::Product => 1.0,
-                    _ => 0.0,
-                }
-            } else {
-                match self.aggregations[i] {
-                    Aggregation::Sum => edges.iter().fold(0.0, |acc, &(s, w)| acc + w * values[s]),
-                    Aggregation::Product => {
-                        edges.iter().fold(1.0, |acc, &(s, w)| acc * (w * values[s]))
-                    }
-                    Aggregation::Max => edges.iter().fold(f64::NEG_INFINITY, |acc, &(s, w)| {
-                        f64::max(acc, w * values[s])
-                    }),
-                    Aggregation::Min => edges
-                        .iter()
-                        .fold(f64::INFINITY, |acc, &(s, w)| f64::min(acc, w * values[s])),
-                    Aggregation::Mean => {
-                        edges.iter().fold(0.0, |acc, &(s, w)| acc + w * values[s])
-                            / edges.len() as f64
-                    }
-                    Aggregation::MaxAbs => edges.iter().fold(0.0, |best: f64, &(s, w)| {
-                        let v = w * values[s];
-                        if v.abs() > best.abs() {
-                            v
-                        } else {
-                            best
-                        }
-                    }),
-                    Aggregation::Median => {
-                        sorted.clear();
-                        sorted.extend(edges.iter().map(|&(s, w)| w * values[s]));
-                        // Stable in-place insertion sort in the Scratch
-                        // buffer: allocation-free at ANY fan-in (stdlib
-                        // `sort_by` allocates beyond its on-stack merge
-                        // threshold) and bit-identical to the reference's
-                        // stable sort — `>` never reorders ±0.0 ties or
-                        // NaN, so even poisoned inputs degrade
-                        // deterministically instead of panicking.
-                        for i in 1..sorted.len() {
-                            let mut j = i;
-                            while j > 0 && sorted[j - 1] > sorted[j] {
-                                sorted.swap(j - 1, j);
-                                j -= 1;
-                            }
-                        }
-                        let mid = sorted.len() / 2;
-                        if sorted.len() % 2 == 1 {
-                            sorted[mid]
-                        } else {
-                            0.5 * (sorted[mid - 1] + sorted[mid])
-                        }
-                    }
-                }
-            };
+            let agg = self.fold(i, values, sorted);
             values[self.slots[i]] =
                 self.activations[i].apply(self.biases[i] + self.responses[i] * agg);
         }
         for (out, &slot) in outputs.iter_mut().zip(&self.output_slots) {
             *out = values[slot];
+        }
+    }
+
+    /// Aggregates eval node `i`'s weighted inputs read from `values` (this
+    /// network's value slots). The one copy of the aggregation fold: fold
+    /// order and empty cases match [`Aggregation::apply`] bit for bit.
+    #[inline(always)]
+    fn fold(&self, i: usize, values: &[f64], sorted: &mut Vec<f64>) -> f64 {
+        let edges = &self.edges[self.edge_offsets[i]..self.edge_offsets[i + 1]];
+        if edges.is_empty() {
+            return match self.aggregations[i] {
+                Aggregation::Product => 1.0,
+                _ => 0.0,
+            };
+        }
+        match self.aggregations[i] {
+            Aggregation::Sum => edges.iter().fold(0.0, |acc, &(s, w)| acc + w * values[s]),
+            Aggregation::Product => edges.iter().fold(1.0, |acc, &(s, w)| acc * (w * values[s])),
+            Aggregation::Max => edges.iter().fold(f64::NEG_INFINITY, |acc, &(s, w)| {
+                f64::max(acc, w * values[s])
+            }),
+            Aggregation::Min => edges
+                .iter()
+                .fold(f64::INFINITY, |acc, &(s, w)| f64::min(acc, w * values[s])),
+            Aggregation::Mean => {
+                edges.iter().fold(0.0, |acc, &(s, w)| acc + w * values[s]) / edges.len() as f64
+            }
+            Aggregation::MaxAbs => edges.iter().fold(0.0, |best: f64, &(s, w)| {
+                let v = w * values[s];
+                if v.abs() > best.abs() {
+                    v
+                } else {
+                    best
+                }
+            }),
+            Aggregation::Median => {
+                sorted.clear();
+                sorted.extend(edges.iter().map(|&(s, w)| w * values[s]));
+                median_in_place(sorted)
+            }
+        }
+    }
+
+    /// Evaluates up to [`LANES`] networks in lockstep, one observation
+    /// each: network `nets[l]` reads `inputs[l * num_inputs..]` and writes
+    /// `outputs[l * num_outputs..]`. The networks may differ in topology
+    /// (a population's genomes) but must share one interface.
+    ///
+    /// The walk goes wavefront by wavefront across the lanes: wavefront
+    /// `w` of lane 0, of lane 1, …, then wavefront `w + 1`. A lane's next
+    /// wavefront waits on its current one (fold, then the sigmoid's
+    /// `exp`), but the lanes of one wavefront are independent, so the
+    /// core overlaps their chains instead of running one network's chain
+    /// end to end. Each lane still evaluates its nodes in
+    /// [`Network::activate_into`]'s order with the same fold, so every
+    /// lane is **bit-identical** to it on the same observation. Zero heap
+    /// allocation in steady state: all mutable state lives in the
+    /// caller-owned [`LaneScratch`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `nets` is empty or longer than [`LANES`], if the networks'
+    /// interfaces differ, or if `inputs.len()` differs from
+    /// `nets.len() × num_inputs` or `outputs.len()` from
+    /// `nets.len() × num_outputs`.
+    pub fn activate_lanes_into(
+        nets: &[&Network],
+        scratch: &mut LaneScratch,
+        inputs: &[f64],
+        outputs: &mut [f64],
+    ) {
+        assert!(
+            !nets.is_empty() && nets.len() <= LANES,
+            "between 1 and LANES networks per call"
+        );
+        let (num_inputs, num_outputs) = (nets[0].num_inputs, nets[0].num_outputs);
+        assert_eq!(
+            inputs.len(),
+            num_inputs * nets.len(),
+            "observation size must match the genome interface"
+        );
+        assert_eq!(
+            outputs.len(),
+            num_outputs * nets.len(),
+            "output buffer size must match the genome interface"
+        );
+        let LaneScratch { values, sorted } = scratch;
+        // Lane l's value slots are values[base[l]..base[l + 1]].
+        let mut base = [0usize; LANES + 1];
+        let mut depth = 0;
+        for (l, net) in nets.iter().enumerate() {
+            assert!(
+                net.num_inputs == num_inputs && net.num_outputs == num_outputs,
+                "every lane must share the genome interface"
+            );
+            base[l + 1] = base[l] + net.total_slots;
+            depth = depth.max(net.layer_ranges.len());
+        }
+        // Every slot is an input or a node written in its wavefront before
+        // any later wavefront reads it, so stale contents are never read.
+        values.resize(values.len().max(base[nets.len()]), 0.0);
+        for l in 0..nets.len() {
+            values[base[l]..base[l] + num_inputs]
+                .copy_from_slice(&inputs[l * num_inputs..(l + 1) * num_inputs]);
+        }
+        for w in 0..depth {
+            for (l, net) in nets.iter().enumerate() {
+                if let Some(&(start, end)) = net.layer_ranges.get(w) {
+                    let lane = &mut values[base[l]..base[l + 1]];
+                    for i in start..end {
+                        let agg = net.fold(i, lane, sorted);
+                        lane[net.slots[i]] =
+                            net.activations[i].apply(net.biases[i] + net.responses[i] * agg);
+                    }
+                }
+            }
+        }
+        for (l, net) in nets.iter().enumerate() {
+            for (o, &slot) in net.output_slots.iter().enumerate() {
+                outputs[l * num_outputs + o] = values[base[l] + slot];
+            }
         }
     }
 
@@ -595,19 +690,7 @@ impl Network {
                         for (b, a) in acc.iter_mut().enumerate() {
                             sorted.clear();
                             sorted.extend(edges.iter().map(|&(s, w)| w * values[s * batch + b]));
-                            for i in 1..sorted.len() {
-                                let mut j = i;
-                                while j > 0 && sorted[j - 1] > sorted[j] {
-                                    sorted.swap(j - 1, j);
-                                    j -= 1;
-                                }
-                            }
-                            let mid = sorted.len() / 2;
-                            *a = if sorted.len() % 2 == 1 {
-                                sorted[mid]
-                            } else {
-                                0.5 * (sorted[mid - 1] + sorted[mid])
-                            };
+                            *a = median_in_place(sorted);
                         }
                     }
                 }
@@ -690,6 +773,28 @@ impl Network {
     /// Total number of nodes (value slots).
     pub fn num_nodes(&self) -> usize {
         self.total_slots
+    }
+}
+
+/// Median of `sorted`'s values, sorting them in place first. The sort is
+/// a stable insertion sort in the caller's buffer: allocation-free at any
+/// fan-in (stdlib `sort_by` allocates beyond its on-stack merge threshold)
+/// and bit-identical to the reference's stable sort — `>` never reorders
+/// ±0.0 ties or NaN, so even poisoned inputs degrade deterministically
+/// instead of panicking.
+fn median_in_place(sorted: &mut [f64]) -> f64 {
+    for i in 1..sorted.len() {
+        let mut j = i;
+        while j > 0 && sorted[j - 1] > sorted[j] {
+            sorted.swap(j - 1, j);
+            j -= 1;
+        }
+    }
+    let mid = sorted.len() / 2;
+    if sorted.len() % 2 == 1 {
+        sorted[mid]
+    } else {
+        0.5 * (sorted[mid - 1] + sorted[mid])
     }
 }
 

@@ -10,10 +10,10 @@ use crate::config::NeatConfig;
 use crate::executor::{Executor, WorkerLocal};
 use crate::genome::Genome;
 use crate::innovation::InnovationTracker;
-use crate::network::{Network, NetworkPlan};
+use crate::network::{Network, NetworkPlan, LANES};
 use crate::reproduction::reproduce_into;
 use crate::rng::XorWow;
-use crate::session::{EvolutionState, SessionError};
+use crate::session::{EvalContext, Evaluation, Evaluator, EvolutionState, SessionError};
 use crate::species::SpeciesSet;
 use crate::stats::GenerationStats;
 use crate::trace::GenerationTrace;
@@ -76,11 +76,12 @@ pub struct Population {
     /// shells, recycled as the next generation's child buffers so
     /// reproduction reuses gene storage instead of allocating per child.
     arena: Vec<Genome>,
-    /// Per-worker compiled-plan scratch: evaluation recompiles each genome
-    /// through a checked-out [`NetworkPlan`] instead of building a fresh
+    /// Per-worker compiled-plan scratch: each evaluation job checks one
+    /// out and hands it to [`Evaluator::evaluate_genomes`], which
+    /// recompiles each genome through it instead of building a fresh
     /// [`Network`] per genome per generation, so unchanged elites cost no
-    /// heap allocation. Pure cache — never serialized, no effect on
-    /// results.
+    /// heap allocation. A workload with buffers of its own (lanes) keeps
+    /// them itself. Pure cache — never serialized, no effect on results.
     plans: WorkerLocal<NetworkPlan>,
 }
 
@@ -322,44 +323,104 @@ impl Population {
     where
         F: Fn(usize, &Network) -> f64 + Sync,
     {
+        let workload = |ctx: EvalContext, net: &Network| fitness_fn(ctx.index as usize, net);
+        self.evaluate_workload(&workload, self.first_context(0)).0
+    }
+
+    /// The context of this generation's genome 0 under `base_seed`.
+    pub(crate) fn first_context(&self, base_seed: u64) -> EvalContext {
+        EvalContext {
+            base_seed,
+            generation: self.generation as u64,
+            index: 0,
+        }
+    }
+
+    /// Genomes per evaluation job: the whole generation when serial;
+    /// about four jobs per worker with an executor (so work stealing can
+    /// still balance uneven chunks), but never fewer than [`LANES`]
+    /// genomes, so a lane-evaluating workload can fill its lanes.
+    fn chunk_len(&self) -> usize {
+        let n = self.genomes.len().max(1);
+        match &self.executor {
+            Some(pool) => n.div_ceil(4 * pool.workers()).max(LANES),
+            None => n,
+        }
+    }
+
+    /// Evaluates every genome through `workload`, genome `i` under
+    /// `first` with index `first.index + i`, storing fitness in place and
+    /// tracking the best-ever genome. Returns the inference MAC count (one
+    /// forward pass per genome) and the environment steps consumed.
+    ///
+    /// This is the one evaluation loop. The generation splits into
+    /// contiguous chunks ([`Population::chunk_len`]), one executor job
+    /// each, and every job hands its chunk to
+    /// [`Evaluator::evaluate_genomes`] with a checked-out per-worker
+    /// [`NetworkPlan`] (recompiling an unchanged elite through a warm plan
+    /// allocates nothing). Results are folded in index order, and each is
+    /// a pure function of `(EvalContext, genome)`, so they are identical
+    /// at any worker count and any chunk length.
+    pub(crate) fn evaluate_workload(
+        &mut self,
+        workload: &dyn Evaluator,
+        first: EvalContext,
+    ) -> (u64, u64) {
         let n = self.genomes.len();
+        let chunk = self.chunk_len();
+        let mut results = vec![
+            Evaluation {
+                fitness: 0.0,
+                env_steps: 0,
+            };
+            n
+        ];
         let genomes = &self.genomes;
         let plans = &self.plans;
-        // Compile through a checked-out per-worker NetworkPlan: recompiling
-        // a same-shaped genome (an unchanged elite) through a warm plan
-        // allocates nothing, versus a fresh `Network::from_genome` per
-        // genome per generation.
-        let job = |i: usize| -> (f64, u64) {
+        let job = |c: usize, out: &mut [Evaluation]| {
+            let start = c * chunk;
+            let ctx = EvalContext {
+                index: first.index + start as u64,
+                ..first
+            };
             plans.with(|plan| {
-                Network::compile_into(plan, &genomes[i]).expect("population genomes are valid");
-                let net = plan.network();
-                (fitness_fn(i, net), net.num_macs())
-            })
+                workload.evaluate_genomes(&genomes[start..start + out.len()], ctx, plan, out)
+            });
         };
-        // The persistent pool pulls genome jobs from a work-stealing deque:
-        // no per-generation thread spawn, and stragglers (deep genomes,
-        // long gym episodes) get backfilled instead of serializing a chunk.
-        let results: Vec<(f64, u64)> = match &self.executor {
-            Some(pool) => pool.map(n, job),
-            None => (0..n).map(job).collect(),
-        };
-        // Index-ordered sum: identical at any worker count.
-        let macs: u64 = results.iter().map(|&(_, m)| m).sum();
-        for (g, &(f, _)) in self.genomes.iter_mut().zip(results.iter()) {
-            g.set_fitness(f);
+        match &self.executor {
+            Some(pool) => {
+                let mut chunks: Vec<&mut [Evaluation]> = results.chunks_mut(chunk).collect();
+                pool.map_mut(&mut chunks, |c, out| job(c, out));
+            }
+            None => {
+                for (c, out) in results.chunks_mut(chunk).enumerate() {
+                    job(c, out);
+                }
+            }
+        }
+        // Index-ordered folds: identical at any worker count.
+        let mut macs = 0u64;
+        let mut env_steps = 0u64;
+        for (g, e) in self.genomes.iter_mut().zip(&results) {
+            g.set_fitness(e.fitness);
+            // One MAC per enabled connection: `Network::num_macs`.
+            macs += g.conns().filter(|c| c.enabled).count() as u64;
+            env_steps += e.env_steps;
         }
         // Track the best-ever genome (NaN-tolerant total order).
-        if let Some(best_idx) = (0..n).max_by(|&a, &b| results[a].0.total_cmp(&results[b].0)) {
+        if let Some(best_idx) =
+            (0..n).max_by(|&a, &b| results[a].fitness.total_cmp(&results[b].fitness))
+        {
             let better = self
                 .best_ever
                 .as_ref()
                 .and_then(Genome::fitness)
-                .is_none_or(|prev| results[best_idx].0 > prev);
+                .is_none_or(|prev| results[best_idx].fitness > prev);
             if better {
                 self.best_ever = Some(self.genomes[best_idx].clone());
             }
         }
-        macs
+        (macs, env_steps)
     }
 
     /// One full generation: evaluate → speciate → fitness sharing →
@@ -386,23 +447,37 @@ impl Population {
     where
         F: Fn(usize, &Network) -> f64 + Sync,
     {
+        let workload = |ctx: EvalContext, net: &Network| fitness_fn(ctx.index as usize, net);
+        self.evolve_workload(&workload, self.first_context(0))
+    }
+
+    /// One full generation under `workload`: [`Population::evaluate_workload`]
+    /// from `first`, then [`Population::finish_generation`], with the
+    /// evaluation's wall clock and environment steps in the stats.
+    pub(crate) fn evolve_workload(
+        &mut self,
+        workload: &dyn Evaluator,
+        first: EvalContext,
+    ) -> GenerationStats {
         let eval_start = Instant::now();
-        let macs = self.evaluate_indexed(fitness_fn);
+        let (macs, env_steps) = self.evaluate_workload(workload, first);
         let eval_ns = eval_start.elapsed().as_nanos() as u64;
-        self.finish_generation(macs, eval_ns)
+        let mut stats = self.finish_generation(macs, eval_ns);
+        stats.env_steps = env_steps;
+        stats
     }
 
     /// The post-evaluation half of a generation: speciate → stagnation →
     /// fitness sharing → reproduce → advance the generation counter.
     /// `macs` is the inference MAC count returned by
-    /// [`Population::evaluate_indexed`] and `eval_ns` the wall-clock
+    /// [`Population::evaluate_workload`] and `eval_ns` the wall-clock
     /// nanoseconds the caller spent evaluating, both threaded into the
     /// stats.
     ///
     /// Split out so the archipelago backend (`crate::island`) can run its
     /// deterministic migration exchange between evaluation and
     /// reproduction on migration epochs; every other caller goes through
-    /// [`Population::evolve_once_indexed`].
+    /// [`Population::evolve_workload`].
     pub(crate) fn finish_generation(&mut self, macs: u64, eval_ns: u64) -> GenerationStats {
         let pool = self.executor.clone();
         let pool = pool.as_deref();

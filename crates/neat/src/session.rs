@@ -5,8 +5,10 @@
 //! loop. A [`Session`] ties together
 //!
 //! * a **workload** — anything implementing [`Evaluator`] (a gym episode
-//!   rollout, the SoC's environment instances, or a plain closure), called
-//!   once per genome per generation under the index-keyed determinism
+//!   rollout, the SoC's environment instances, or a plain closure), handed
+//!   each generation's genomes in contiguous runs
+//!   ([`Evaluator::evaluate_genomes`]; by default one
+//!   [`Evaluator::evaluate`] per genome) under the index-keyed determinism
 //!   contract below;
 //! * a **backend** — anything implementing [`Backend`]: the software
 //!   [`Population`] or the cycle-accurate `GenesysSoc` hardware model
@@ -71,12 +73,11 @@ use crate::error::ConfigError;
 use crate::executor::Executor;
 use crate::genome::Genome;
 use crate::island::{ArchipelagoState, EvolutionBackend};
-use crate::network::Network;
+use crate::network::{Network, NetworkPlan};
 use crate::population::{Population, RunOutcome};
 use crate::species::Species;
 use crate::stats::GenerationStats;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Identifies one genome evaluation: the triple every deterministic
@@ -125,9 +126,41 @@ pub struct Evaluation {
 /// a pure function of `(context, network)`. Plain closures
 /// `Fn(EvalContext, &Network) -> f64 + Sync` implement this trait
 /// directly (with `env_steps = 0`).
+///
+/// Backends hand the workload contiguous runs of genomes through
+/// [`Evaluator::evaluate_genomes`]. Its provided implementation
+/// ([`evaluate_each`]) compiles each genome and calls
+/// [`Evaluator::evaluate`] once per genome, so implementing `evaluate`
+/// alone is always enough; a workload overrides `evaluate_genomes` only to
+/// evaluate several genomes at once (`genesys_gym`'s CartPole lanes).
 pub trait Evaluator: Sync {
     /// Evaluates one genome's phenotype.
     fn evaluate(&self, ctx: EvalContext, net: &Network) -> Evaluation;
+
+    /// Evaluates a contiguous run of genomes: `genomes[k]` is the genome
+    /// with context `first` at index `first.index + k`, and its result
+    /// lands in `out[k]`. `plan` is the caller's per-worker compile
+    /// buffer.
+    ///
+    /// The provided implementation is [`evaluate_each`]. An override must
+    /// write, for every genome, exactly the [`Evaluation`] that
+    /// [`evaluate_each`] would — bit for bit — so results stay a pure
+    /// function of `(context, genome)` whatever the run length, and
+    /// sessions stay bit-identical at any worker count.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `genomes.len() != out.len()` or a genome's connection
+    /// graph is cyclic.
+    fn evaluate_genomes(
+        &self,
+        genomes: &[Genome],
+        first: EvalContext,
+        plan: &mut NetworkPlan,
+        out: &mut [Evaluation],
+    ) {
+        evaluate_each(self, genomes, first, plan, out);
+    }
 
     /// Serializable workload state, stored in checkpoints (e.g. the
     /// nonstationary drift phase). Defaults to 0 for stateless workloads.
@@ -138,6 +171,32 @@ pub trait Evaluator: Sync {
     /// Restores the value returned by [`Evaluator::state`] when a session
     /// is resumed from a checkpoint.
     fn restore_state(&mut self, _state: u64) {}
+}
+
+/// The provided [`Evaluator::evaluate_genomes`]: compiles each genome into
+/// `plan` and calls [`Evaluator::evaluate`] with its context. Overrides
+/// call it for the runs they do not evaluate themselves.
+///
+/// # Panics
+///
+/// Panics if `genomes.len() != out.len()` or a genome's connection graph
+/// is cyclic.
+pub fn evaluate_each<E: Evaluator + ?Sized>(
+    workload: &E,
+    genomes: &[Genome],
+    first: EvalContext,
+    plan: &mut NetworkPlan,
+    out: &mut [Evaluation],
+) {
+    assert_eq!(genomes.len(), out.len(), "one output slot per genome");
+    for (k, (genome, slot)) in genomes.iter().zip(out.iter_mut()).enumerate() {
+        Network::compile_into(plan, genome).expect("population genomes are valid");
+        let ctx = EvalContext {
+            index: first.index + k as u64,
+            ..first
+        };
+        *slot = workload.evaluate(ctx, plan.network());
+    }
 }
 
 impl<F> Evaluator for F
@@ -471,24 +530,7 @@ pub trait Backend {
 
 impl Backend for Population {
     fn step(&mut self, workload: &dyn Evaluator, base_seed: u64) -> GenerationStats {
-        let generation = self.generation() as u64;
-        // Order-insensitive step aggregation: summation commutes, so the
-        // tally is identical at any worker count.
-        let env_steps = AtomicU64::new(0);
-        let mut stats = self.evolve_once_indexed(|index, net| {
-            let evaluation = workload.evaluate(
-                EvalContext {
-                    base_seed,
-                    generation,
-                    index: index as u64,
-                },
-                net,
-            );
-            env_steps.fetch_add(evaluation.env_steps, Ordering::Relaxed);
-            evaluation.fitness
-        });
-        stats.env_steps = env_steps.load(Ordering::Relaxed);
-        stats
+        self.evolve_workload(workload, self.first_context(base_seed))
     }
 
     fn generation(&self) -> usize {

@@ -13,7 +13,9 @@
 use crate::error::{FrameError, ServeError};
 use crate::protocol::{Reader, Writer};
 use genesys_gym::{DriftingEvaluator, EnvKind, EpisodeEvaluator};
-use genesys_neat::{EvalContext, Evaluation, Evaluator, Network};
+use genesys_neat::{
+    evaluate_each, EvalContext, Evaluation, Evaluator, Genome, Network, NetworkPlan,
+};
 
 /// A serializable workload description — what the `submit` and `resume`
 /// verbs carry instead of an `Evaluator` object.
@@ -207,6 +209,23 @@ impl Evaluator for ServeWorkload {
             },
             ServeWorkload::Episode(e) => e.evaluate(ctx, net),
             ServeWorkload::Drifting(d) => d.evaluate(ctx, net),
+        }
+    }
+
+    /// Forwards to the episode workload, so served CartPole tenants take
+    /// its lanes; the other kinds evaluate genome by genome.
+    fn evaluate_genomes(
+        &self,
+        genomes: &[Genome],
+        first: EvalContext,
+        plan: &mut NetworkPlan,
+        out: &mut [Evaluation],
+    ) {
+        match self {
+            ServeWorkload::Episode(e) => e.evaluate_genomes(genomes, first, plan, out),
+            ServeWorkload::Synthetic | ServeWorkload::Drifting(_) => {
+                evaluate_each(self, genomes, first, plan, out)
+            }
         }
     }
 

@@ -7,12 +7,13 @@
 //! fixed buffers with no dynamic memory.
 
 use genesys::gym::{
-    episode_batch_into, episode_into, EnvKind, Environment, RolloutBatchScratch, RolloutScratch,
+    episode_batch_into, episode_into, EnvKind, Environment, EpisodeEvaluator, RolloutBatchScratch,
+    RolloutScratch,
 };
 use genesys::neat::trace::OpCounters;
 use genesys::neat::{
-    Activation, Aggregation, ConnGene, Genome, InnovationTracker, Network, NetworkPlan, NodeGene,
-    NodeId, Scratch, XorWow,
+    Activation, Aggregation, ConnGene, EvalContext, Evaluation, Evaluator, Genome,
+    InnovationTracker, Network, NetworkPlan, NodeGene, NodeId, Scratch, XorWow,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -189,6 +190,59 @@ fn steady_state_rollout_does_not_allocate() {
     assert_eq!(
         leaked, 0,
         "warmed batched rollout ({LANES} lanes, {steps} total steps) must not allocate"
+    );
+
+    // ---- population lanes -------------------------------------------------
+    // A warmed CartPole lane evaluation (16 lanes, each a different
+    // genome, refilled from the run as episodes end) allocates nothing:
+    // the lane plans, the SoA lane state and the kernel's scratch live in
+    // the evaluator's per-worker slot and are reused across calls, and the
+    // envs of refilled lanes are built on the stack.
+    let config = EnvKind::CartPole.neat_config();
+    let mut rng = XorWow::seed_from_u64_value(29);
+    let mut innov = InnovationTracker::new(config.first_hidden_id());
+    let mut ops = OpCounters::new();
+    let genomes: Vec<Genome> = (0..64u64)
+        .map(|k| {
+            let mut genome = Genome::initial(k, &config, &mut rng);
+            for _ in 0..k % 4 {
+                genome.mutate_add_node(&mut innov, &mut rng, &mut ops);
+                genome.mutate_add_conn(&mut rng, &mut ops);
+            }
+            genome.mutate_attributes(&config, &mut rng, &mut ops);
+            genome
+        })
+        .collect();
+    let shapes: std::collections::BTreeSet<usize> = genomes.iter().map(Genome::num_genes).collect();
+    assert!(shapes.len() > 3, "genomes of mixed topology");
+    let lanes = EpisodeEvaluator::new(EnvKind::CartPole);
+    let first = EvalContext {
+        base_seed: 5,
+        generation: 2,
+        index: 0,
+    };
+    let mut plan = NetworkPlan::new();
+    let mut out = vec![
+        Evaluation {
+            fitness: 0.0,
+            env_steps: 0,
+        };
+        genomes.len()
+    ];
+    lanes.evaluate_genomes(&genomes, first, &mut plan, &mut out); // warm
+    let leaked = measured_delta(|| {
+        let before = allocations();
+        lanes.evaluate_genomes(&genomes, first, &mut plan, &mut out);
+        let after = allocations();
+        after - before
+    });
+    let steps: u64 = out.iter().map(|e| e.env_steps).sum();
+    assert!(steps > genomes.len() as u64);
+    assert_eq!(
+        leaked,
+        0,
+        "warmed lane evaluation of {} genomes ({steps} steps) must not allocate",
+        genomes.len()
     );
 
     // ---- median-heavy plan at high fan-in -------------------------------
