@@ -27,6 +27,19 @@ use crate::env::{quantize_action, ActionKind, Environment};
 /// Size of the exposed RAM, matching the Atari 2600's 128 bytes.
 pub const RAM_SIZE: usize = 128;
 
+/// The observation of each RAM byte value `b`: `b / 255.0`. A step reads
+/// 128 entries of this table instead of dividing 128 times; the values are
+/// bit-identical to the division (`b as f64` is exact for a byte).
+const BYTE_TO_OBSERVATION: [f64; 256] = {
+    let mut table = [0.0; 256];
+    let mut b = 0;
+    while b < 256 {
+        table[b] = b as f64 / 255.0;
+        b += 1;
+    }
+    table
+};
+
 /// A game whose full state serializes into a 128-byte RAM.
 pub trait RamGame {
     /// Game name, matching the paper's workload labels.
@@ -98,7 +111,7 @@ impl<G: RamGame> RamEnv<G> {
     fn write_observation(&self, obs: &mut [f64]) {
         assert_eq!(obs.len(), RAM_SIZE, "RAM observation is 128 components");
         for (out, &b) in obs.iter_mut().zip(self.ram.iter()) {
-            *out = f64::from(b) / 255.0;
+            *out = BYTE_TO_OBSERVATION[usize::from(b)];
         }
     }
 }
@@ -209,6 +222,18 @@ mod tests {
             }
         }
         assert!(total.is_finite());
+    }
+
+    #[test]
+    fn observation_table_is_bit_identical_to_division() {
+        for b in 0..=u8::MAX {
+            let divided = f64::from(std::hint::black_box(b)) / 255.0;
+            assert_eq!(
+                BYTE_TO_OBSERVATION[usize::from(b)].to_bits(),
+                divided.to_bits(),
+                "byte {b}"
+            );
+        }
     }
 
     #[test]

@@ -120,14 +120,22 @@ impl Genome {
     }
 
     /// Assembles a genome from raw parts, validating the structural
-    /// invariants (used by the hardware Gene Merge block when a child
-    /// genome is written back to the genome buffer). A gene repeated with
-    /// the same key replaces the earlier occurrence.
+    /// invariants. Every decoder builds genomes here: the snapshot codec,
+    /// the hardware genome-buffer codec and the Gene Merge stream decoder
+    /// (the hardware block that writes a child genome back to the genome
+    /// buffer).
+    ///
+    /// Each gene list is collected once. A list already strictly sorted
+    /// by key, which is how every encoder writes it, is kept as it is.
+    /// Any other list is sorted stably, and a gene repeated with the same
+    /// key replaces the earlier occurrence: the result equals inserting
+    /// the genes one at a time into the sorted clusters.
     ///
     /// # Errors
     ///
     /// Returns a [`GenomeError`] if a connection dangles, terminates at an
-    /// input, the graph is cyclic, or an interface node is missing.
+    /// input, the graph is cyclic, or an interface node is missing (see
+    /// [`Genome::validate`] for which error wins when several apply).
     pub fn from_parts(
         key: u64,
         num_inputs: usize,
@@ -135,49 +143,85 @@ impl Genome {
         nodes: impl IntoIterator<Item = NodeGene>,
         conns: impl IntoIterator<Item = ConnGene>,
     ) -> Result<Self, GenomeError> {
-        let mut genome = Genome {
+        let mut nodes: Vec<NodeGene> = nodes.into_iter().collect();
+        let mut conns: Vec<ConnGene> = conns.into_iter().collect();
+        sort_last_wins(&mut nodes, |n| n.id);
+        sort_last_wins(&mut conns, |c| c.key);
+        let genome = Genome {
             key,
-            nodes: Vec::new(),
-            conns: Vec::new(),
+            nodes,
+            conns,
             num_inputs,
             num_outputs,
             fitness: None,
         };
-        for n in nodes {
-            genome.insert_node(n);
-        }
-        for c in conns {
-            genome.insert_conn(c);
-        }
         genome.validate()?;
         Ok(genome)
     }
 
-    /// Checks every structural invariant.
+    /// Checks every structural invariant in one pass over the sorted gene
+    /// clusters: the interface nodes by position, each connection's
+    /// endpoints by binary search, then acyclicity by one Kahn walk over a
+    /// CSR adjacency built from the connection cluster (which is already
+    /// grouped by source).
+    ///
+    /// The checks run in a fixed order, so one input always gets the same
+    /// error: the smallest missing interface id first; then the first
+    /// connection in key order that dangles or ends at an input node;
+    /// then [`GenomeError::Cycle`].
     ///
     /// # Errors
     ///
     /// See [`Genome::from_parts`].
     pub fn validate(&self) -> Result<(), GenomeError> {
-        for i in 0..(self.num_inputs + self.num_outputs) as u32 {
-            if self.node(NodeId(i)).is_none() {
-                return Err(GenomeError::MissingInterfaceNode { id: i });
-            }
+        // Node ids ascend strictly, so interface id `i` is present exactly
+        // when the node at index `i` has id `i`.
+        let interface = (self.num_inputs + self.num_outputs) as u32;
+        if let Some(id) =
+            (0..interface).find(|&i| self.nodes.get(i as usize).is_none_or(|n| n.id.0 != i))
+        {
+            return Err(GenomeError::MissingInterfaceNode { id });
         }
+        let n = self.nodes.len();
+        // CSR over node indices: connections sorted by key are grouped by
+        // source, and node indices ascend with ids, so `targets` lists each
+        // source's edges contiguously once `offsets` is prefix-summed.
+        let mut offsets = vec![0usize; n + 1];
+        let mut indegree = vec![0usize; n];
+        let mut targets = Vec::with_capacity(self.conns.len());
         for conn in &self.conns {
-            if self.node(conn.key.src).is_none() || self.node(conn.key.dst).is_none() {
+            let (Ok(s), Ok(d)) = (self.node_pos(conn.key.src), self.node_pos(conn.key.dst)) else {
                 return Err(GenomeError::DanglingConnection {
                     src: conn.key.src.0,
                     dst: conn.key.dst.0,
                 });
-            }
-            if self.node_type(conn.key.dst) == Some(NodeType::Input) {
+            };
+            if self.nodes[d].node_type == NodeType::Input {
                 return Err(GenomeError::ConnectionIntoInput {
                     dst: conn.key.dst.0,
                 });
             }
+            offsets[s + 1] += 1;
+            indegree[d] += 1;
+            targets.push(d);
         }
-        if self.has_cycle() {
+        for i in 0..n {
+            offsets[i + 1] += offsets[i];
+        }
+        // Kahn's algorithm: if topological elimination leaves nodes with
+        // in-degree > 0, a cycle exists.
+        let mut ready: Vec<usize> = (0..n).filter(|&i| indegree[i] == 0).collect();
+        let mut visited = 0usize;
+        while let Some(v) = ready.pop() {
+            visited += 1;
+            for &m in &targets[offsets[v]..offsets[v + 1]] {
+                indegree[m] -= 1;
+                if indegree[m] == 0 {
+                    ready.push(m);
+                }
+            }
+        }
+        if visited != n {
             return Err(GenomeError::Cycle);
         }
         Ok(())
@@ -624,43 +668,6 @@ impl Genome {
         false
     }
 
-    fn has_cycle(&self) -> bool {
-        // Kahn's algorithm over slot indices: if topological elimination
-        // leaves nodes with in-degree > 0, a cycle exists.
-        let idx_of: HashMap<NodeId, usize> = self
-            .nodes
-            .iter()
-            .enumerate()
-            .map(|(i, n)| (n.id, i))
-            .collect();
-        let mut indegree = vec![0usize; self.nodes.len()];
-        let mut adjacency: Vec<Vec<usize>> = vec![Vec::new(); self.nodes.len()];
-        for conn in &self.conns {
-            // Dangling endpoints are caught by `validate` before the cycle
-            // check; skip them here so the walk stays in bounds.
-            let (Some(&s), Some(&d)) = (idx_of.get(&conn.key.src), idx_of.get(&conn.key.dst))
-            else {
-                continue;
-            };
-            indegree[d] += 1;
-            adjacency[s].push(d);
-        }
-        let mut queue: Vec<usize> = (0..self.nodes.len())
-            .filter(|&i| indegree[i] == 0)
-            .collect();
-        let mut visited = 0usize;
-        while let Some(n) = queue.pop() {
-            visited += 1;
-            for &m in &adjacency[n] {
-                indegree[m] -= 1;
-                if indegree[m] == 0 {
-                    queue.push(m);
-                }
-            }
-        }
-        visited != self.nodes.len()
-    }
-
     // ------------------------------------------------------------ crossover
 
     /// Produces a child by crossing two parents, `parent1` being the fitter
@@ -777,6 +784,20 @@ impl Genome {
     pub fn distance(&self, other: &Genome, config: &NeatConfig) -> f64 {
         crate::arena::gene_distance(&self.nodes, &self.conns, &other.nodes, &other.conns, config)
     }
+}
+
+/// Sorts `genes` by `key`, keeping only the last gene of each repeated key
+/// (what inserting them one at a time into a sorted cluster leaves). A
+/// list that is already strictly sorted is left untouched.
+fn sort_last_wins<T, K: Ord>(genes: &mut Vec<T>, key: impl Fn(&T) -> K) {
+    if genes.windows(2).all(|w| key(&w[0]) < key(&w[1])) {
+        return;
+    }
+    // Reversed first, the stable sort leads each run of equal keys with
+    // the gene that came last, and `dedup_by` keeps the first of a run.
+    genes.reverse();
+    genes.sort_by_key(&key);
+    genes.dedup_by(|a, b| key(a) == key(b));
 }
 
 /// Visits the geometric-skip hit positions of a Bernoulli(`rate`) process
@@ -1238,6 +1259,172 @@ mod tests {
             assert!(nodes[g.num_inputs() + g.num_outputs()..]
                 .iter()
                 .all(|n| n.node_type == NodeType::Hidden));
+        }
+    }
+
+    /// `from_parts` as it was before it collected gene lists in bulk: one
+    /// sorted insert per gene, then the interface and edge checks by
+    /// lookup and a cycle check through a `HashMap` of node positions.
+    /// Kept as the oracle the bulk path must match gene for gene and
+    /// error for error.
+    fn insertion_oracle(
+        num_inputs: usize,
+        num_outputs: usize,
+        nodes: &[NodeGene],
+        conns: &[ConnGene],
+    ) -> Result<Genome, GenomeError> {
+        let mut genome = Genome {
+            key: 1,
+            nodes: Vec::new(),
+            conns: Vec::new(),
+            num_inputs,
+            num_outputs,
+            fitness: None,
+        };
+        for &n in nodes {
+            genome.insert_node(n);
+        }
+        for &c in conns {
+            genome.insert_conn(c);
+        }
+        for i in 0..(num_inputs + num_outputs) as u32 {
+            if genome.node(NodeId(i)).is_none() {
+                return Err(GenomeError::MissingInterfaceNode { id: i });
+            }
+        }
+        for conn in &genome.conns {
+            if genome.node(conn.key.src).is_none() || genome.node(conn.key.dst).is_none() {
+                return Err(GenomeError::DanglingConnection {
+                    src: conn.key.src.0,
+                    dst: conn.key.dst.0,
+                });
+            }
+            if genome.node_type(conn.key.dst) == Some(NodeType::Input) {
+                return Err(GenomeError::ConnectionIntoInput {
+                    dst: conn.key.dst.0,
+                });
+            }
+        }
+        let idx_of: HashMap<NodeId, usize> = genome
+            .nodes
+            .iter()
+            .enumerate()
+            .map(|(i, n)| (n.id, i))
+            .collect();
+        let mut indegree = vec![0usize; genome.nodes.len()];
+        let mut adjacency: Vec<Vec<usize>> = vec![Vec::new(); genome.nodes.len()];
+        for conn in &genome.conns {
+            let (s, d) = (idx_of[&conn.key.src], idx_of[&conn.key.dst]);
+            indegree[d] += 1;
+            adjacency[s].push(d);
+        }
+        let mut queue: Vec<usize> = (0..genome.nodes.len())
+            .filter(|&i| indegree[i] == 0)
+            .collect();
+        let mut visited = 0usize;
+        while let Some(n) = queue.pop() {
+            visited += 1;
+            for &m in &adjacency[n] {
+                indegree[m] -= 1;
+                if indegree[m] == 0 {
+                    queue.push(m);
+                }
+            }
+        }
+        if visited != genome.nodes.len() {
+            return Err(GenomeError::Cycle);
+        }
+        Ok(genome)
+    }
+
+    /// A genome after `rounds` passes of the full mutation suite.
+    fn evolved(seed: u64, rounds: usize) -> Genome {
+        let c = cfg();
+        let mut r = XorWow::seed_from_u64_value(seed);
+        let mut innov = InnovationTracker::new(c.first_hidden_id());
+        let mut g = Genome::initial(0, &c, &mut r);
+        let mut ops = OpCounters::new();
+        for _ in 0..rounds {
+            innov.begin_generation();
+            g.mutate(&c, &mut innov, &mut r, &mut ops);
+        }
+        g
+    }
+
+    /// `genes` with about a third of them repeated, then shuffled; `tweak`
+    /// changes each repeat, so which copy wins is visible.
+    fn scrambled<T: Copy>(genes: &[T], r: &mut XorWow, tweak: impl Fn(&mut T)) -> Vec<T> {
+        let mut out = genes.to_vec();
+        for &g in genes {
+            if r.chance(0.35) {
+                let mut repeat = g;
+                tweak(&mut repeat);
+                out.push(repeat);
+            }
+        }
+        for i in (1..out.len()).rev() {
+            out.swap(i, r.below(i + 1));
+        }
+        out
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn from_parts_matches_the_insertion_oracle(
+            seed in 0u64..u64::MAX,
+            rounds in 0usize..40,
+            fault in 0u8..6,
+        ) {
+            let g = evolved(seed, rounds);
+            let mut r = XorWow::seed_from_u64_value(seed ^ 0x5EED);
+            let (mut nodes, mut conns) = if fault == 0 {
+                // Already sorted and unique: kept as is.
+                (g.nodes.clone(), g.conns.clone())
+            } else {
+                (
+                    scrambled(&g.nodes, &mut r, |n| n.bias += 1.0),
+                    scrambled(&g.conns, &mut r, |c| c.weight -= 1.0),
+                )
+            };
+            let first_hidden = cfg().first_hidden_id();
+            let expected = match fault {
+                2 => {
+                    let src = r.below(3) as u32;
+                    let dst = g.max_node_id() + 1 + r.below(3) as u32;
+                    conns.push(ConnGene::new(NodeId(src), NodeId(dst), 1.0));
+                    Some(GenomeError::DanglingConnection { src, dst })
+                }
+                3 => {
+                    let src = g.nodes[3 + r.below(g.num_nodes() - 3)].id;
+                    conns.insert(r.below(conns.len() + 1), ConnGene::new(src, NodeId(1), 1.0));
+                    Some(GenomeError::ConnectionIntoInput { dst: 1 })
+                }
+                4 => {
+                    // Close a cycle: reverse an edge leaving a hidden node,
+                    // or loop an output onto itself.
+                    let back = g
+                        .conns
+                        .iter()
+                        .find(|c| c.key.src.0 >= first_hidden)
+                        .map_or(ConnKey::new(NodeId(3), NodeId(3)), |c| {
+                            ConnKey::new(c.key.dst, c.key.src)
+                        });
+                    conns.push(ConnGene::new(back.src, back.dst, 1.0));
+                    Some(GenomeError::Cycle)
+                }
+                5 => {
+                    let id = NodeId(r.below(5) as u32);
+                    nodes.retain(|n| n.id != id);
+                    Some(GenomeError::MissingInterfaceNode { id: id.0 })
+                }
+                _ => None,
+            };
+            let oracle = insertion_oracle(3, 2, &nodes, &conns);
+            let bulk = Genome::from_parts(1, 3, 2, nodes, conns);
+            proptest::prop_assert_eq!(&bulk, &oracle);
+            proptest::prop_assert_eq!(bulk.err(), expected);
         }
     }
 

@@ -42,7 +42,9 @@ use crate::workload::{ServeWorkload, WorkloadSpec};
 use genesys_core::snapshot::{snapshot_from_bytes, snapshot_to_bytes};
 use genesys_neat::{EvolutionBackend, Executor, OwnedGenerationEvent, Session};
 use std::collections::{BTreeMap, VecDeque};
-use std::path::PathBuf;
+use std::fs::OpenOptions;
+use std::io::Write;
+use std::path::{Path, PathBuf};
 use std::sync::mpsc::{self, Receiver, Sender, TryRecvError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -183,6 +185,7 @@ impl Server {
             rx,
             sessions: BTreeMap::new(),
             ready: VecDeque::new(),
+            resident: 0,
             next_id: 1,
             clock: 0,
             generations: 0,
@@ -246,6 +249,8 @@ struct Scheduler {
     sessions: BTreeMap<u64, Entry>,
     /// Round-robin queue of session ids with queued generation tickets.
     ready: VecDeque<u64>,
+    /// Sessions whose `Entry::resident` holds live arenas.
+    resident: usize,
     next_id: u64,
     /// Logical LRU clock (bumped on every touch).
     clock: u64,
@@ -309,9 +314,9 @@ impl Scheduler {
                 config,
             } => {
                 self.admit()?;
-                self.make_room(None)?;
                 let session = Session::builder(*config, seed)?;
                 let session = self.finish_build(session.workload(workload.build()));
+                self.make_room(None)?;
                 let id = self.alloc_id();
                 self.insert(id, workload, session, 0);
                 Ok(Reply::Submitted {
@@ -321,11 +326,11 @@ impl Scheduler {
             }
             Request::Resume { workload, snapshot } => {
                 self.admit()?;
-                self.make_room(None)?;
                 let state = snapshot_from_bytes(&snapshot)?;
                 let generation = state.generation();
                 let session = Session::resume(state)?;
                 let session = self.finish_build(session.workload(workload.build()));
+                self.make_room(None)?;
                 let id = self.alloc_id();
                 self.insert(id, workload, session, generation);
                 Ok(Reply::Submitted {
@@ -457,6 +462,7 @@ impl Scheduler {
 
     fn insert(&mut self, id: u64, spec: WorkloadSpec, session: Box<ServeSession>, generation: u64) {
         let touch = self.tick();
+        self.resident += 1;
         self.sessions.insert(
             id,
             Entry {
@@ -477,13 +483,6 @@ impl Scheduler {
         self.clock
     }
 
-    fn resident_count(&self) -> usize {
-        self.sessions
-            .values()
-            .filter(|e| e.resident.is_some())
-            .count()
-    }
-
     fn spill_path(&self, sid: u64) -> PathBuf {
         self.config.spill_dir.join(format!("sess-{sid}.gsnap"))
     }
@@ -493,7 +492,7 @@ impl Scheduler {
     /// session about to become resident (never chosen as a victim).
     fn make_room(&mut self, incoming: Option<u64>) -> Result<(), ServeError> {
         let cap = self.config.max_resident.max(1);
-        while self.resident_count() >= cap {
+        while self.resident >= cap {
             let victim = self
                 .sessions
                 .iter()
@@ -521,19 +520,21 @@ impl Scheduler {
         };
         if !entry.spilled {
             let bytes = snapshot_to_bytes(&session.export_state())?;
-            if let Err(e) = std::fs::write(&path, bytes) {
+            if let Err(e) = write_spill(&path, &bytes) {
                 // Keep the session resident rather than lose its state.
                 entry.resident = Some(session);
                 return Err(ServeError::Io(e.to_string()));
             }
             entry.spilled = true;
         }
+        self.resident -= 1;
         self.evictions += 1;
         Ok(())
     }
 
-    /// Rebuilds an evicted session from its spill file (making room under
-    /// the resident cap first).
+    /// Rebuilds an evicted session from its spill file, then makes room
+    /// for it under the resident cap (an unreadable or invalid image
+    /// evicts no one).
     fn ensure_resident(&mut self, sid: u64) -> Result<(), ServeError> {
         if !self.sessions.contains_key(&sid) {
             return Err(ServeError::UnknownSession(sid));
@@ -541,16 +542,17 @@ impl Scheduler {
         if self.sessions[&sid].resident.is_some() {
             return Ok(());
         }
-        self.make_room(Some(sid))?;
         let bytes = std::fs::read(self.spill_path(sid))?;
         let state = snapshot_from_bytes(&bytes)?;
         let spec = self.sessions[&sid].spec;
         let builder = Session::resume(state)?.workload(spec.build());
         let session = self.finish_build(builder);
+        self.make_room(Some(sid))?;
         let touch = self.tick();
         let entry = self.sessions.get_mut(&sid).expect("session exists");
         entry.resident = Some(session);
         entry.touch = touch;
+        self.resident += 1;
         self.rehydrations += 1;
         Ok(())
     }
@@ -570,7 +572,7 @@ impl Scheduler {
     }
 
     fn stats(&self) -> ServerStats {
-        let resident = self.resident_count() as u64;
+        let resident = self.resident as u64;
         let sessions = self.sessions.len() as u64;
         ServerStats {
             sessions,
@@ -584,6 +586,20 @@ impl Scheduler {
             dropped_events: self.dropped_events,
         }
     }
+}
+
+/// Writes a spill image over the file at `path` in place and trims the
+/// file to the image's length, so a shorter image leaves no stale tail.
+/// Unlike `fs::write`, which truncates to zero first, this keeps the
+/// file's blocks allocated across evictions.
+fn write_spill(path: &Path, image: &[u8]) -> std::io::Result<()> {
+    let mut file = OpenOptions::new()
+        .write(true)
+        .create(true)
+        .truncate(false)
+        .open(path)?;
+    file.write_all(image)?;
+    file.set_len(image.len() as u64)
 }
 
 #[cfg(test)]
@@ -686,6 +702,118 @@ mod tests {
                 "session {sid} diverged across eviction"
             );
         }
+    }
+
+    fn checkpoint(client: &Client, session: u64) -> Vec<u8> {
+        match client.call(Request::Checkpoint { session }).unwrap() {
+            Reply::Snapshot { image, .. } => image,
+            other => panic!("unexpected reply {other:?}"),
+        }
+    }
+
+    fn stats(client: &Client) -> ServerStats {
+        match client.call(Request::Stats).unwrap() {
+            Reply::Stats(stats) => stats,
+            other => panic!("unexpected reply {other:?}"),
+        }
+    }
+
+    #[test]
+    fn spill_write_leaves_exactly_the_last_image() {
+        let dir = temp_dir("write-spill");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("sess-1.gsnap");
+        for (len, byte) in [(4096, 0xA5u8), (100, 0x3C), (5000, 0x0F)] {
+            let image = vec![byte; len];
+            write_spill(&path, &image).unwrap();
+            assert_eq!(std::fs::read(&path).unwrap(), image, "{len}-byte image");
+        }
+    }
+
+    #[test]
+    fn repeated_spills_overwrite_bit_identically() {
+        let server =
+            Server::start(ServerConfig::new(temp_dir("overwrite")).max_resident(1)).unwrap();
+        let client = server.client();
+        let a = submit(&client, 23);
+        let b = submit(&client, 24);
+        let mut direct = Session::builder(config(), 23)
+            .unwrap()
+            .workload(WorkloadSpec::Synthetic.build())
+            .build();
+        for round in 1..=5 {
+            step(&client, a, round);
+            direct.run(round as usize);
+            // Stepping `b` under cap 1 spills `a` over its previous image.
+            step(&client, b, 1);
+            assert_eq!(
+                checkpoint(&client, a),
+                snapshot_to_bytes(&direct.export_state()).unwrap(),
+                "spill file after eviction {round}"
+            );
+        }
+        let stats = stats(&client);
+        assert_eq!(stats.resident, 1);
+        assert!(stats.evictions >= 10);
+    }
+
+    #[test]
+    fn invalid_requests_evict_no_one() {
+        let server = Server::start(ServerConfig::new(temp_dir("invalid")).max_resident(1)).unwrap();
+        let client = server.client();
+        let sid = submit(&client, 31);
+        step(&client, sid, 1);
+        let before = stats(&client);
+        assert_eq!(before.resident, 1);
+        let err = client
+            .call(Request::Resume {
+                workload: WorkloadSpec::Synthetic,
+                snapshot: vec![0x5A; 64],
+            })
+            .unwrap_err();
+        assert!(matches!(err, ServeError::Snapshot(_)), "{err:?}");
+        let mut empty = config();
+        empty.pop_size = 0;
+        let err = client
+            .call(Request::Submit {
+                seed: 32,
+                workload: WorkloadSpec::Synthetic,
+                config: Box::new(empty),
+            })
+            .unwrap_err();
+        assert!(matches!(err, ServeError::Session(_)), "{err:?}");
+        assert_eq!(err.code(), 400);
+        let after = stats(&client);
+        assert_eq!(
+            (after.evictions, after.rehydrations, after.resident),
+            (before.evictions, before.rehydrations, before.resident)
+        );
+    }
+
+    #[test]
+    fn torn_spill_file_fails_typed_and_evicts_no_one() {
+        let dir = temp_dir("torn");
+        let server = Server::start(ServerConfig::new(&dir).max_resident(1)).unwrap();
+        let client = server.client();
+        let a = submit(&client, 41);
+        let b = submit(&client, 42); // spills `a` under cap 1
+        let path = dir.join(format!("sess-{a}.gsnap"));
+        let image = std::fs::read(&path).unwrap();
+        std::fs::write(&path, &image[..image.len() / 2]).unwrap();
+        let before = stats(&client);
+        let err = client
+            .call(Request::Step {
+                session: a,
+                generations: 1,
+            })
+            .unwrap_err();
+        assert!(matches!(err, ServeError::Snapshot(_)), "{err:?}");
+        let after = stats(&client);
+        assert_eq!(
+            (after.evictions, after.rehydrations, after.resident),
+            (before.evictions, before.rehydrations, before.resident)
+        );
+        assert_eq!(step(&client, b, 1), 1, "the resident tenant still runs");
     }
 
     #[test]
