@@ -1299,6 +1299,26 @@ mod tests {
         assert_eq!(state, back);
     }
 
+    /// Input genes are constants that the compatibility distance skips,
+    /// so an image whose input gene carries another bias must not decode,
+    /// even under a valid checksum (which detects corruption, not
+    /// forgery).
+    #[test]
+    fn forged_input_bias_is_an_invalid_genome() {
+        let state = evolved_state(8, 3);
+        let mut words = encode_snapshot(&state).unwrap();
+        let input = encode_node_word(&genesys_neat::NodeGene::input(genesys_neat::NodeId(1)));
+        let at = words
+            .windows(3)
+            .position(|w| w == [input, 0.0f64.to_bits(), 1.0f64.to_bits()])
+            .expect("a genome record holds input 1");
+        words[at + 1] = 0.5f64.to_bits();
+        let n = words.len();
+        words[n - 1] = fnv1a(&words[..n - 1]);
+        let err = snapshot_from_bytes(&words_to_bytes(&words)).unwrap_err();
+        assert!(matches!(err, SnapshotError::InvalidGenome(_)), "{err:?}");
+    }
+
     #[test]
     fn every_truncation_errors_and_never_panics() {
         let state = evolved_state(3, 3);

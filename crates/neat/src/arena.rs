@@ -14,6 +14,14 @@
 //! Distances computed through [`GenomeView::distance`] share one
 //! implementation with [`Genome::distance`] ([`gene_distance`]), so arena
 //! and per-genome paths are bit-identical by construction.
+//!
+//! Every genome's node cluster opens with the same constant block: input
+//! `i` is [`NodeGene::input`]`(NodeId(i))` at position `i`
+//! ([`Genome::validate`] enforces it). The distance kernels here count
+//! that prefix as matched without walking it; each matched pair of
+//! default input genes would add exactly `+0.0`, so every sum, count and
+//! denominator is unchanged (see `docs/speciation.md`, "The input
+//! prefix").
 
 use crate::config::NeatConfig;
 use crate::gene::{ConnGene, ConnKey, NodeGene, NodeId};
@@ -21,12 +29,18 @@ use crate::genome::{Genome, GENE_BYTES};
 
 /// Borrowed view of one genome's two sorted gene clusters — either a slice
 /// pair out of a [`PopulationArena`] or a [`Genome`]'s own buffers.
+///
+/// A view built by hand must keep the genome layout [`Genome::validate`]
+/// checks: `nodes[i]` is [`NodeGene::input`]`(NodeId(i))` for every
+/// `i < num_inputs`. The distance kernels skip that prefix unread.
 #[derive(Debug, Clone, Copy)]
 pub struct GenomeView<'a> {
     /// Node genes in ascending id order.
     pub nodes: &'a [NodeGene],
     /// Connection genes in ascending key order.
     pub conns: &'a [ConnGene],
+    /// Length of the constant input prefix of `nodes`.
+    pub num_inputs: usize,
 }
 
 impl<'a> GenomeView<'a> {
@@ -35,13 +49,14 @@ impl<'a> GenomeView<'a> {
         GenomeView {
             nodes: genome.node_genes(),
             conns: genome.conn_genes(),
+            num_inputs: genome.num_inputs(),
         }
     }
 
     /// Compatibility distance to `other`; bit-identical to
     /// [`Genome::distance`] (both delegate to [`gene_distance`]).
     pub fn distance(&self, other: GenomeView<'_>, config: &NeatConfig) -> f64 {
-        gene_distance(self.nodes, self.conns, other.nodes, other.conns, config)
+        gene_distance(*self, other, config)
     }
 
     /// Total gene count of the viewed genome.
@@ -50,13 +65,15 @@ impl<'a> GenomeView<'a> {
     }
 }
 
-/// Per-genome offset/length record into the arena's two gene buffers.
+/// Per-genome offset/length record into the arena's two gene buffers,
+/// with the genome's input count (the length of its constant prefix).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct Span {
     node_offset: usize,
     node_len: usize,
     conn_offset: usize,
     conn_len: usize,
+    num_inputs: usize,
 }
 
 /// A population's gene streams packed contiguously (see module docs).
@@ -89,6 +106,7 @@ impl PopulationArena {
                 node_len: genome.num_nodes(),
                 conn_offset: self.conns.len(),
                 conn_len: genome.num_conns(),
+                num_inputs: genome.num_inputs(),
             };
             self.nodes.extend_from_slice(genome.node_genes());
             self.conns.extend_from_slice(genome.conn_genes());
@@ -116,6 +134,7 @@ impl PopulationArena {
         GenomeView {
             nodes: &self.nodes[span.node_offset..span.node_offset + span.node_len],
             conns: &self.conns[span.conn_offset..span.conn_offset + span.conn_len],
+            num_inputs: span.num_inputs,
         }
     }
 
@@ -146,6 +165,10 @@ pub const REP_BLOCK: usize = 16;
 /// representatives share most structure this cuts the per-genome gene
 /// traffic by roughly the representative count.
 ///
+/// The input prefix every lane shares is left out of the union, and
+/// [`RepColumns::scan`] counts it as matched without reading it (module
+/// docs), exactly as [`gene_distance`] does.
+///
 /// Bit-identity: per lane, entries appear in ascending key order (a
 /// subsequence of the union order), each matched entry contributes
 /// `genome_gene.attribute_distance(rep_gene) * weight_coeff` exactly as
@@ -156,6 +179,8 @@ pub const REP_BLOCK: usize = 16;
 #[derive(Debug, Clone, Default)]
 pub struct RepColumns {
     lanes: usize,
+    /// Input genes every lane starts with, left out of the union.
+    prefix: usize,
     node_lens: [usize; REP_BLOCK],
     conn_lens: [usize; REP_BLOCK],
     node_keys: Vec<NodeId>,
@@ -179,6 +204,10 @@ pub struct RepColumns {
     /// Enabled flag as `0.0`/`1.0`: `|a - b|` is then exactly the
     /// `+1.0`-if-different term of [`ConnGene::attribute_distance`].
     conn_enabled: Vec<f64>,
+    /// `(lane, gene)` sort buffers of [`RepColumns::build`], kept so a
+    /// rebuild allocates nothing once they have grown.
+    node_entries: Vec<(u8, NodeGene)>,
+    conn_entries: Vec<(u8, ConnGene)>,
 }
 
 impl RepColumns {
@@ -197,10 +226,9 @@ impl RepColumns {
     ///
     /// # Panics
     ///
-    /// Panics if `views.len() > REP_BLOCK`.
-    pub fn build(&mut self, views: &[GenomeView<'_>]) {
-        assert!(views.len() <= REP_BLOCK, "block overflow: {}", views.len());
-        self.lanes = views.len();
+    /// Panics if `views` yields more than [`REP_BLOCK`] views.
+    pub fn build<'v>(&mut self, views: impl IntoIterator<Item = GenomeView<'v>>) {
+        self.lanes = 0;
         self.node_keys.clear();
         self.node_off.clear();
         self.node_lane.clear();
@@ -213,13 +241,31 @@ impl RepColumns {
         self.conn_lane.clear();
         self.conn_weight.clear();
         self.conn_enabled.clear();
-        let mut node_entries: Vec<(u8, NodeGene)> = Vec::new();
-        let mut conn_entries: Vec<(u8, ConnGene)> = Vec::new();
-        for (lane, v) in views.iter().enumerate() {
+        let node_entries = &mut self.node_entries;
+        let conn_entries = &mut self.conn_entries;
+        node_entries.clear();
+        conn_entries.clear();
+        let mut inputs = [0usize; REP_BLOCK];
+        for v in views {
+            let lane = self.lanes;
+            assert!(
+                lane < REP_BLOCK,
+                "block overflow: more than {REP_BLOCK} views"
+            );
+            self.lanes += 1;
             self.node_lens[lane] = v.nodes.len();
             self.conn_lens[lane] = v.conns.len();
-            node_entries.extend(v.nodes.iter().map(|n| (lane as u8, *n)));
+            inputs[lane] = v.num_inputs.min(v.nodes.len());
+            node_entries.extend(v.nodes[inputs[lane]..].iter().map(|n| (lane as u8, *n)));
             conn_entries.extend(v.conns.iter().map(|c| (lane as u8, *c)));
+        }
+        // Only the prefix all lanes share stays out of the union: a lane
+        // with more inputs than that keeps the rest of its (default) input
+        // genes as ordinary entries.
+        self.prefix = inputs[..self.lanes].iter().copied().min().unwrap_or(0);
+        for (lane, &n) in inputs[..self.lanes].iter().enumerate() {
+            node_entries
+                .extend((self.prefix..n).map(|k| (lane as u8, NodeGene::input(NodeId(k as u32)))));
         }
         // (key, lane) pairs are unique, so unstable sort is deterministic.
         node_entries.sort_unstable_by_key(|&(lane, ref n)| (n.id, lane));
@@ -323,11 +369,35 @@ impl RepColumns {
         // When `t == 1.0` it is the scalar op verbatim; when `t == 0.0`,
         // `d + 0.0` is bitwise `d` (d is non-negative or a quiet NaN —
         // never `-0.0` — and x86/LLVM addition preserves both).
+        //
+        // The first `skip` genes of the genome and of every lane are the
+        // same default input genes: they count as dense hits, unread.
+        let skip = genome.num_inputs.min(self.prefix).min(genome.nodes.len());
         let mut acc = [0.0f64; REP_BLOCK];
         let mut matched = [0u32; REP_BLOCK];
         let mut disjoint = [0u32; REP_BLOCK];
-        let mut dense_hits = 0u32;
-        let mut gi = 0usize;
+        let mut dense_hits = skip as u32;
+        let mut gi = skip;
+        // A genome with fewer inputs than every lane: the lanes' remaining
+        // shared input genes are left out of the union, so compare them
+        // here, in key order, before any union key.
+        for k in skip..self.prefix {
+            let key = NodeId(k as u32);
+            while gi < genome.nodes.len() && genome.nodes[gi].id < key {
+                gi += 1;
+            }
+            if gi < genome.nodes.len() && genome.nodes[gi].id == key {
+                let d = genome.nodes[gi].attribute_distance(&NodeGene::input(key)) * cw;
+                for a in &mut acc[..self.lanes] {
+                    *a += d;
+                }
+                dense_hits += 1;
+            } else {
+                for miss in &mut disjoint[..self.lanes] {
+                    *miss += 1;
+                }
+            }
+        }
         for (k, &key) in self.node_keys.iter().enumerate() {
             while gi < genome.nodes.len() && genome.nodes[gi].id < key {
                 gi += 1;
@@ -469,21 +539,27 @@ impl RepColumns {
 /// [`GenomeView::distance`] both call it — so every caller accumulates in
 /// the same order (ascending key order of the `b` side) and produces
 /// bit-identical results.
-pub fn gene_distance(
-    nodes_a: &[NodeGene],
-    conns_a: &[ConnGene],
-    nodes_b: &[NodeGene],
-    conns_b: &[ConnGene],
-    config: &NeatConfig,
-) -> f64 {
+///
+/// The input prefix the two genomes share is counted as matched without
+/// being walked: each matched pair of default input genes would add
+/// `0.0 * weight_coeff`, exactly `+0.0` for the finite, non-negative
+/// coefficients [`NeatConfig::validate`] admits, so the result is
+/// bit-identical to the full walk (module docs).
+pub fn gene_distance(a: GenomeView<'_>, b: GenomeView<'_>, config: &NeatConfig) -> f64 {
     let cd = config.compatibility_disjoint_coefficient;
     let cw = config.compatibility_weight_coefficient;
+    let (nodes_a, conns_a, nodes_b, conns_b) = (a.nodes, a.conns, b.nodes, b.conns);
+    let skip = a
+        .num_inputs
+        .min(b.num_inputs)
+        .min(nodes_a.len())
+        .min(nodes_b.len());
 
     let mut node_dist = 0.0;
     let mut disjoint_nodes = 0usize;
-    let mut matched = 0usize;
-    let mut i = 0usize;
-    for n2 in nodes_b {
+    let mut matched = skip;
+    let mut i = skip;
+    for n2 in &nodes_b[skip..] {
         while i < nodes_a.len() && nodes_a[i].id < n2.id {
             i += 1;
         }
@@ -592,10 +668,9 @@ mod tests {
 
         let mut arena = PopulationArena::new();
         arena.pack(genomes.iter().take(REP_BLOCK));
-        let views: Vec<GenomeView<'_>> = (0..arena.len()).map(|i| arena.view(i)).collect();
         for lanes in [1usize, 2, 5, REP_BLOCK] {
             let mut cols = RepColumns::new();
-            cols.build(&views[..lanes]);
+            cols.build((0..lanes).map(|i| arena.view(i)));
             assert_eq!(cols.lanes(), lanes);
             for g in &genomes {
                 let mut out = [0.0f64; REP_BLOCK];

@@ -289,9 +289,18 @@ impl NeatConfig {
 
     /// Validates the configuration.
     ///
+    /// Besides probabilities and bounds, both compatibility coefficients
+    /// must be finite and non-negative. The compatibility distance skips
+    /// the constant input prefix every genome shares and counts it as
+    /// matched, which keeps every distance bit-identical to the full
+    /// walk only while `0 * coefficient` is `+0.0` (see
+    /// `docs/speciation.md`, "The input prefix").
+    ///
     /// # Errors
     ///
-    /// Returns a [`ConfigError`] describing the first violated constraint.
+    /// Returns a [`ConfigError`] describing the first violated constraint:
+    /// [`ConfigError::InvalidBound`] for a negative, infinite or NaN
+    /// compatibility coefficient.
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.pop_size == 0 {
             return Err(ConfigError::EmptyPopulation);
@@ -337,6 +346,24 @@ impl NeatConfig {
         }
         if self.response_min > self.response_max {
             return Err(ConfigError::InvalidBound { field: "response" });
+        }
+        // The compatibility distance counts each genome's constant input
+        // prefix as matched without walking it: every matched pair adds
+        // `0 * coefficient`, which is exactly +0.0 only for a finite,
+        // non-negative coefficient (`0 * inf` is NaN).
+        for (field, coefficient) in [
+            (
+                "compatibility_weight_coefficient",
+                self.compatibility_weight_coefficient,
+            ),
+            (
+                "compatibility_disjoint_coefficient",
+                self.compatibility_disjoint_coefficient,
+            ),
+        ] {
+            if !(coefficient.is_finite() && coefficient >= 0.0) {
+                return Err(ConfigError::InvalidBound { field });
+            }
         }
         if self.species_representative_cap == 0 {
             return Err(ConfigError::InvalidBound {
@@ -558,6 +585,40 @@ mod tests {
                 field: "eval_batch"
             }
         );
+    }
+
+    #[test]
+    fn nonfinite_or_negative_compatibility_coefficients_rejected() {
+        for bad in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN, -0.5] {
+            let err = NeatConfig::builder(2, 1)
+                .compatibility_weight_coefficient(bad)
+                .build()
+                .unwrap_err();
+            assert_eq!(
+                err,
+                ConfigError::InvalidBound {
+                    field: "compatibility_weight_coefficient"
+                },
+                "{bad}"
+            );
+            let err = NeatConfig::builder(2, 1)
+                .compatibility_disjoint_coefficient(bad)
+                .build()
+                .unwrap_err();
+            assert_eq!(
+                err,
+                ConfigError::InvalidBound {
+                    field: "compatibility_disjoint_coefficient"
+                },
+                "{bad}"
+            );
+        }
+        // Zero is a valid (if degenerate) coefficient.
+        assert!(NeatConfig::builder(2, 1)
+            .compatibility_weight_coefficient(0.0)
+            .compatibility_disjoint_coefficient(0.0)
+            .build()
+            .is_ok());
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! Error types for configuration and genome validation.
 
+use crate::gene::NodeType;
 use std::error::Error;
 use std::fmt;
 
@@ -15,7 +16,9 @@ pub enum ConfigError {
     EmptyPopulation,
     /// The number of inputs or outputs was zero.
     EmptyInterface,
-    /// A numeric bound was inconsistent (e.g. `weight_min > weight_max`).
+    /// A numeric bound was inconsistent (e.g. `weight_min > weight_max`)
+    /// or out of its range (e.g. a negative or non-finite compatibility
+    /// coefficient).
     InvalidBound {
         /// Name of the offending field pair.
         field: &'static str,
@@ -33,7 +36,7 @@ impl fmt::Display for ConfigError {
                 write!(f, "number of inputs and outputs must both be at least 1")
             }
             ConfigError::InvalidBound { field } => {
-                write!(f, "bound `{field}` is inconsistent (min exceeds max)")
+                write!(f, "bound `{field}` is inconsistent or out of range")
             }
         }
     }
@@ -67,6 +70,25 @@ pub enum GenomeError {
         /// Node id that was expected but absent.
         id: u32,
     },
+    /// An input node was not the default input gene
+    /// ([`NodeGene::input`](crate::NodeGene::input)): it had another type
+    /// or non-default attributes. Every genome's input genes are the same
+    /// constants, which the compatibility distance relies on.
+    NonDefaultInput {
+        /// Id of the offending input node.
+        id: u32,
+    },
+    /// A node's type disagreed with its id range: ids
+    /// `num_inputs..num_inputs + num_outputs` are outputs, every id past
+    /// them is hidden.
+    NodeTypeMismatch {
+        /// Id of the offending node.
+        id: u32,
+        /// The type its id range requires.
+        expected: NodeType,
+        /// The type the gene carried.
+        found: NodeType,
+    },
 }
 
 impl fmt::Display for GenomeError {
@@ -81,6 +103,16 @@ impl fmt::Display for GenomeError {
             GenomeError::Cycle => write!(f, "connection graph contains a cycle"),
             GenomeError::MissingInterfaceNode { id } => {
                 write!(f, "interface node {id} is missing from the genome")
+            }
+            GenomeError::NonDefaultInput { id } => {
+                write!(f, "input node {id} is not the default input gene")
+            }
+            GenomeError::NodeTypeMismatch {
+                id,
+                expected,
+                found,
+            } => {
+                write!(f, "node {id} is {found:?} but its id requires {expected:?}")
             }
         }
     }

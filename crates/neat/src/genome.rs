@@ -18,16 +18,33 @@
 
 use crate::activation::Activation;
 use crate::aggregation::Aggregation;
+use crate::arena::GenomeView;
 use crate::config::{InitialWeights, NeatConfig};
 use crate::error::GenomeError;
 use crate::gene::{ConnGene, ConnKey, NodeGene, NodeId, NodeType};
 use crate::innovation::InnovationSource;
 use crate::rng::XorWow;
 use crate::trace::OpCounters;
-use std::collections::{HashMap, HashSet};
+use std::cell::RefCell;
 
 /// Bytes per gene in the hardware encoding (64-bit gene word, Fig 6).
 pub const GENE_BYTES: usize = 8;
+
+/// Reused workspace of [`Genome::would_create_cycle`]: the visited bitmap
+/// over node positions past the inputs, and the depth-first stack.
+struct CycleScratch {
+    visited: Vec<u64>,
+    stack: Vec<NodeId>,
+}
+
+thread_local! {
+    static CYCLE_SCRATCH: RefCell<CycleScratch> = const {
+        RefCell::new(CycleScratch {
+            visited: Vec::new(),
+            stack: Vec::new(),
+        })
+    };
+}
 
 /// One individual: a collection of node and connection genes plus the
 /// fitness it earned in the environment.
@@ -133,9 +150,11 @@ impl Genome {
     ///
     /// # Errors
     ///
-    /// Returns a [`GenomeError`] if a connection dangles, terminates at an
-    /// input, the graph is cyclic, or an interface node is missing (see
-    /// [`Genome::validate`] for which error wins when several apply).
+    /// Returns a [`GenomeError`] if an interface node is missing, an input
+    /// gene is not the default one, a node's type disagrees with its
+    /// position, a connection dangles or terminates at an input, or the
+    /// graph is cyclic (see [`Genome::validate`] for which error wins when
+    /// several apply).
     pub fn from_parts(
         key: u64,
         num_inputs: usize,
@@ -160,15 +179,29 @@ impl Genome {
     }
 
     /// Checks every structural invariant in one pass over the sorted gene
-    /// clusters: the interface nodes by position, each connection's
-    /// endpoints by binary search, then acyclicity by one Kahn walk over a
-    /// CSR adjacency built from the connection cluster (which is already
-    /// grouped by source).
+    /// clusters: the interface nodes by position, every node's type by
+    /// its position, each connection's endpoints by binary search, then
+    /// acyclicity by one Kahn walk over a CSR adjacency built from the
+    /// connection cluster (which is already grouped by source).
+    ///
+    /// The node checks fix the layout the rest of the crate relies on:
+    ///
+    /// - the node at position `i < num_inputs` is exactly
+    ///   [`NodeGene::input`]`(NodeId(i))`, the default input gene. So every
+    ///   genome starts with the same constant prefix, which the
+    ///   compatibility distance skips and the network compiler maps
+    ///   straight to slot `i`;
+    /// - the nodes at positions `num_inputs..num_inputs + num_outputs`
+    ///   are outputs;
+    /// - every other node is hidden.
     ///
     /// The checks run in a fixed order, so one input always gets the same
-    /// error: the smallest missing interface id first; then the first
-    /// connection in key order that dangles or ends at an input node;
-    /// then [`GenomeError::Cycle`].
+    /// error: the smallest missing interface id first; then the first node
+    /// in id order that is not the default input gene
+    /// ([`GenomeError::NonDefaultInput`]) or has the wrong type
+    /// ([`GenomeError::NodeTypeMismatch`]); then the first connection in
+    /// key order that dangles or ends at an input node; then
+    /// [`GenomeError::Cycle`].
     ///
     /// # Errors
     ///
@@ -176,11 +209,31 @@ impl Genome {
     pub fn validate(&self) -> Result<(), GenomeError> {
         // Node ids ascend strictly, so interface id `i` is present exactly
         // when the node at index `i` has id `i`.
-        let interface = (self.num_inputs + self.num_outputs) as u32;
+        let interface = self.num_inputs + self.num_outputs;
         if let Some(id) =
-            (0..interface).find(|&i| self.nodes.get(i as usize).is_none_or(|n| n.id.0 != i))
+            (0..interface as u32).find(|&i| self.nodes.get(i as usize).is_none_or(|n| n.id.0 != i))
         {
             return Err(GenomeError::MissingInterfaceNode { id });
+        }
+        for (i, node) in self.nodes.iter().enumerate() {
+            if i < self.num_inputs {
+                if *node != NodeGene::input(node.id) {
+                    return Err(GenomeError::NonDefaultInput { id: node.id.0 });
+                }
+                continue;
+            }
+            let expected = if i < interface {
+                NodeType::Output
+            } else {
+                NodeType::Hidden
+            };
+            if node.node_type != expected {
+                return Err(GenomeError::NodeTypeMismatch {
+                    id: node.id.0,
+                    expected,
+                    found: node.node_type,
+                });
+            }
         }
         let n = self.nodes.len();
         // CSR over node indices: connections sorted by key are grouped by
@@ -196,7 +249,8 @@ impl Genome {
                     dst: conn.key.dst.0,
                 });
             };
-            if self.nodes[d].node_type == NodeType::Input {
+            // Positions below `num_inputs` hold exactly the input nodes.
+            if d < self.num_inputs {
                 return Err(GenomeError::ConnectionIntoInput {
                     dst: conn.key.dst.0,
                 });
@@ -549,11 +603,9 @@ impl Genome {
     /// acyclic directed graph").
     pub fn mutate_add_conn(&mut self, rng: &mut XorWow, ops: &mut OpCounters) {
         let num_sources = self.nodes.len();
-        let num_sinks = self
-            .nodes
-            .iter()
-            .filter(|n| n.node_type != NodeType::Input)
-            .count();
+        // Positions below `num_inputs` hold exactly the input nodes
+        // (`validate`), so every later gene is a sink.
+        let num_sinks = num_sources.saturating_sub(self.num_inputs);
         if num_sources == 0 || num_sinks == 0 {
             return;
         }
@@ -642,30 +694,50 @@ impl Genome {
 
     /// Would inserting `src -> dst` create a cycle? (Is `src` reachable
     /// from `dst` through existing connections?)
+    ///
+    /// An input `src` answers `false` at once: [`Genome::validate`]
+    /// forbids edges into inputs, so no path reaches one. Otherwise a
+    /// depth-first walk from `dst` follows the connection cluster, which
+    /// is sorted by key and so grouped by source: a node's out-edges are
+    /// one contiguous run, found by binary search. Visited nodes are
+    /// marked in a bitmap indexed by node position past the inputs (hidden
+    /// ids are sparse), held in reused per-thread scratch, so a call
+    /// builds no map and, once the scratch has grown, allocates nothing.
     pub fn would_create_cycle(&self, src: NodeId, dst: NodeId) -> bool {
         if src == dst {
             return true;
         }
-        let mut adjacency: HashMap<NodeId, Vec<NodeId>> = HashMap::new();
-        for conn in &self.conns {
-            adjacency
-                .entry(conn.key.src)
-                .or_default()
-                .push(conn.key.dst);
+        if (src.0 as usize) < self.num_inputs {
+            return false;
         }
-        let mut stack = vec![dst];
-        let mut seen = HashSet::new();
-        while let Some(n) = stack.pop() {
-            if n == src {
-                return true;
-            }
-            if seen.insert(n) {
-                if let Some(next) = adjacency.get(&n) {
-                    stack.extend(next.iter().copied());
+        let first = self.num_inputs.min(self.nodes.len());
+        let sinks = &self.nodes[first..];
+        CYCLE_SCRATCH.with(|scratch| {
+            let CycleScratch { visited, stack } = &mut *scratch.borrow_mut();
+            visited.clear();
+            visited.resize(sinks.len().div_ceil(64), 0);
+            stack.clear();
+            stack.push(dst);
+            while let Some(n) = stack.pop() {
+                let out = self.conns.partition_point(|c| c.key.src < n);
+                for conn in self.conns[out..].iter().take_while(|c| c.key.src == n) {
+                    let next = conn.key.dst;
+                    if next == src {
+                        return true;
+                    }
+                    // Edge targets are never inputs, so they sit past the
+                    // prefix.
+                    if let Ok(pos) = sinks.binary_search_by_key(&next, |node| node.id) {
+                        let (word, bit) = (pos / 64, 1u64 << (pos % 64));
+                        if visited[word] & bit == 0 {
+                            visited[word] |= bit;
+                            stack.push(next);
+                        }
+                    }
                 }
             }
-        }
-        false
+            false
+        })
     }
 
     // ------------------------------------------------------------ crossover
@@ -780,9 +852,10 @@ impl Genome {
     /// ([`crate::arena::gene_distance`], shared with the flat population
     /// arena's [`crate::arena::GenomeView`]); the accumulation order
     /// (ascending key order of `other`) is identical to the map-based
-    /// implementation, so distances are bit-identical.
+    /// implementation, so distances are bit-identical. The shared input
+    /// prefix is counted as matched without being walked.
     pub fn distance(&self, other: &Genome, config: &NeatConfig) -> f64 {
-        crate::arena::gene_distance(&self.nodes, &self.conns, &other.nodes, &other.conns, config)
+        crate::arena::gene_distance(GenomeView::of(self), GenomeView::of(other), config)
     }
 }
 
@@ -1136,6 +1209,95 @@ mod tests {
         assert_eq!(err, GenomeError::MissingInterfaceNode { id: 0 });
     }
 
+    /// The initial 3-in/2-out genome plus one hidden node on its first
+    /// connection, as raw parts.
+    fn parts_with_hidden() -> (Vec<NodeGene>, Vec<ConnGene>) {
+        let c = cfg();
+        let mut g = Genome::initial(0, &c, &mut rng());
+        let mut innov = InnovationTracker::new(c.first_hidden_id());
+        g.mutate_add_node(&mut innov, &mut rng(), &mut OpCounters::new());
+        assert_eq!(g.num_nodes(), 6);
+        (g.nodes().copied().collect(), g.conns().copied().collect())
+    }
+
+    #[test]
+    fn from_parts_rejects_non_default_input_genes() {
+        let tweaks: [fn(&mut NodeGene); 5] = [
+            |n| n.bias = 0.5,
+            |n| n.bias = f64::NAN,
+            |n| n.response = 2.0,
+            |n| n.activation = Activation::Relu,
+            |n| n.node_type = NodeType::Hidden,
+        ];
+        for tweak in tweaks {
+            let (mut nodes, conns) = parts_with_hidden();
+            tweak(&mut nodes[1]);
+            let err = Genome::from_parts(1, 3, 2, nodes, conns).unwrap_err();
+            assert_eq!(err, GenomeError::NonDefaultInput { id: 1 });
+        }
+    }
+
+    #[test]
+    fn from_parts_rejects_mistyped_output() {
+        for found in [NodeType::Hidden, NodeType::Input] {
+            let (mut nodes, conns) = parts_with_hidden();
+            nodes[4].node_type = found;
+            let err = Genome::from_parts(1, 3, 2, nodes, conns).unwrap_err();
+            assert_eq!(
+                err,
+                GenomeError::NodeTypeMismatch {
+                    id: 4,
+                    expected: NodeType::Output,
+                    found
+                }
+            );
+        }
+    }
+
+    /// A hidden-id node typed `Input` used to pass: the compiler then
+    /// never wrote its value slot, so the scalar and the lane kernels
+    /// read different stale values for it.
+    #[test]
+    fn from_parts_rejects_mistyped_hidden() {
+        for found in [NodeType::Input, NodeType::Output] {
+            let (mut nodes, conns) = parts_with_hidden();
+            let id = nodes[5].id.0;
+            nodes[5].node_type = found;
+            let err = Genome::from_parts(1, 3, 2, nodes, conns).unwrap_err();
+            assert_eq!(
+                err,
+                GenomeError::NodeTypeMismatch {
+                    id,
+                    expected: NodeType::Hidden,
+                    found
+                }
+            );
+        }
+    }
+
+    #[test]
+    fn would_create_cycle_answers_false_for_input_sources_at_once() {
+        let (nodes, conns) = parts_with_hidden();
+        let g = Genome::from_parts(1, 3, 2, nodes, conns).unwrap();
+        let hidden = g.nodes[5].id;
+        for src in 0..3 {
+            for dst in g.nodes().map(|n| n.id).filter(|id| id.0 >= 3) {
+                assert!(!g.would_create_cycle(NodeId(src), dst));
+            }
+        }
+        // The hidden node feeds output 3: closing 3 -> hidden is a cycle,
+        // and so is a self-loop.
+        let fed = g
+            .conns()
+            .find(|c| c.key.src == hidden && c.enabled)
+            .expect("the split's output edge")
+            .key
+            .dst;
+        assert!(g.would_create_cycle(fed, hidden));
+        assert!(!g.would_create_cycle(hidden, fed));
+        assert!(g.would_create_cycle(hidden, hidden));
+    }
+
     #[test]
     fn from_parts_last_duplicate_wins() {
         let c = cfg();
@@ -1263,10 +1425,10 @@ mod tests {
     }
 
     /// `from_parts` as it was before it collected gene lists in bulk: one
-    /// sorted insert per gene, then the interface and edge checks by
-    /// lookup and a cycle check through a `HashMap` of node positions.
-    /// Kept as the oracle the bulk path must match gene for gene and
-    /// error for error.
+    /// sorted insert per gene, then the interface, node-type and edge
+    /// checks by lookup and a cycle check through a `HashMap` of node
+    /// positions. Kept as the oracle the bulk path must match gene for
+    /// gene and error for error.
     fn insertion_oracle(
         num_inputs: usize,
         num_outputs: usize,
@@ -1292,6 +1454,27 @@ mod tests {
                 return Err(GenomeError::MissingInterfaceNode { id: i });
             }
         }
+        for n in &genome.nodes {
+            let id = n.id.0 as usize;
+            if id < num_inputs {
+                if *n != NodeGene::input(n.id) {
+                    return Err(GenomeError::NonDefaultInput { id: n.id.0 });
+                }
+                continue;
+            }
+            let expected = if id < num_inputs + num_outputs {
+                NodeType::Output
+            } else {
+                NodeType::Hidden
+            };
+            if n.node_type != expected {
+                return Err(GenomeError::NodeTypeMismatch {
+                    id: n.id.0,
+                    expected,
+                    found: n.node_type,
+                });
+            }
+        }
         for conn in &genome.conns {
             if genome.node(conn.key.src).is_none() || genome.node(conn.key.dst).is_none() {
                 return Err(GenomeError::DanglingConnection {
@@ -1305,7 +1488,7 @@ mod tests {
                 });
             }
         }
-        let idx_of: HashMap<NodeId, usize> = genome
+        let idx_of: std::collections::HashMap<NodeId, usize> = genome
             .nodes
             .iter()
             .enumerate()
@@ -1375,7 +1558,7 @@ mod tests {
         fn from_parts_matches_the_insertion_oracle(
             seed in 0u64..u64::MAX,
             rounds in 0usize..40,
-            fault in 0u8..6,
+            fault in 0u8..8,
         ) {
             let g = evolved(seed, rounds);
             let mut r = XorWow::seed_from_u64_value(seed ^ 0x5EED);
@@ -1384,7 +1567,13 @@ mod tests {
                 (g.nodes.clone(), g.conns.clone())
             } else {
                 (
-                    scrambled(&g.nodes, &mut r, |n| n.bias += 1.0),
+                    // Input genes are constants: their repeats stay equal
+                    // (faults 6 and 7 break node genes on purpose).
+                    scrambled(&g.nodes, &mut r, |n| {
+                        if n.node_type != NodeType::Input {
+                            n.bias += 1.0;
+                        }
+                    }),
                     scrambled(&g.conns, &mut r, |c| c.weight -= 1.0),
                 )
             };
@@ -1418,6 +1607,25 @@ mod tests {
                     let id = NodeId(r.below(5) as u32);
                     nodes.retain(|n| n.id != id);
                     Some(GenomeError::MissingInterfaceNode { id: id.0 })
+                }
+                6 => {
+                    let id = NodeId(r.below(3) as u32);
+                    for n in nodes.iter_mut().filter(|n| n.id == id) {
+                        n.bias = 0.5;
+                    }
+                    Some(GenomeError::NonDefaultInput { id: id.0 })
+                }
+                7 => {
+                    let node = g.nodes[3 + r.below(g.num_nodes() - 3)];
+                    let (expected, found) = if node.node_type == NodeType::Output {
+                        (NodeType::Output, NodeType::Hidden)
+                    } else {
+                        (NodeType::Hidden, NodeType::Input)
+                    };
+                    for n in nodes.iter_mut().filter(|n| n.id == node.id) {
+                        n.node_type = found;
+                    }
+                    Some(GenomeError::NodeTypeMismatch { id: node.id.0, expected, found })
                 }
                 _ => None,
             };

@@ -254,7 +254,10 @@ impl Network {
     /// per-call HashMaps and `Vec`-of-`Vec` adjacency the one-shot
     /// compiler allocates. Node lookup is a binary search over the
     /// genome's id-sorted gene cluster; adjacency lives in two reusable
-    /// CSR buffers filled in genome connection order.
+    /// CSR buffers filled in genome connection order. Input ids map
+    /// straight to their slot (input `i` sits at position `i`, which
+    /// [`Genome::validate`] enforces), so the search covers only the
+    /// genes past the inputs.
     ///
     /// # Errors
     ///
@@ -264,12 +267,19 @@ impl Network {
     pub fn compile_into(plan: &mut NetworkPlan, genome: &Genome) -> Result<(), GenomeError> {
         let nodes = genome.node_genes();
         let n = nodes.len();
-        // The gene cluster is sorted by id, so slot order == id order and
-        // lookup is a binary search (no hash map).
+        let num_inputs = genome.num_inputs();
+        // The gene cluster is sorted by id, so slot order == id order:
+        // input `i` is slot `i`, and any other id is a binary search over
+        // the genes past the inputs (no hash map).
         let slot_of = |id: NodeId| -> usize {
-            nodes
-                .binary_search_by_key(&id, |node| node.id)
-                .expect("validated genome: every edge endpoint is a node")
+            let id_value = id.0 as usize;
+            if id_value < num_inputs {
+                return id_value;
+            }
+            num_inputs
+                + nodes[num_inputs..]
+                    .binary_search_by_key(&id, |node| node.id)
+                    .expect("validated genome: every edge endpoint is a node")
         };
 
         let NetworkPlan {
@@ -399,7 +409,7 @@ impl Network {
                 .push(slot_of(NodeId((genome.num_inputs() + o) as u32)));
         }
         // Input nodes occupy the first ids; slot i == input i.
-        debug_assert!((0..genome.num_inputs()).all(|i| slot_of(NodeId(i as u32)) == i));
+        debug_assert!((0..num_inputs).all(|i| nodes[i].id == NodeId(i as u32)));
         Ok(())
     }
 

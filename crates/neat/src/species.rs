@@ -360,10 +360,8 @@ impl SpeciesSet {
                 if self.blocks.len() == b {
                     self.blocks.push(RepColumns::new());
                 }
-                let views: Vec<GenomeView<'_>> = (start..start + lanes)
-                    .map(|s| self.rep_arena.view(s))
-                    .collect();
-                self.blocks[b].build(&views);
+                let rep_arena = &self.rep_arena;
+                self.blocks[b].build((start..start + lanes).map(|s| rep_arena.view(s)));
                 self.block_starts.push(start);
                 start += lanes;
                 size = (size * 2).min(REP_BLOCK);

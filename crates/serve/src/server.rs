@@ -559,7 +559,9 @@ impl Scheduler {
 
     /// A checkpoint image at the current generation boundary. Evicted
     /// sessions are served from their spill file — a checkpoint does not
-    /// force rehydration.
+    /// force rehydration. The file is decoded and validated first, so a
+    /// torn or corrupted spill fails with its typed 3xx error instead of
+    /// reaching the client; a good file is returned byte for byte.
     fn checkpoint(&mut self, sid: u64) -> Result<Vec<u8>, ServeError> {
         let entry = self
             .sessions
@@ -567,7 +569,11 @@ impl Scheduler {
             .ok_or(ServeError::UnknownSession(sid))?;
         match &entry.resident {
             Some(session) => Ok(snapshot_to_bytes(&session.export_state())?),
-            None => Ok(std::fs::read(self.spill_path(sid))?),
+            None => {
+                let image = std::fs::read(self.spill_path(sid))?;
+                snapshot_from_bytes(&image)?;
+                Ok(image)
+            }
         }
     }
 
@@ -605,6 +611,7 @@ fn write_spill(path: &Path, image: &[u8]) -> std::io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use genesys_core::snapshot::SnapshotError;
     use genesys_neat::NeatConfig;
 
     fn config() -> NeatConfig {
@@ -814,6 +821,49 @@ mod tests {
             (before.evictions, before.rehydrations, before.resident)
         );
         assert_eq!(step(&client, b, 1), 1, "the resident tenant still runs");
+    }
+
+    #[test]
+    fn checkpoint_of_a_torn_spill_file_fails_typed() {
+        let dir = temp_dir("torn-checkpoint");
+        let server = Server::start(ServerConfig::new(&dir).max_resident(1)).unwrap();
+        let client = server.client();
+        let a = submit(&client, 43);
+        step(&client, a, 2);
+        let b = submit(&client, 44); // spills `a` under cap 1
+        let path = dir.join(format!("sess-{a}.gsnap"));
+        let image = std::fs::read(&path).unwrap();
+        assert_eq!(
+            checkpoint(&client, a),
+            image,
+            "a good spill is served as is"
+        );
+        std::fs::write(&path, &image[..image.len() / 2]).unwrap();
+        let err = client.call(Request::Checkpoint { session: a }).unwrap_err();
+        assert!(
+            matches!(err, ServeError::Snapshot(SnapshotError::Truncated { .. })),
+            "{err:?}"
+        );
+        assert_eq!(err.code(), 302);
+        assert_eq!(step(&client, b, 1), 1, "the resident tenant still runs");
+    }
+
+    #[test]
+    fn submit_with_a_nonfinite_compatibility_coefficient_is_rejected() {
+        let server = Server::start(ServerConfig::new(temp_dir("coefficient"))).unwrap();
+        let client = server.client();
+        let mut infinite = config();
+        infinite.compatibility_weight_coefficient = f64::INFINITY;
+        let err = client
+            .call(Request::Submit {
+                seed: 45,
+                workload: WorkloadSpec::Synthetic,
+                config: Box::new(infinite),
+            })
+            .unwrap_err();
+        assert!(matches!(err, ServeError::Session(_)), "{err:?}");
+        assert_eq!(err.code(), 400);
+        assert_eq!(stats(&client).sessions, 0);
     }
 
     #[test]

@@ -12,8 +12,8 @@ use genesys::gym::{
 };
 use genesys::neat::trace::OpCounters;
 use genesys::neat::{
-    Activation, Aggregation, ConnGene, EvalContext, Evaluation, Evaluator, Genome,
-    InnovationTracker, Network, NetworkPlan, NodeGene, NodeId, Scratch, XorWow,
+    Activation, Aggregation, ConnGene, EvalContext, Evaluation, Evaluator, Genome, InitialWeights,
+    InnovationTracker, Network, NetworkPlan, NodeGene, NodeId, Scratch, SpeciesSet, XorWow,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -332,5 +332,52 @@ fn steady_state_rollout_does_not_allocate() {
     assert_eq!(
         plan.network(),
         &Network::from_genome(&elite).expect("compiles")
+    );
+
+    // ---- warmed speciation scan -------------------------------------------
+    // A 256-genome population takes the blocked scan (its cutoff is 128
+    // genomes). Once two calls have grown the representative arena, the
+    // `RepColumns` blocks and their sort buffers, the scan rows and the
+    // member lists, a third call over the same 128-input population
+    // founds no species and allocates nothing.
+    let mut config = EnvKind::Alien.neat_config();
+    config.pop_size = 256;
+    config.initial_weights = InitialWeights::Uniform { lo: -1.0, hi: 1.0 };
+    // Tight enough that the fresh population splits into a few dozen
+    // species, below the representative cap.
+    config.compatibility_threshold = 2.5;
+    assert_eq!(config.num_inputs, 128);
+    assert!(!config.speciate_exact);
+    let mut rng = XorWow::seed_from_u64_value(31);
+    let mut innov = InnovationTracker::new(config.first_hidden_id());
+    let mut ops = OpCounters::new();
+    let population: Vec<Genome> = (0..256u64)
+        .map(|k| {
+            let mut genome = Genome::initial(k, &config, &mut rng);
+            for _ in 0..k % 5 {
+                innov.begin_generation();
+                genome.mutate(&config, &mut innov, &mut rng, &mut ops);
+            }
+            genome
+        })
+        .collect();
+    let mut species = SpeciesSet::new();
+    species.speciate(&population, &config, 0);
+    species.speciate(&population, &config, 1);
+    let founded = species.len();
+    assert!(
+        (17..config.species_representative_cap).contains(&founded),
+        "{founded} species: the scan needs several blocks, under the cap"
+    );
+    let leaked = measured_delta(|| {
+        let before = allocations();
+        species.speciate(&population, &config, 2);
+        let after = allocations();
+        after - before
+    });
+    assert_eq!(species.len(), founded, "a warmed call founds no species");
+    assert_eq!(
+        leaked, 0,
+        "a warmed blocked speciation scan over {founded} species must not allocate"
     );
 }
