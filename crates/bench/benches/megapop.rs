@@ -1,16 +1,16 @@
 //! Megapopulation hot paths at `--pop 10_000` scale: the geometric-skip
 //! attribute-mutation sweep (O(mutations) instead of O(genes)), capped
 //! speciation through the blocked columnar scan, population packing into
-//! a [`PopulationArena`], and the batched SoA activation kernel against
-//! the scalar one. These are the paths the megapopulation refactor exists
-//! for; the bench-regression gate keeps them from quietly sliding back to
-//! per-gene costs.
+//! a [`PopulationArena`], and the lockstep population-lane activation
+//! kernel against the scalar one. These are the paths the megapopulation
+//! refactor exists for; the bench-regression gate keeps them from quietly
+//! sliding back to per-gene costs.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use genesys_neat::trace::OpCounters;
 use genesys_neat::{
-    BatchScratch, Genome, InnovationTracker, NeatConfig, Network, PopulationArena, Scratch,
-    SpeciesSet, XorWow,
+    Genome, InnovationTracker, LaneScratch, NeatConfig, Network, PopulationArena, Scratch,
+    SpeciesSet, XorWow, LANES,
 };
 
 const POP: usize = 10_000;
@@ -87,10 +87,9 @@ fn bench_megapop(c: &mut Criterion) {
         });
     });
 
-    // One policy net evaluated POP times: scalar kernel vs the batched
-    // SoA kernel at 16 lanes. Identical arithmetic per lane — the batch
-    // dimension is purely a throughput knob, so min times are directly
-    // comparable.
+    // One policy net evaluated POP times: scalar kernel vs the lockstep
+    // lane kernel at 16 lanes. Identical arithmetic per lane, so min times
+    // are directly comparable.
     let net = evolved_net();
     let obs: Vec<f64> = (0..POP * 4).map(|i| (i % 97) as f64 / 97.0).collect();
 
@@ -107,23 +106,16 @@ fn bench_megapop(c: &mut Criterion) {
         });
     });
 
-    const BATCH: usize = 16;
-    group.bench_with_input(BenchmarkId::new("activate_batch16", POP), &POP, |b, _| {
-        let mut scratch = BatchScratch::new();
-        let mut inputs = vec![0.0f64; 4 * BATCH];
-        let mut outputs = vec![0.0f64; BATCH];
+    group.bench_with_input(BenchmarkId::new("activate_lanes16", POP), &POP, |b, _| {
+        let mut scratch = LaneScratch::new();
+        let nets = [&net; LANES];
+        let mut outputs = [0.0f64; LANES];
         b.iter(|| {
             let mut acc = 0.0;
-            for chunk in 0..POP / BATCH {
-                // Transpose the chunk's observations into the SoA block
-                // (input index outer, lane inner).
-                for lane in 0..BATCH {
-                    let base = (chunk * BATCH + lane) * 4;
-                    for i in 0..4 {
-                        inputs[i * BATCH + lane] = obs[base + i];
-                    }
-                }
-                net.activate_batch_into(&mut scratch, BATCH, &inputs, &mut outputs);
+            // The observations lie lane after lane, as the kernel reads
+            // them: one call per 16 consecutive observations.
+            for inputs in obs.chunks_exact(4 * LANES) {
+                Network::activate_lanes_into(&nets, &mut scratch, inputs, &mut outputs);
                 acc += outputs.iter().sum::<f64>();
             }
             acc

@@ -1,20 +1,20 @@
 //! Megapopulation smoke/scale run: CartPole evolution at `--pop`
 //! thousands-to-tens-of-thousands, exercising every megapopulation hot
 //! path end to end — geometric-skip mutation, capped speciation through
-//! the blocked columnar scan, and (with `--episodes N --batch B`) the
-//! batched SoA rollout lanes — and **asserting the determinism contract**:
-//! the parallel run's history and final genomes must be bit-identical to
-//! the serial one, and a rerun on the scalar speciation scan
-//! (`speciate_exact`) must be bit-identical to the blocked one.
+//! the blocked columnar scan, and the CartPole population lanes (with
+//! `--episodes N`, multi-episode lanes) — and **asserting the determinism
+//! contract**: the parallel run's history and final genomes must be
+//! bit-identical to the serial one, and a rerun on the scalar speciation
+//! scan (`speciate_exact`) must be bit-identical to the blocked one.
 //!
 //! ```text
 //! megapop [--pop N] [--generations N] [--threads N] [--seed N]
-//!         [--episodes N] [--batch N]
+//!         [--episodes N]
 //! ```
 //!
-//! Defaults: `--pop 4096 --generations 2 --threads 4 --episodes 1`,
-//! `--batch` from the config's `eval_batch` knob. `--threads 1` skips the
-//! parallel leg. CI runs this as the megapop smoke job.
+//! Defaults: `--pop 4096 --generations 2 --threads 4 --episodes 1`.
+//! `--threads 1` skips the parallel leg. CI runs this as the megapop smoke
+//! job.
 
 use genesys_bench::ExperimentArgs;
 use genesys_gym::{EnvKind, EpisodeEvaluator};
@@ -27,14 +27,12 @@ fn run(
     generations: usize,
     seed: u64,
     episodes: usize,
-    batch: usize,
     exact: bool,
     pool: Option<Arc<Executor>>,
 ) -> (Vec<GenerationStats>, Vec<Genome>, f64) {
     let kind = EnvKind::CartPole;
     let mut config = kind.neat_config();
     config.pop_size = pop;
-    config.eval_batch = batch;
     config.speciate_exact = exact;
     let builder = Session::builder(config, seed).expect("cartpole preset is valid");
     let builder = match pool {
@@ -42,7 +40,7 @@ fn run(
         None => builder,
     };
     let mut session = builder
-        .workload(EpisodeEvaluator::new(kind).episodes(episodes).batch(batch))
+        .workload(EpisodeEvaluator::new(kind).episodes(episodes))
         .build();
     let t0 = Instant::now();
     let report = session.run(generations);
@@ -57,15 +55,14 @@ fn main() {
     let threads = args.threads_or(4);
     let seed = args.base_seed(42);
     let episodes = args.get_usize("--episodes", 1);
-    let batch = args.get_usize("--batch", 1);
 
     println!(
         "megapop: CartPole, pop {pop}, {generations} generations, seed {seed}, \
-         {episodes} episode(s)/eval, batch {batch}"
+         {episodes} episode(s)/eval"
     );
 
     let (serial_hist, serial_genomes, serial_s) =
-        run(pop, generations, seed, episodes, batch, false, None);
+        run(pop, generations, seed, episodes, false, None);
     let best = serial_hist
         .iter()
         .map(|s| s.max_fitness)
@@ -79,7 +76,7 @@ fn main() {
     if threads > 1 {
         let pool = Arc::new(Executor::new(threads));
         let (par_hist, par_genomes, par_s) =
-            run(pop, generations, seed, episodes, batch, false, Some(pool));
+            run(pop, generations, seed, episodes, false, Some(pool));
         println!(
             "threads {threads}: {par_s:.2}s total, {:.1}ms/generation ({:.2}x vs serial)",
             par_s * 1e3 / generations.max(1) as f64,
@@ -105,8 +102,7 @@ fn main() {
     // `RepColumns` scan is a pure acceleration, so the trajectory must be
     // bit-identical — any divergence means a blocked lane's distance
     // differed from the scalar kernel's.
-    let (exact_hist, exact_genomes, exact_s) =
-        run(pop, generations, seed, episodes, batch, true, None);
+    let (exact_hist, exact_genomes, exact_s) = run(pop, generations, seed, episodes, true, None);
     for (gen, (a, b)) in serial_hist.iter().zip(exact_hist.iter()).enumerate() {
         assert_eq!(
             a, b,

@@ -68,10 +68,8 @@ pub use noc::{Noc, NocKind, NocStats};
 pub use pe::{EvePe, PeConfig, PeCycles};
 pub use selector::{allocate_pes, select_parents, AllocPolicy, MatingPlan, PeSchedule};
 pub use snapshot::{
-    decode_migrant_batch, decode_snapshot, encode_migrant_batch, encode_snapshot,
-    migrant_batch_from_bytes, migrant_batch_to_bytes, snapshot_from_bytes, snapshot_to_bytes,
-    MigrantBatch, SnapshotError, MIGRANT_MAGIC, SNAPSHOT_MAGIC, SNAPSHOT_MAX_NODE_ID,
-    SNAPSHOT_VERSION,
+    decode_snapshot, encode_snapshot, snapshot_from_bytes, snapshot_to_bytes, SnapshotError,
+    SNAPSHOT_MAGIC, SNAPSHOT_MAX_NODE_ID, SNAPSHOT_VERSION,
 };
 pub use soc::{GenerationReport, GenesysSoc};
 pub use sram::{GenomeBuffer, SramConfig, SramStats};

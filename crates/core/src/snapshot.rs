@@ -50,15 +50,25 @@
 //! images from other versions with [`SnapshotError::UnsupportedVersion`]
 //! rather than guessing. **All prior versions are rejected, not
 //! migrated**: v1 reused the quantized hardware gene word (14-bit ids)
-//! and predates the megapopulation config knobs
-//! (`species_representative_cap`, `eval_batch`); v2 predates the state
-//! kind word and the island config knobs
+//! and predates the megapopulation config words
+//! (`species_representative_cap` and the reserved word below); v2
+//! predates the state kind word and the island config knobs
 //! (`islands`/`migration_interval`/`migration_k`), so a v2 image cannot
 //! say which backend it checkpoints; v3 predates the `speciate_exact`
 //! speciation-kernel toggle. Decoding any of them returns
 //! `UnsupportedVersion(v)`. Corrupt input of any shape — truncation, bit
 //! flips (caught by the checksum), garbage — returns a typed
 //! [`SnapshotError`] and never panics.
+//!
+//! # The reserved config word
+//!
+//! The config layout keeps one reserved word, between
+//! `species_representative_cap` and `islands`. It held the retired
+//! `eval_batch` knob of the per-genome episode-batch kernel, which the
+//! population lanes replaced. v4 keeps the word so that images stay
+//! byte-identical: encoders always write `1`, and decoders reject any
+//! other value as [`SnapshotError::Malformed`]. The next format version
+//! drops it.
 //!
 //! # Save / resume round trip
 //!
@@ -110,11 +120,6 @@ pub const CONFIG_MAGIC: u64 = 0x4745_4E45_434F_4E46;
 /// First word of every serialized [`OwnedGenerationEvent`]: `"GENEVENT"`
 /// in ASCII.
 pub const EVENT_MAGIC: u64 = 0x4745_4E45_5645_4E54;
-/// First word of every serialized [`MigrantBatch`]: `"GENEMIGR"` in
-/// ASCII. Migrant batches share the snapshot envelope and version (they
-/// embed snapshot genome records, so a record layout change is by
-/// definition a snapshot layout change).
-pub const MIGRANT_MAGIC: u64 = 0x4745_4E45_4D49_4752;
 /// Wire-format version of serialized generation events. Independent of
 /// [`SNAPSHOT_VERSION`] (events carry statistics, not genomes); the same
 /// policy applies — any layout change bumps it, other versions are
@@ -287,6 +292,9 @@ fn push_f64(words: &mut Vec<u64>, v: f64) {
     words.push(v.to_bits());
 }
 
+/// The value of the reserved config word (module docs).
+const RESERVED_CONFIG_WORD: usize = 1;
+
 fn encode_config(words: &mut Vec<u64>, c: &NeatConfig) {
     words.push(c.num_inputs as u64);
     words.push(c.num_outputs as u64);
@@ -346,7 +354,7 @@ fn encode_config(words: &mut Vec<u64>, c: &NeatConfig) {
         c.elitism,
         c.min_species_size,
         c.species_representative_cap,
-        c.eval_batch,
+        RESERVED_CONFIG_WORD,
         c.islands,
         c.migration_interval,
         c.migration_k,
@@ -561,7 +569,9 @@ fn decode_config(c: &mut Cursor<'_>) -> Result<NeatConfig, SnapshotError> {
     let elitism = c.take_usize()?;
     let min_species_size = c.take_usize()?;
     let species_representative_cap = c.take_usize()?;
-    let eval_batch = c.take_usize()?;
+    if c.take()? != RESERVED_CONFIG_WORD as u64 {
+        return Err(SnapshotError::Malformed("reserved config word"));
+    }
     let islands = c.take_usize()?;
     let migration_interval = c.take_usize()?;
     let migration_k = c.take_usize()?;
@@ -634,7 +644,6 @@ fn decode_config(c: &mut Cursor<'_>) -> Result<NeatConfig, SnapshotError> {
         elitism,
         min_species_size,
         species_representative_cap,
-        eval_batch,
         islands,
         migration_interval,
         migration_k,
@@ -882,103 +891,6 @@ pub fn snapshot_to_bytes(state: &RunState) -> Result<Vec<u8>, SnapshotError> {
 /// number of words; otherwise see [`decode_snapshot`].
 pub fn snapshot_from_bytes(bytes: &[u8]) -> Result<RunState, SnapshotError> {
     decode_snapshot(&bytes_to_words(bytes)?)
-}
-
-// ---------------------------------------------------------------------------
-// Migrant batches: the multi-process wire form of an island migration.
-// In-process archipelagos hand `Genome` values across directly
-// (`genesys_neat::island`); a distributed deployment ships this image on
-// the ring edge instead. See `docs/islands.md`.
-
-/// One island-migration payload: the ring edge it travels
-/// (`from_island → to_island` at `epoch`) plus the emigrant genomes,
-/// encoded as snapshot gene records.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MigrantBatch {
-    /// Migration epoch (`generation / migration_interval`) the batch
-    /// belongs to.
-    pub epoch: u64,
-    /// Ring index of the sending island.
-    pub from_island: u64,
-    /// Ring index of the receiving island (`(from + 1) % islands`).
-    pub to_island: u64,
-    /// Genome input arity (genome records do not carry the interface).
-    pub num_inputs: usize,
-    /// Genome output arity.
-    pub num_outputs: usize,
-    /// The emigrants, best-first as selected by the sending island.
-    pub genomes: Vec<Genome>,
-}
-
-/// Serializes a migrant batch into a self-describing word image sharing
-/// the snapshot envelope (magic [`MIGRANT_MAGIC`], version
-/// [`SNAPSHOT_VERSION`], declared length, FNV-1a checksum).
-///
-/// # Errors
-///
-/// Returns [`SnapshotError::NodeIdOverflow`] if a genome exceeds the
-/// snapshot gene word's 31-bit node-id space.
-pub fn encode_migrant_batch(batch: &MigrantBatch) -> Result<Vec<u64>, SnapshotError> {
-    let mut words = vec![MIGRANT_MAGIC, SNAPSHOT_VERSION, 0];
-    words.push(batch.epoch);
-    words.push(batch.from_island);
-    words.push(batch.to_island);
-    words.push(batch.num_inputs as u64);
-    words.push(batch.num_outputs as u64);
-    words.push(batch.genomes.len() as u64);
-    for g in &batch.genomes {
-        encode_genome_record(&mut words, g)?;
-    }
-    Ok(seal_envelope(words))
-}
-
-/// Deserializes a migrant batch produced by [`encode_migrant_batch`],
-/// verifying the envelope and every genome record.
-///
-/// # Errors
-///
-/// Any malformed, truncated or corrupted input returns a typed
-/// [`SnapshotError`]; this function never panics on adversarial bytes.
-pub fn decode_migrant_batch(words: &[u64]) -> Result<MigrantBatch, SnapshotError> {
-    let mut c = open_envelope(words, MIGRANT_MAGIC, SNAPSHOT_VERSION)?;
-    let epoch = c.take()?;
-    let from_island = c.take()?;
-    let to_island = c.take()?;
-    let num_inputs = c.take_usize()?;
-    let num_outputs = c.take_usize()?;
-    // Minimum genome record: key + shape + fitness flag/bits = 4 words.
-    let n = c.take_count(4)?;
-    let mut genomes = Vec::with_capacity(n);
-    for _ in 0..n {
-        genomes.push(decode_genome_record(&mut c, num_inputs, num_outputs)?);
-    }
-    close_envelope(&c)?;
-    Ok(MigrantBatch {
-        epoch,
-        from_island,
-        to_island,
-        num_inputs,
-        num_outputs,
-        genomes,
-    })
-}
-
-/// Byte form of [`encode_migrant_batch`] (little-endian words).
-///
-/// # Errors
-///
-/// See [`encode_migrant_batch`].
-pub fn migrant_batch_to_bytes(batch: &MigrantBatch) -> Result<Vec<u8>, SnapshotError> {
-    Ok(words_to_bytes(&encode_migrant_batch(batch)?))
-}
-
-/// Byte form of [`decode_migrant_batch`].
-///
-/// # Errors
-///
-/// See [`decode_migrant_batch`].
-pub fn migrant_batch_from_bytes(bytes: &[u8]) -> Result<MigrantBatch, SnapshotError> {
-    decode_migrant_batch(&bytes_to_words(bytes)?)
 }
 
 // ---------------------------------------------------------------------------
@@ -1524,29 +1436,31 @@ mod tests {
         );
     }
 
+    /// Offset of the reserved word inside an encoded config: three
+    /// interface words, three initial-weight words, 27 `f64` rates and six
+    /// counts come before it.
+    const RESERVED_AT: usize = 3 + 3 + 27 + 6;
+
+    /// `words` with the reserved config word at `at` set to `value`, under
+    /// a recomputed checksum, so the word itself is what a decoder sees.
+    fn with_reserved_word(mut words: Vec<u64>, at: usize, value: u64) -> Vec<u64> {
+        assert_eq!(words[at], 1, "encoders write the reserved word as 1");
+        words[at] = value;
+        let n = words.len();
+        words[n - 1] = fnv1a(&words[..n - 1]);
+        words
+    }
+
     #[test]
-    fn migrant_batch_roundtrips() {
-        let state = evolved_state(12, 2);
-        let state = state.as_monolithic().unwrap();
-        let batch = MigrantBatch {
-            epoch: 4,
-            from_island: 2,
-            to_island: 3,
-            num_inputs: state.config.num_inputs,
-            num_outputs: state.config.num_outputs,
-            genomes: state.genomes[..3].to_vec(),
-        };
-        let words = encode_migrant_batch(&batch).unwrap();
-        assert_eq!(decode_migrant_batch(&words).unwrap(), batch);
-        assert_eq!(
-            migrant_batch_from_bytes(&migrant_batch_to_bytes(&batch).unwrap()).unwrap(),
-            batch
-        );
-        // A migrant batch is not a snapshot (magic distinguishes).
-        assert_eq!(
-            decode_snapshot(&words).unwrap_err(),
-            SnapshotError::BadMagic
-        );
+    fn reserved_config_word_other_than_one_is_malformed() {
+        let state = evolved_state(10, 2);
+        let want = SnapshotError::Malformed("reserved config word");
+        // A snapshot's config follows magic, version, length and kind; a
+        // config image's follows the first three.
+        let snapshot = with_reserved_word(encode_snapshot(&state).unwrap(), 4 + RESERVED_AT, 3);
+        assert_eq!(decode_snapshot(&snapshot).unwrap_err(), want);
+        let config = with_reserved_word(encode_config_image(state.config()), 3 + RESERVED_AT, 3);
+        assert_eq!(decode_config_image(&config).unwrap_err(), want);
     }
 
     #[test]

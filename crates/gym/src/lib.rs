@@ -23,12 +23,6 @@
 //! step** (proved by the workspace's counting-allocator test), with
 //! fitness bit-identical to the allocating wrappers.
 //!
-//! For megapopulation throughput, [`episode_batch_into`] runs several
-//! episode lanes of one policy in lockstep through the batched SoA
-//! activation kernel (`Network::activate_batch_into`), reusing one
-//! [`RolloutBatchScratch`] per worker; each lane's trajectory is
-//! bit-identical to the scalar loop on the same environment.
-//!
 //! The [`evaluator`] module packages the suite as session workloads:
 //! [`EpisodeEvaluator`] (one seeded episode per genome) and
 //! [`DriftingEvaluator`] (the nonstationary continuous-learning scenario,
@@ -38,18 +32,18 @@
 //! # Population lanes
 //!
 //! A session hands its workload each generation's genomes in contiguous
-//! runs (`Evaluator::evaluate_genomes`). For [`EnvKind::CartPole`] with
-//! `batch == 1` (any episode count), [`EpisodeEvaluator`] steps the run's
-//! genomes in 16 lockstep lanes, each lane a *different* genome with its
-//! own network plan and episode, refilled from the run as episodes end:
-//! the lockstep network kernel (`Network::activate_lanes_into`), then
+//! runs (`Evaluator::evaluate_genomes`). For [`EnvKind::CartPole`] (any
+//! episode count), [`EpisodeEvaluator`] steps the run's genomes in 16
+//! lockstep lanes, each lane a *different* genome with its own network
+//! plan and episode, refilled from the run as episodes end: the lockstep
+//! network kernel (`Network::activate_lanes_into`), then
 //! every lane's `sin_cos`, then the shared CartPole dynamics on SoA lane
 //! state. Every lane's trajectory — initial state, reward sum, step count,
 //! per-episode resets — is the scalar [`episode_into`] loop's bit for bit,
 //! so fitness, step counts and whole session trajectories equal those of
 //! genome-by-genome evaluation at any worker count. Every other workload
-//! (the other environments, `batch > 1`, drift, scenario tasks, the SoC)
-//! evaluates genome by genome.
+//! (the other environments, drift, scenario tasks, the SoC) evaluates
+//! genome by genome.
 //!
 //! # Quickstart
 //!
@@ -89,7 +83,7 @@ pub use lunar_lander::LunarLander;
 pub use mountain_car::MountainCar;
 pub use nonstationary::DriftingCartPole;
 
-use genesys_neat::{BatchScratch, NeatConfig, Network, Scratch};
+use genesys_neat::{NeatConfig, Network, Scratch};
 
 /// Reusable buffers for the steady-state rollout hot loop: one observation
 /// slice, one action slice and one network [`Scratch`].
@@ -149,125 +143,6 @@ pub fn episode_into(
             return (fitness, steps);
         }
     }
-}
-
-/// Reusable buffers for the batched rollout loop ([`episode_batch_into`]):
-/// the SoA observation/action blocks (batch innermost, matching
-/// [`genesys_neat::Network::activate_batch_into`]), per-lane bookkeeping,
-/// one lane-staging pair for the [`Environment`] calls, and the network
-/// [`BatchScratch`]. Same ownership rules as [`RolloutScratch`]: reuse one
-/// per worker, never share concurrently.
-#[derive(Debug, Clone, Default)]
-pub struct RolloutBatchScratch {
-    /// Observation block, `obs[i * batch + lane]`.
-    obs: Vec<f64>,
-    /// Action block, `action[o * batch + lane]`.
-    action: Vec<f64>,
-    /// One lane's observation, staged for `Environment::step_into`.
-    lane_obs: Vec<f64>,
-    /// One lane's action, gathered from the SoA action block.
-    lane_action: Vec<f64>,
-    fitness: Vec<f64>,
-    steps: Vec<u64>,
-    done: Vec<bool>,
-    net: BatchScratch,
-}
-
-impl RolloutBatchScratch {
-    /// Creates an empty scratch (buffers grow on first use).
-    pub fn new() -> RolloutBatchScratch {
-        RolloutBatchScratch::default()
-    }
-
-    /// Per-lane cumulative rewards of the most recent
-    /// [`episode_batch_into`] call.
-    pub fn lane_fitness(&self) -> &[f64] {
-        &self.fitness
-    }
-
-    /// Per-lane step counts of the most recent [`episode_batch_into`] call.
-    pub fn lane_steps(&self) -> &[u64] {
-        &self.steps
-    }
-}
-
-/// Runs one episode of **each** environment in `envs` under the policy
-/// `net`, in lockstep through the batched SoA activation kernel
-/// ([`genesys_neat::Network::activate_batch_into`]), returning
-/// `(total_reward, total_steps)` summed over lanes in lane order.
-/// Per-lane results stay readable via
-/// [`RolloutBatchScratch::lane_fitness`] / [`RolloutBatchScratch::lane_steps`].
-///
-/// Each lane's trajectory is **bit-identical** to running
-/// [`episode_into`] on the same `(net, env)` pair alone: the batched
-/// kernel is per-lane bit-identical to the scalar one, and a lane stops
-/// stepping its environment the moment its episode terminates (further
-/// lockstep evaluations ignore finished lanes). After warm-up the loop
-/// performs zero heap allocations per step.
-///
-/// # Panics
-///
-/// Panics if `envs` is empty or an environment's interface does not match
-/// the network's.
-pub fn episode_batch_into(
-    net: &Network,
-    envs: &mut [Box<dyn Environment>],
-    scratch: &mut RolloutBatchScratch,
-) -> (f64, u64) {
-    let batch = envs.len();
-    assert!(batch > 0, "at least one environment lane required");
-    let obs_dim = envs[0].observation_dim();
-    let act_dim = net.num_outputs();
-    scratch.obs.resize(obs_dim * batch, 0.0);
-    scratch.action.resize(act_dim * batch, 0.0);
-    scratch.lane_obs.resize(obs_dim, 0.0);
-    scratch.lane_action.resize(act_dim, 0.0);
-    scratch.fitness.clear();
-    scratch.fitness.resize(batch, 0.0);
-    scratch.steps.clear();
-    scratch.steps.resize(batch, 0);
-    scratch.done.clear();
-    scratch.done.resize(batch, false);
-    let obs = &mut scratch.obs[..obs_dim * batch];
-    let action = &mut scratch.action[..act_dim * batch];
-    let lane_obs = &mut scratch.lane_obs[..obs_dim];
-    let lane_action = &mut scratch.lane_action[..act_dim];
-    for (b, env) in envs.iter_mut().enumerate() {
-        assert_eq!(
-            env.observation_dim(),
-            obs_dim,
-            "all lanes must share one observation dimension"
-        );
-        env.reset_into(lane_obs);
-        for (i, &v) in lane_obs.iter().enumerate() {
-            obs[i * batch + b] = v;
-        }
-    }
-    let mut live = batch;
-    while live > 0 {
-        net.activate_batch_into(&mut scratch.net, batch, obs, action);
-        for (b, env) in envs.iter_mut().enumerate() {
-            if scratch.done[b] {
-                continue;
-            }
-            for (o, slot) in lane_action.iter_mut().enumerate() {
-                *slot = action[o * batch + b];
-            }
-            let (reward, done) = env.step_into(lane_action, lane_obs);
-            scratch.fitness[b] += reward;
-            scratch.steps[b] += 1;
-            for (i, &v) in lane_obs.iter().enumerate() {
-                obs[i * batch + b] = v;
-            }
-            if done {
-                scratch.done[b] = true;
-                live -= 1;
-            }
-        }
-    }
-    let total_fitness = scratch.fitness.iter().sum();
-    let total_steps = scratch.steps.iter().sum();
-    (total_fitness, total_steps)
 }
 
 /// Derives the environment seed for one genome's episode: a SplitMix64-style
@@ -604,90 +479,5 @@ mod tests {
         assert_eq!(fit, rollout(&net, env.as_mut(), 1));
         // Same seed, same episode — bit-identical.
         assert_eq!((fit, steps), episode_rollout(kind, &net, 99));
-    }
-
-    /// A genome with a little evolved structure, so the batched kernel
-    /// exercises hidden nodes and non-trivial fan-in.
-    fn evolved_net(kind: EnvKind, seed: u64) -> genesys_neat::Network {
-        let config = kind.neat_config();
-        let mut rng = XorWow::seed_from_u64_value(seed);
-        let mut innov = genesys_neat::InnovationTracker::new(config.first_hidden_id());
-        let mut genome = Genome::initial(0, &config, &mut rng);
-        let mut ops = genesys_neat::trace::OpCounters::new();
-        for _ in 0..4 {
-            genome.mutate_add_node(&mut innov, &mut rng, &mut ops);
-            genome.mutate_add_conn(&mut rng, &mut ops);
-            genome.mutate_attributes(&config, &mut rng, &mut ops);
-        }
-        genesys_neat::Network::from_genome(&genome).unwrap()
-    }
-
-    #[test]
-    fn batched_episode_lanes_are_bit_identical_to_scalar_episodes() {
-        for kind in [
-            EnvKind::CartPole,
-            EnvKind::MountainCar,
-            EnvKind::LunarLander,
-        ] {
-            let net = evolved_net(kind, 13);
-            let mut batch_scratch = RolloutBatchScratch::new();
-            for batch in [1usize, 2, 5, 8] {
-                let mut envs: Vec<Box<dyn Environment>> =
-                    (0..batch).map(|b| kind.make(200 + b as u64)).collect();
-                let (total_fit, total_steps) =
-                    episode_batch_into(&net, &mut envs, &mut batch_scratch);
-                let mut scratch = RolloutScratch::new();
-                let mut want_fit = 0.0;
-                let mut want_steps = 0u64;
-                for b in 0..batch {
-                    let mut env = kind.make(200 + b as u64);
-                    let (fit, steps) = episode_into(&net, env.as_mut(), &mut scratch);
-                    assert_eq!(
-                        batch_scratch.lane_fitness()[b].to_bits(),
-                        fit.to_bits(),
-                        "{} lane {b} of batch {batch}",
-                        kind.label()
-                    );
-                    assert_eq!(
-                        batch_scratch.lane_steps()[b],
-                        steps,
-                        "{} lane {b} of batch {batch}",
-                        kind.label()
-                    );
-                    want_fit += fit;
-                    want_steps += steps;
-                }
-                assert_eq!(total_fit.to_bits(), want_fit.to_bits(), "{}", kind.label());
-                assert_eq!(total_steps, want_steps, "{}", kind.label());
-            }
-        }
-    }
-
-    #[test]
-    fn batch_scratch_reuse_matches_fresh_buffers() {
-        let net = evolved_net(EnvKind::CartPole, 29);
-        let mut reused = RolloutBatchScratch::new();
-        // Vary the lane count (and therefore every buffer size) between
-        // calls; a reused scratch must never leak state across calls.
-        for round in 0..6u64 {
-            let batch = 1 + (round as usize * 3) % 7;
-            let mut envs: Vec<Box<dyn Environment>> = (0..batch)
-                .map(|b| EnvKind::CartPole.make(round * 31 + b as u64))
-                .collect();
-            let with_reuse = episode_batch_into(&net, &mut envs, &mut reused);
-            let mut envs: Vec<Box<dyn Environment>> = (0..batch)
-                .map(|b| EnvKind::CartPole.make(round * 31 + b as u64))
-                .collect();
-            let fresh = episode_batch_into(&net, &mut envs, &mut RolloutBatchScratch::new());
-            assert_eq!(with_reuse.0.to_bits(), fresh.0.to_bits());
-            assert_eq!(with_reuse.1, fresh.1);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one environment lane")]
-    fn empty_batch_panics() {
-        let net = evolved_net(EnvKind::CartPole, 1);
-        episode_batch_into(&net, &mut [], &mut RolloutBatchScratch::new());
     }
 }

@@ -155,17 +155,6 @@ pub struct NeatConfig {
     /// crossover) rather than asexual (clone + mutate).
     pub crossover_prob: f64,
 
-    // -- evaluation -------------------------------------------------------
-    /// Number of episodes evaluated in lockstep through the batched SoA
-    /// activation kernel ([`crate::Network::activate_batch_into`]).
-    ///
-    /// `1` (the default) keeps the scalar `activate_into` path. Larger
-    /// values let multi-episode evaluations walk the compiled plan once
-    /// per step with the batch as the innermost dimension, which
-    /// autovectorizes the edge walk. Per-lane results are bit-identical
-    /// to the scalar path, so this knob trades nothing but memory.
-    pub eval_batch: usize,
-
     // -- islands -----------------------------------------------------------
     /// Number of islands the population is sharded into by the
     /// [`Archipelago`](crate::island::Archipelago) backend.
@@ -240,7 +229,6 @@ impl NeatConfig {
             survival_threshold: 0.2,
             min_species_size: 2,
             crossover_prob: 0.75,
-            eval_batch: 1,
             islands: 1,
             migration_interval: 8,
             migration_k: 2,
@@ -370,11 +358,6 @@ impl NeatConfig {
                 field: "species_representative_cap",
             });
         }
-        if self.eval_batch == 0 {
-            return Err(ConfigError::InvalidBound {
-                field: "eval_batch",
-            });
-        }
         if self.islands == 0 || self.islands > self.pop_size {
             return Err(ConfigError::InvalidBound { field: "islands" });
         }
@@ -482,8 +465,6 @@ impl NeatConfigBuilder {
         min_species_size: usize,
         /// Sets the sexual-reproduction probability.
         crossover_prob: f64,
-        /// Sets the batched-evaluation lane count.
-        eval_batch: usize,
         /// Sets the island count for the archipelago backend.
         islands: usize,
         /// Sets the generations between migration epochs.
@@ -577,17 +558,6 @@ mod tests {
     }
 
     #[test]
-    fn zero_eval_batch_rejected() {
-        let err = NeatConfig::builder(2, 1).eval_batch(0).build().unwrap_err();
-        assert_eq!(
-            err,
-            ConfigError::InvalidBound {
-                field: "eval_batch"
-            }
-        );
-    }
-
-    #[test]
     fn nonfinite_or_negative_compatibility_coefficients_rejected() {
         for bad in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN, -0.5] {
             let err = NeatConfig::builder(2, 1)
@@ -625,7 +595,6 @@ mod tests {
     fn megapop_knobs_have_scalar_safe_defaults() {
         let c = NeatConfig::builder(2, 1).build().unwrap();
         assert_eq!(c.species_representative_cap, 64);
-        assert_eq!(c.eval_batch, 1);
     }
 
     #[test]

@@ -24,10 +24,8 @@
 //! pre-migration state, so the outcome is independent of island
 //! processing order. Within a migration generation the schedule is keyed
 //! purely by `(seed, epoch, island)` — never by wall-clock progress — so
-//! results remain **bit-identical at any worker count**. For
-//! multi-process deployments, `genesys_core::snapshot` defines a migrant
-//! batch codec that carries the same clones as snapshot gene words; the
-//! in-process exchange hands [`Genome`] values across directly.
+//! results remain **bit-identical at any worker count**. The exchange
+//! hands [`Genome`] values across directly.
 //!
 //! So that a migrant's hidden-node ids can never collide with ids its new
 //! island later assigns to *different* splits, the islands' hidden-node id

@@ -79,28 +79,6 @@ impl Scratch {
     }
 }
 
-/// Reusable workspace for [`Network::activate_batch_into`] — the batched
-/// counterpart of [`Scratch`], with the same ownership rules (reuse across
-/// calls, networks and batch sizes; never share between concurrent
-/// evaluations; contents carry no information between calls).
-#[derive(Debug, Clone, Default)]
-pub struct BatchScratch {
-    /// Node value slots × batch lanes, batch innermost
-    /// (`values[slot * batch + lane]`).
-    values: Vec<f64>,
-    /// Per-lane aggregation accumulator (`batch` entries while folding).
-    acc: Vec<f64>,
-    /// Sort buffer for [`Aggregation::Median`] nodes (one lane at a time).
-    sorted: Vec<f64>,
-}
-
-impl BatchScratch {
-    /// Creates an empty workspace (buffers grow on first use).
-    pub fn new() -> BatchScratch {
-        BatchScratch::default()
-    }
-}
-
 /// Most networks one [`Network::activate_lanes_into`] call evaluates.
 pub const LANES: usize = 16;
 
@@ -570,155 +548,6 @@ impl Network {
         }
     }
 
-    /// Evaluates `batch` observations in lockstep over the compiled plan,
-    /// with the batch as the **innermost SoA dimension**: `inputs` holds
-    /// observation element `i` of lane `b` at `inputs[i * batch + b]`, and
-    /// outputs land at `outputs[o * batch + b]`. The edge walk then runs
-    /// edges-outer / lanes-inner over contiguous lane runs, which the
-    /// compiler autovectorizes — this is the software mirror of the ADAM
-    /// PE array evaluating a wavefront across many genomes at once.
-    ///
-    /// Every lane's fold applies the exact per-lane operation order of
-    /// [`Network::activate_into`], so each lane is **bit-identical** to a
-    /// scalar evaluation of the same observation; batching is purely a
-    /// throughput knob. Zero heap allocation in steady state: all mutable
-    /// state lives in the caller-owned [`BatchScratch`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `batch == 0`, `inputs.len() != num_inputs * batch`, or
-    /// `outputs.len() != num_outputs * batch`.
-    pub fn activate_batch_into(
-        &self,
-        scratch: &mut BatchScratch,
-        batch: usize,
-        inputs: &[f64],
-        outputs: &mut [f64],
-    ) {
-        assert!(batch > 0, "batch must be non-empty");
-        assert_eq!(
-            inputs.len(),
-            self.num_inputs * batch,
-            "observation block size must match the genome interface × batch"
-        );
-        assert_eq!(
-            outputs.len(),
-            self.num_outputs * batch,
-            "output block size must match the genome interface × batch"
-        );
-        let BatchScratch {
-            values,
-            acc,
-            sorted,
-        } = scratch;
-        values.clear();
-        values.resize(self.total_slots * batch, 0.0);
-        acc.clear();
-        acc.resize(batch, 0.0);
-        // Slot i == input i (sorted gene cluster), so the input block maps
-        // straight onto the first `num_inputs` slot runs.
-        values[..self.num_inputs * batch].copy_from_slice(inputs);
-        for i in 0..self.slots.len() {
-            let edges = &self.edges[self.edge_offsets[i]..self.edge_offsets[i + 1]];
-            if edges.is_empty() {
-                let constant = match self.aggregations[i] {
-                    Aggregation::Product => 1.0,
-                    _ => 0.0,
-                };
-                acc.fill(constant);
-            } else {
-                // Edges-outer / lanes-inner: each lane sees the exact fold
-                // order of the scalar path, and the inner loop walks two
-                // contiguous `batch`-long runs (source lane run, acc).
-                match self.aggregations[i] {
-                    Aggregation::Sum => {
-                        acc.fill(0.0);
-                        for &(s, w) in edges {
-                            let src = &values[s * batch..(s + 1) * batch];
-                            for (a, &v) in acc.iter_mut().zip(src) {
-                                *a += w * v;
-                            }
-                        }
-                    }
-                    Aggregation::Product => {
-                        acc.fill(1.0);
-                        for &(s, w) in edges {
-                            let src = &values[s * batch..(s + 1) * batch];
-                            for (a, &v) in acc.iter_mut().zip(src) {
-                                *a *= w * v;
-                            }
-                        }
-                    }
-                    Aggregation::Max => {
-                        acc.fill(f64::NEG_INFINITY);
-                        for &(s, w) in edges {
-                            let src = &values[s * batch..(s + 1) * batch];
-                            for (a, &v) in acc.iter_mut().zip(src) {
-                                *a = f64::max(*a, w * v);
-                            }
-                        }
-                    }
-                    Aggregation::Min => {
-                        acc.fill(f64::INFINITY);
-                        for &(s, w) in edges {
-                            let src = &values[s * batch..(s + 1) * batch];
-                            for (a, &v) in acc.iter_mut().zip(src) {
-                                *a = f64::min(*a, w * v);
-                            }
-                        }
-                    }
-                    Aggregation::Mean => {
-                        acc.fill(0.0);
-                        for &(s, w) in edges {
-                            let src = &values[s * batch..(s + 1) * batch];
-                            for (a, &v) in acc.iter_mut().zip(src) {
-                                *a += w * v;
-                            }
-                        }
-                        let count = edges.len() as f64;
-                        for a in acc.iter_mut() {
-                            // Same `sum / len` division as the scalar fold.
-                            *a /= count;
-                        }
-                    }
-                    Aggregation::MaxAbs => {
-                        acc.fill(0.0);
-                        for &(s, w) in edges {
-                            let src = &values[s * batch..(s + 1) * batch];
-                            for (a, &v) in acc.iter_mut().zip(src) {
-                                let v = w * v;
-                                if v.abs() > a.abs() {
-                                    *a = v;
-                                }
-                            }
-                        }
-                    }
-                    Aggregation::Median => {
-                        // Lanes-outer: the in-place insertion sort works on
-                        // one lane's gathered fan-in at a time, identical
-                        // to the scalar path.
-                        for (b, a) in acc.iter_mut().enumerate() {
-                            sorted.clear();
-                            sorted.extend(edges.iter().map(|&(s, w)| w * values[s * batch + b]));
-                            *a = median_in_place(sorted);
-                        }
-                    }
-                }
-            }
-            let base = self.slots[i] * batch;
-            let bias = self.biases[i];
-            let response = self.responses[i];
-            let activation = self.activations[i];
-            for (b, &a) in acc.iter().enumerate() {
-                values[base + b] = activation.apply(bias + response * a);
-            }
-        }
-        for (o, &slot) in self.output_slots.iter().enumerate() {
-            outputs[o * batch..(o + 1) * batch]
-                .copy_from_slice(&values[slot * batch..(slot + 1) * batch]);
-        }
-    }
-
     /// Evaluates the network on one observation, returning the output node
     /// values in output-id order.
     ///
@@ -1142,145 +971,6 @@ mod tests {
             let net = Network::from_genome(&g).unwrap();
             assert_eq!(net.activate(&[2.0])[0], want, "{agg}");
         }
-    }
-
-    /// Satellite oracle: every lane of `activate_batch_into` must be
-    /// bit-identical to a scalar `activate_into` of the same observation,
-    /// across all activation/aggregation kinds and batch sizes 1..64 —
-    /// the same property-style sweep as `compiled_plan_matches_reference`.
-    #[test]
-    fn batched_activation_is_bit_identical_to_scalar() {
-        let mut c = cfg();
-        c.initial_weights = InitialWeights::Uniform { lo: -2.0, hi: 2.0 };
-        c.activation_options = Activation::ALL.to_vec();
-        c.aggregation_options = Aggregation::ALL.to_vec();
-        c.activation_mutate_rate = 0.4;
-        c.aggregation_mutate_rate = 0.4;
-        let mut r = XorWow::seed_from_u64_value(21);
-        let mut innov = InnovationTracker::new(c.first_hidden_id());
-        let mut g = Genome::initial(0, &c, &mut r);
-        let mut ops = OpCounters::new();
-        let mut scalar = Scratch::new();
-        let mut batched = BatchScratch::new();
-        for batch in 1usize..64 {
-            // Keep evolving so every batch size sees a different plan.
-            g.mutate(&c, &mut innov, &mut r, &mut ops);
-            let net = Network::from_genome(&g).unwrap();
-            // inputs[i * batch + b]: distinct observation per lane.
-            let inputs: Vec<f64> = (0..net.num_inputs() * batch)
-                .map(|k| ((k * 37 + 11) % 23) as f64 / 7.0 - 1.5)
-                .collect();
-            let mut outputs = vec![0.0f64; net.num_outputs() * batch];
-            net.activate_batch_into(&mut batched, batch, &inputs, &mut outputs);
-            let mut obs = vec![0.0f64; net.num_inputs()];
-            let mut out = vec![0.0f64; net.num_outputs()];
-            for b in 0..batch {
-                for (i, o) in obs.iter_mut().enumerate() {
-                    *o = inputs[i * batch + b];
-                }
-                net.activate_into(&mut scalar, &obs, &mut out);
-                for (o, &want) in out.iter().enumerate() {
-                    assert_eq!(
-                        outputs[o * batch + b].to_bits(),
-                        want.to_bits(),
-                        "batch={batch} lane={b} output={o}"
-                    );
-                }
-            }
-        }
-    }
-
-    /// Every aggregation kind at high fan-in (past the wide-lane and
-    /// median-sort edge cases), batched vs scalar.
-    #[test]
-    fn batched_aggregations_match_scalar_at_high_fan_in() {
-        const FAN_IN: usize = 24;
-        const BATCH: usize = 9;
-        for agg in Aggregation::ALL {
-            let mut nodes: Vec<NodeGene> = (0..FAN_IN)
-                .map(|i| NodeGene::input(NodeId(i as u32)))
-                .collect();
-            let mut out = NodeGene::output(NodeId(FAN_IN as u32));
-            out.activation = Activation::Identity;
-            out.aggregation = agg;
-            nodes.push(out);
-            let conns: Vec<ConnGene> = (0..FAN_IN)
-                .map(|i| {
-                    let w = match i % 5 {
-                        0 => 0.0,
-                        1 => -0.0,
-                        2 => 1.25,
-                        3 => -2.5,
-                        _ => 1.25,
-                    };
-                    ConnGene::new(NodeId(i as u32), NodeId(FAN_IN as u32), w)
-                })
-                .collect();
-            let g = Genome::from_parts(0, FAN_IN, 1, nodes, conns).unwrap();
-            let net = Network::from_genome(&g).unwrap();
-            let inputs: Vec<f64> = (0..FAN_IN * BATCH)
-                .map(|k| ((k * 31 + 7) % 17) as f64 - 8.0)
-                .collect();
-            let mut outputs = vec![0.0f64; BATCH];
-            net.activate_batch_into(&mut BatchScratch::new(), BATCH, &inputs, &mut outputs);
-            let mut scratch = Scratch::new();
-            let mut obs = vec![0.0f64; FAN_IN];
-            let mut out = [0.0f64];
-            for b in 0..BATCH {
-                for (i, o) in obs.iter_mut().enumerate() {
-                    *o = inputs[i * BATCH + b];
-                }
-                net.activate_into(&mut scratch, &obs, &mut out);
-                assert_eq!(
-                    outputs[b].to_bits(),
-                    out[0].to_bits(),
-                    "{agg} lane {b} of {BATCH}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn batch_scratch_reuse_across_networks_and_sizes_matches_fresh() {
-        let mut c = cfg();
-        c.initial_weights = InitialWeights::Uniform { lo: -1.0, hi: 1.0 };
-        let mut r = XorWow::seed_from_u64_value(33);
-        let mut innov = InnovationTracker::new(c.first_hidden_id());
-        let mut g = Genome::initial(0, &c, &mut r);
-        let mut ops = OpCounters::new();
-        let mut reused = BatchScratch::new();
-        for step in 0..40 {
-            g.mutate(&c, &mut innov, &mut r, &mut ops);
-            let net = Network::from_genome(&g).unwrap();
-            let batch = 1 + (step * 7) % 13;
-            let inputs: Vec<f64> = (0..net.num_inputs() * batch)
-                .map(|k| (k as f64).sin())
-                .collect();
-            let mut a = vec![0.0f64; net.num_outputs() * batch];
-            let mut b = a.clone();
-            net.activate_batch_into(&mut reused, batch, &inputs, &mut a);
-            net.activate_batch_into(&mut BatchScratch::new(), batch, &inputs, &mut b);
-            assert_eq!(
-                a.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                b.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
-            );
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "batch must be non-empty")]
-    fn zero_batch_panics() {
-        let g = Genome::initial(0, &cfg(), &mut XorWow::seed_from_u64_value(1));
-        let net = Network::from_genome(&g).unwrap();
-        net.activate_batch_into(&mut BatchScratch::new(), 0, &[], &mut []);
-    }
-
-    #[test]
-    #[should_panic(expected = "observation block size")]
-    fn wrong_batch_input_arity_panics() {
-        let g = Genome::initial(0, &cfg(), &mut XorWow::seed_from_u64_value(1));
-        let net = Network::from_genome(&g).unwrap();
-        net.activate_batch_into(&mut BatchScratch::new(), 2, &[1.0, 2.0], &mut [0.0, 0.0]);
     }
 
     /// The buffer-reuse compiler must produce exactly the network the

@@ -1,6 +1,7 @@
 //! Per-generation statistics — the raw material of Figs 4, 5, 10(d) and
 //! 11(a) of the paper.
 
+use crate::gene::{NodeGene, NodeId};
 use crate::genome::Genome;
 use crate::trace::{GenerationTrace, OpCounters};
 use std::fmt;
@@ -76,7 +77,7 @@ fn fnv1a_word(hash: u64, word: u64) -> u64 {
 /// hardware encoding widened to carry the exact attribute bits (key/meta
 /// word, then the attribute payload). Shared by the identity hash and
 /// the LZ entropy probe so the two streams can never drift apart.
-fn node_words(n: &crate::gene::NodeGene) -> [u64; 3] {
+fn node_words(n: &NodeGene) -> [u64; 3] {
     [
         ((n.id.value() as u64) << 32)
             | ((n.node_type.to_code() as u64) << 16)
@@ -108,12 +109,25 @@ fn push_genome_words(genome: &Genome, words: &mut Vec<u64>) {
     }
 }
 
+/// Fold state after the default input genes of ids `0..num_inputs`: the
+/// constant prefix every genome's node cluster opens with
+/// (`Genome::validate` enforces it).
+fn input_prefix_hash(num_inputs: usize) -> u64 {
+    (0..num_inputs as u32).fold(FNV_OFFSET, |hash, i| {
+        node_words(&NodeGene::input(NodeId(i)))
+            .into_iter()
+            .fold(hash, fnv1a_word)
+    })
+}
+
 /// Identity hash of one genome over exactly the [`push_genome_words`]
 /// stream, folded in place — the hot path of the unique-genome count
-/// never materializes the words.
-fn genome_identity_hash(genome: &Genome) -> u64 {
-    let mut hash = FNV_OFFSET;
-    for n in genome.node_genes() {
+/// never materializes the words. The fold starts from `prefix`, the
+/// [`input_prefix_hash`] of the genome's input count, and reads only the
+/// genes past the input prefix.
+fn genome_identity_hash(genome: &Genome, prefix: u64) -> u64 {
+    let mut hash = prefix;
+    for n in &genome.node_genes()[genome.num_inputs()..] {
         for w in node_words(n) {
             hash = fnv1a_word(hash, w);
         }
@@ -174,8 +188,14 @@ impl PopulationDiagnostics {
         // generation would otherwise cost.
         let mut stream: Vec<u64> = Vec::new();
         let mut hashes = Vec::with_capacity(genomes.len());
+        // The input prefix is folded once per input count, in practice
+        // once per call.
+        let mut prefix = (usize::MAX, FNV_OFFSET);
         for genome in genomes {
-            hashes.push(genome_identity_hash(genome));
+            if prefix.0 != genome.num_inputs() {
+                prefix = (genome.num_inputs(), input_prefix_hash(genome.num_inputs()));
+            }
+            hashes.push(genome_identity_hash(genome, prefix.1));
             if stream.len() < LZ_SCAN_CAP {
                 push_genome_words(genome, &mut stream);
                 stream.truncate(LZ_SCAN_CAP);
@@ -441,6 +461,42 @@ mod tests {
             1
         );
         assert_eq!(PopulationDiagnostics::collect(&[a, b]).unique_genomes, 2);
+    }
+
+    /// The identity hash as first defined: the fold of the whole
+    /// [`push_genome_words`] stream, input prefix included.
+    fn full_stream_hash(genome: &Genome) -> u64 {
+        let mut words = Vec::new();
+        push_genome_words(genome, &mut words);
+        words.into_iter().fold(FNV_OFFSET, fnv1a_word)
+    }
+
+    #[test]
+    fn identity_hash_past_the_prefix_equals_the_full_stream_fold() {
+        for num_inputs in [3, 128] {
+            let c = NeatConfig::builder(num_inputs, 2)
+                .initial_weights(crate::config::InitialWeights::Uniform { lo: -1.0, hi: 1.0 })
+                .node_add_prob(0.6)
+                .conn_add_prob(0.6)
+                .build()
+                .unwrap();
+            let mut r = XorWow::seed_from_u64_value(5);
+            let mut innov = crate::innovation::InnovationTracker::new(c.first_hidden_id());
+            let mut ops = OpCounters::new();
+            let prefix = input_prefix_hash(num_inputs);
+            for k in 0..12 {
+                let mut g = Genome::initial(k, &c, &mut r);
+                for _ in 0..k {
+                    g.mutate(&c, &mut innov, &mut r, &mut ops);
+                }
+                assert_eq!(
+                    genome_identity_hash(&g, prefix),
+                    full_stream_hash(&g),
+                    "{num_inputs} inputs, genome {k} of {} genes",
+                    g.num_genes()
+                );
+            }
+        }
     }
 
     #[test]

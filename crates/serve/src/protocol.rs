@@ -637,7 +637,6 @@ mod tests {
             WorkloadSpec::Env {
                 kind: EnvKind::CartPole,
                 episodes: 2,
-                batch: 2,
             },
             WorkloadSpec::Drifting {
                 world_seed: 7,

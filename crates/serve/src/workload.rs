@@ -32,9 +32,6 @@ pub enum WorkloadSpec {
         kind: EnvKind,
         /// Episodes averaged per evaluation (≥ 1).
         episodes: u32,
-        /// Lockstep lanes for multi-episode evaluations (≥ 1; see
-        /// `EpisodeEvaluator::batch` for the seeding trade).
-        batch: u32,
     },
     /// The nonstationary drifting-CartPole workload
     /// (`DriftingEvaluator`); its drift phase rides in the session's
@@ -49,6 +46,12 @@ pub enum WorkloadSpec {
         episodes_per_generation: u64,
     },
 }
+
+/// The `Env` spec's last word, reserved: it held the lane count of the
+/// retired per-genome episode-batch kernel. Protocol v2 keeps it so frames
+/// stay byte-identical; it is always written as this value, and any other
+/// value is rejected as [`FrameError::BadPayload`] (code 105).
+const RESERVED_ENV_WORD: u32 = 1;
 
 /// Stable wire code of an [`EnvKind`] (never renumbered; new kinds take
 /// new codes).
@@ -85,15 +88,11 @@ impl WorkloadSpec {
     pub(crate) fn encode(&self, w: &mut Writer) {
         match *self {
             WorkloadSpec::Synthetic => w.put_u16(0),
-            WorkloadSpec::Env {
-                kind,
-                episodes,
-                batch,
-            } => {
+            WorkloadSpec::Env { kind, episodes } => {
                 w.put_u16(1);
                 w.put_u16(env_code(kind));
                 w.put_u32(episodes);
-                w.put_u32(batch);
+                w.put_u32(RESERVED_ENV_WORD);
             }
             WorkloadSpec::Drifting {
                 world_seed,
@@ -115,19 +114,18 @@ impl WorkloadSpec {
                 let kind = env_from_code(r.take_u16()?)
                     .ok_or(ServeError::Frame(FrameError::BadPayload("env kind code")))?;
                 let episodes = r.take_u32()?;
-                let batch = r.take_u32()?;
-                // `EpisodeEvaluator` asserts both ≥ 1; a malformed frame
-                // must be a typed error, never a panic.
-                if episodes == 0 || batch == 0 {
+                let reserved = r.take_u32()?;
+                // `EpisodeEvaluator` asserts episodes ≥ 1; a malformed
+                // frame must be a typed error, never a panic.
+                if episodes == 0 {
+                    return Err(ServeError::Frame(FrameError::BadPayload("zero episodes")));
+                }
+                if reserved != RESERVED_ENV_WORD {
                     return Err(ServeError::Frame(FrameError::BadPayload(
-                        "zero episodes or batch",
+                        "reserved env spec word",
                     )));
                 }
-                WorkloadSpec::Env {
-                    kind,
-                    episodes,
-                    batch,
-                }
+                WorkloadSpec::Env { kind, episodes }
             }
             2 => WorkloadSpec::Drifting {
                 world_seed: r.take_u64()?,
@@ -149,15 +147,9 @@ impl WorkloadSpec {
     pub fn build(&self) -> ServeWorkload {
         match *self {
             WorkloadSpec::Synthetic => ServeWorkload::Synthetic,
-            WorkloadSpec::Env {
-                kind,
-                episodes,
-                batch,
-            } => ServeWorkload::Episode(
-                EpisodeEvaluator::new(kind)
-                    .episodes(episodes as usize)
-                    .batch(batch as usize),
-            ),
+            WorkloadSpec::Env { kind, episodes } => {
+                ServeWorkload::Episode(EpisodeEvaluator::new(kind).episodes(episodes as usize))
+            }
             WorkloadSpec::Drifting {
                 world_seed,
                 period,

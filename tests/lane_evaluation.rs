@@ -136,6 +136,40 @@ fn hand_built_lanes_cover_every_kind_and_depth() {
     }
 }
 
+/// Every aggregation at fan-in 24, past the median sort's small cases,
+/// with repeated, negative and signed-zero weights: one network per
+/// aggregation, cycled over all 16 lanes so each sees several different
+/// observations in one call.
+#[test]
+fn every_aggregation_matches_scalar_at_high_fan_in() {
+    const FAN_IN: usize = 24;
+    let nets: Vec<Network> = Aggregation::ALL
+        .iter()
+        .map(|&agg| {
+            let mut nodes: Vec<NodeGene> = (0..FAN_IN)
+                .map(|i| NodeGene::input(NodeId(i as u32)))
+                .collect();
+            let mut out = NodeGene::output(NodeId(FAN_IN as u32));
+            out.activation = Activation::Identity;
+            out.aggregation = agg;
+            nodes.push(out);
+            let conns: Vec<ConnGene> = (0..FAN_IN)
+                .map(|i| {
+                    let w = [0.0, -0.0, 1.25, -2.5, 1.25][i % 5];
+                    ConnGene::new(NodeId(i as u32), NodeId(FAN_IN as u32), w)
+                })
+                .collect();
+            let genome = Genome::from_parts(0, FAN_IN, 1, nodes, conns).expect("valid genome");
+            Network::from_genome(&genome).expect("acyclic")
+        })
+        .collect();
+    let refs: Vec<&Network> = (0..LANES).map(|l| &nets[l % nets.len()]).collect();
+    let inputs: Vec<f64> = (0..FAN_IN * LANES)
+        .map(|k| ((k * 31 + 7) % 17) as f64 - 8.0)
+        .collect();
+    assert_lanes_match_scalar(&refs, &inputs);
+}
+
 /// perfbench's `Timed` shape: a wrapper that implements only `evaluate`,
 /// so sessions driving it evaluate genome by genome.
 struct OnlyEvaluate(EpisodeEvaluator);

@@ -51,7 +51,6 @@ fn tenants() -> Vec<(u64, WorkloadSpec, NeatConfig)> {
                 WorkloadSpec::Env {
                     kind: EnvKind::CartPole,
                     episodes: 1,
-                    batch: 1,
                 },
                 cartpole.clone(),
             ),
@@ -360,6 +359,44 @@ fn corrupt_wire_frames_get_typed_replies_and_the_server_survives() {
     let mut conn = WireClient::connect(addr).unwrap();
     assert_direct_round_trip(&mut conn);
 
+    wire.stop();
+}
+
+/// The `Env` spec's last word is reserved (it held the lane count of the
+/// retired episode-batch kernel) and must be 1: a `submit` frame carrying
+/// 2 gets a typed `BadPayload` reply, and no session is created.
+#[test]
+fn submit_with_a_reserved_env_word_other_than_one_is_rejected() {
+    let wire = Wire::start("reserved-word");
+    let mut frame = encode_request(
+        4,
+        &Request::Submit {
+            seed: 11,
+            workload: WorkloadSpec::Env {
+                kind: EnvKind::CartPole,
+                episodes: 1,
+            },
+            config: Box::new(EnvKind::CartPole.neat_config()),
+        },
+    );
+    // Length prefix, header, seed, spec tag, env code and episodes come
+    // before the reserved word.
+    let at = 4 + 8 + 8 + 2 + 2 + 4;
+    assert_eq!(frame[at..at + 4], 1u32.to_le_bytes());
+    frame[at..at + 4].copy_from_slice(&2u32.to_le_bytes());
+    let mut raw = TcpStream::connect(wire.addr).unwrap();
+    raw.write_all(&frame).unwrap();
+    let (id, result) = read_one_reply(&mut raw);
+    assert_eq!(id, 4);
+    match result {
+        Err(ServeError::Remote { code, .. }) => assert_eq!(code, 105, "BadPayload"),
+        other => panic!("expected Remote BadPayload, got {other:?}"),
+    }
+    raw.write_all(&encode_request(5, &Request::Stats)).unwrap();
+    match read_one_reply(&mut raw) {
+        (5, Ok(Reply::Stats(stats))) => assert_eq!(stats.sessions, 0, "no session created"),
+        other => panic!("expected Stats, got {other:?}"),
+    }
     wire.stop();
 }
 

@@ -27,7 +27,6 @@ impl Strategy for ArbWorkload {
             1 => WorkloadSpec::Env {
                 kind: EnvKind::ALL[(rng.next_u64() % EnvKind::ALL.len() as u64) as usize],
                 episodes: 1 + (rng.next_u64() % 3) as u32,
-                batch: 1 + (rng.next_u64() % 3) as u32,
             },
             _ => WorkloadSpec::Drifting {
                 world_seed: rng.next_u64(),

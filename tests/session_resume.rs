@@ -216,26 +216,21 @@ fn drift_phase_offset_survives_the_snapshot() {
 }
 
 #[test]
-fn megapopulation_resume_is_bit_identical_with_batched_lanes() {
+fn megapopulation_resume_is_bit_identical_through_population_lanes() {
     // The megapopulation regime in one resume test: a population well past
-    // the speciation representative cap's founding budget, the batched
-    // rollout lanes (eval_batch > 1), and a worker-count change across the
-    // power cycle. The v2 snapshot must carry all of it bit-exactly.
+    // the speciation representative cap's founding budget, multi-episode
+    // CartPole evaluation through the population lanes, and a worker-count
+    // change across the power cycle. The snapshot must carry all of it
+    // bit-exactly.
     let mut config = EnvKind::CartPole.neat_config();
     config.pop_size = 512;
     config.species_representative_cap = 4;
-    config.eval_batch = 3;
     config.compatibility_threshold = 0.6; // force the cap to actually bind
     config.target_fitness = None;
-    let batch = config.eval_batch;
     assert_resume_bit_identical(
         config,
         31,
-        move || {
-            EpisodeEvaluator::new(EnvKind::CartPole)
-                .episodes(3)
-                .batch(batch)
-        },
+        || EpisodeEvaluator::new(EnvKind::CartPole).episodes(3),
         1,
         4,
         "megapop w1->w4",

@@ -8,9 +8,8 @@ use genesys::neat::{
     EvalContext, Genome, NeatConfig, Network, NodeGene, NodeId, RunState, Session,
 };
 use genesys::soc::{
-    decode_migrant_batch, decode_snapshot, encode_migrant_batch, encode_snapshot,
-    migrant_batch_from_bytes, migrant_batch_to_bytes, snapshot_from_bytes, snapshot_to_bytes,
-    MigrantBatch, SnapshotError, SNAPSHOT_MAX_NODE_ID, SNAPSHOT_VERSION,
+    decode_snapshot, encode_snapshot, snapshot_from_bytes, snapshot_to_bytes, SnapshotError,
+    SNAPSHOT_MAX_NODE_ID, SNAPSHOT_VERSION,
 };
 use proptest::prelude::*;
 
@@ -97,21 +96,6 @@ fn evolved_archipelago(seed: u64, generations: usize, pop: usize, islands: usize
         .build();
     s.run(generations);
     s.export_state()
-}
-
-/// A migrant batch cloned off a real evolved population, as the ring
-/// exchange would emit it.
-fn migrant_batch(seed: u64, k: usize) -> MigrantBatch {
-    let state = evolved_state(seed, 2, 10, 0);
-    let state = state.as_monolithic().expect("monolithic workload");
-    MigrantBatch {
-        epoch: seed % 7,
-        from_island: seed % 5,
-        to_island: (seed % 5 + 1) % 5,
-        num_inputs: state.config.num_inputs,
-        num_outputs: state.config.num_outputs,
-        genomes: state.genomes[..k.min(state.genomes.len())].to_vec(),
-    }
 }
 
 proptest! {
@@ -265,43 +249,6 @@ proptest! {
         let i = (cut as usize) % words.len();
         flipped[i] ^= 1u64 << bit;
         prop_assert!(decode_snapshot(&flipped).is_err(), "flip bit {} of word {}", bit, i);
-    }
-
-    /// encode ∘ decode is a fixed point for migrant batches, in both the
-    /// word and byte forms.
-    #[test]
-    fn migrant_batches_roundtrip(
-        seed in any::<u64>(),
-        k in 1usize..5,
-    ) {
-        let batch = migrant_batch(seed, k);
-        let words = encode_migrant_batch(&batch).expect("batches encode");
-        let decoded = decode_migrant_batch(&words).expect("own encoding decodes");
-        prop_assert_eq!(&decoded, &batch);
-        prop_assert_eq!(encode_migrant_batch(&decoded).unwrap(), words);
-        let bytes = migrant_batch_to_bytes(&batch).unwrap();
-        prop_assert_eq!(migrant_batch_from_bytes(&bytes).unwrap(), batch);
-    }
-
-    /// Every truncation and every single-bit flip of a migrant batch is a
-    /// typed [`SnapshotError`] — never a panic.
-    #[test]
-    fn migrant_batch_corruption_always_errors(
-        seed in any::<u64>(),
-        cut in any::<u64>(),
-        bit in 0u32..64,
-    ) {
-        let batch = migrant_batch(seed, 3);
-        let words = encode_migrant_batch(&batch).unwrap();
-        let len = (cut as usize) % words.len();
-        prop_assert!(decode_migrant_batch(&words[..len]).is_err());
-        let mut flipped = words.clone();
-        let i = (cut as usize) % words.len();
-        flipped[i] ^= 1u64 << bit;
-        prop_assert!(decode_migrant_batch(&flipped).is_err(), "flip bit {} of word {}", bit, i);
-        let bytes = migrant_batch_to_bytes(&batch).unwrap();
-        let blen = (cut as usize) % bytes.len();
-        prop_assert!(migrant_batch_from_bytes(&bytes[..blen]).is_err());
     }
 
     /// Random garbage never decodes and never panics.

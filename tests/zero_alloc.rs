@@ -6,10 +6,7 @@
 //! paper's premise that EvE/ADAM execute gene-level operations out of
 //! fixed buffers with no dynamic memory.
 
-use genesys::gym::{
-    episode_batch_into, episode_into, EnvKind, Environment, EpisodeEvaluator, RolloutBatchScratch,
-    RolloutScratch,
-};
+use genesys::gym::{episode_into, EnvKind, EpisodeEvaluator, RolloutScratch};
 use genesys::neat::trace::OpCounters;
 use genesys::neat::{
     Activation, Aggregation, ConnGene, EvalContext, Evaluation, Evaluator, Genome, InitialWeights,
@@ -162,34 +159,6 @@ fn steady_state_rollout_does_not_allocate() {
     assert_eq!(
         leaked, 0,
         "whole warmed episode ({steps} steps) must not allocate"
-    );
-
-    // ---- batched rollout lanes ------------------------------------------
-    // With a warmed RolloutBatchScratch, a whole batched episode set (all
-    // lanes stepped in lockstep through the SoA kernel) allocates nothing:
-    // the env boxes are built before the window and `episode_batch_into`
-    // reuses every block buffer across calls.
-    const LANES: usize = 8;
-    let kind = EnvKind::CartPole;
-    let net = evolved_net(kind);
-    let mut batch_scratch = RolloutBatchScratch::new();
-    let mut envs: Vec<Box<dyn Environment>> =
-        (0..LANES).map(|b| kind.make(300 + b as u64)).collect();
-    let (_, warm_steps) = episode_batch_into(&net, &mut envs, &mut batch_scratch);
-    assert!(warm_steps as usize >= LANES);
-
-    let mut steps = 0u64;
-    let leaked = measured_delta(|| {
-        let before = allocations();
-        let (_, batch_steps) = episode_batch_into(&net, &mut envs, &mut batch_scratch);
-        let after = allocations();
-        steps = batch_steps;
-        assert!(steps as usize > LANES);
-        after - before
-    });
-    assert_eq!(
-        leaked, 0,
-        "warmed batched rollout ({LANES} lanes, {steps} total steps) must not allocate"
     );
 
     // ---- population lanes -------------------------------------------------
