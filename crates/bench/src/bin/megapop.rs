@@ -49,7 +49,7 @@ fn run(
 }
 
 fn main() {
-    let args = ExperimentArgs::parse();
+    let args = ExperimentArgs::parse_with(&["--episodes"]);
     let pop = args.pop_or(4096);
     let generations = args.generations_or(2);
     let threads = args.threads_or(4);

@@ -65,7 +65,7 @@ fn direct_image(seed: u64, pop: usize, generations: u32) -> Vec<u8> {
 }
 
 fn main() -> ExitCode {
-    let args = ExperimentArgs::parse();
+    let args = ExperimentArgs::parse_with(&["--sessions", "--resident", "--clients"]);
     let sessions = args.get_usize("--sessions", 256);
     let resident = args.get_usize("--resident", 64);
     let clients = args.get_usize("--clients", 8);

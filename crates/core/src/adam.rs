@@ -9,9 +9,9 @@
 //! ranges of [`Network::layer_eval_ranges`] and the CSR edge lists of
 //! [`Network::incoming_edges`] — for that packing, instead of re-deriving
 //! layer membership by scanning the genome's connection genes. The
-//! numerics are delegated to [`Network::activate_into`] (bit-identical: a
-//! MAC array computing a weighted sum is exactly the `Sum` aggregation
-//! path).
+//! numerics are delegated to [`Network::activate_in_place`], through the
+//! SoC's episode loop (bit-identical: a MAC array computing a weighted sum
+//! is exactly the `Sum` aggregation path).
 
 use genesys_neat::gene::NodeType;
 use genesys_neat::{Genome, Network};

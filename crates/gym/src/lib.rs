@@ -18,10 +18,13 @@
 //! Every environment implements the buffer-writing primitives
 //! [`Environment::reset_into`] / [`Environment::step_into`], and the
 //! episode loops ([`rollout_with`], [`episode_rollout_with`], both built
-//! on [`episode_into`]) reuse one [`RolloutScratch`] per worker — after
-//! warm-up the steady-state rollout performs **zero heap allocations per
-//! step** (proved by the workspace's counting-allocator test), with
-//! fitness bit-identical to the allocating wrappers.
+//! on [`episode_into`]) reuse one [`RolloutScratch`] per worker. The
+//! environment writes each observation straight into the network's input
+//! slots (`Scratch::input_slots`), where `Network::activate_in_place`
+//! evaluates it: no observation is copied. After warm-up the steady-state
+//! rollout performs **zero heap allocations per step** (proved by the
+//! workspace's counting-allocator test), with fitness bit-identical to the
+//! allocating wrappers.
 //!
 //! The [`evaluator`] module packages the suite as session workloads:
 //! [`EpisodeEvaluator`] (one seeded episode per genome) and
@@ -85,8 +88,9 @@ pub use nonstationary::DriftingCartPole;
 
 use genesys_neat::{NeatConfig, Network, Scratch};
 
-/// Reusable buffers for the steady-state rollout hot loop: one observation
-/// slice, one action slice and one network [`Scratch`].
+/// Reusable buffers for the steady-state rollout hot loop: one action
+/// slice and one network [`Scratch`], whose input slots receive the
+/// observations.
 ///
 /// # Ownership rules
 ///
@@ -95,11 +99,10 @@ use genesys_neat::{NeatConfig, Network, Scratch};
 /// (buffers grow to the largest interface seen and are retained), but
 /// never share it between concurrent evaluations — give each worker its
 /// own, e.g. through `genesys_neat::WorkerLocal`. Contents carry no
-/// information between episodes; reuse changes performance only, never
-/// results.
+/// information between episodes (each episode's reset rewrites every
+/// input slot); reuse changes performance only, never results.
 #[derive(Debug, Clone, Default)]
 pub struct RolloutScratch {
-    obs: Vec<f64>,
     action: Vec<f64>,
     net: Scratch,
 }
@@ -119,24 +122,34 @@ impl RolloutScratch {
 /// simulator's inference phase) all funnel through it, so the
 /// reward/termination semantics cannot drift between entry points. After
 /// the buffers have grown to the environment's interface (first call), the
-/// loop performs **zero heap allocations per step**: observations are
-/// written in place by [`Environment::step_into`] and the network
-/// evaluates through [`Network::activate_into`].
+/// loop performs **zero heap allocations per step**:
+/// [`Environment::reset_into`] and [`Environment::step_into`] write each
+/// observation straight into the network's input slots
+/// ([`Scratch::input_slots`]), and the network evaluates it there through
+/// [`Network::activate_in_place`].
+///
+/// # Panics
+///
+/// Panics if the environment's observation size differs from the
+/// network's input count.
 pub fn episode_into(
     net: &Network,
     env: &mut dyn Environment,
     scratch: &mut RolloutScratch,
 ) -> (f64, u64) {
-    scratch.obs.resize(env.observation_dim(), 0.0);
+    assert_eq!(
+        env.observation_dim(),
+        net.num_inputs(),
+        "observation size must match the genome interface"
+    );
     scratch.action.resize(net.num_outputs(), 0.0);
-    let obs = &mut scratch.obs[..env.observation_dim()];
     let action = &mut scratch.action[..net.num_outputs()];
-    env.reset_into(obs);
+    env.reset_into(scratch.net.input_slots(net));
     let mut fitness = 0.0;
     let mut steps = 0u64;
     loop {
-        net.activate_into(&mut scratch.net, obs, action);
-        let (reward, done) = env.step_into(action, obs);
+        net.activate_in_place(&mut scratch.net, action);
+        let (reward, done) = env.step_into(action, scratch.net.input_slots(net));
         fitness += reward;
         steps += 1;
         if done {

@@ -5,7 +5,8 @@
 //! **topological wavefronts** (every node's enabled predecessors live in
 //! strictly earlier wavefronts). Wavefronts serve two purposes:
 //!
-//! 1. Software evaluation ([`Network::activate_into`]) walks them in order.
+//! 1. Software evaluation ([`Network::activate_in_place`]) walks them in
+//!    order.
 //! 2. They are exactly the "well formed input vectors" the paper's
 //!    vectorize routine packs for ADAM's systolic array (Section IV-D) —
 //!    `genesys-core` consumes the compiled plan directly through
@@ -24,11 +25,28 @@
 //!
 //! # Zero-allocation evaluation and the determinism contract
 //!
-//! [`Network::activate_into`] performs **no heap allocation in steady
-//! state**: all mutable state lives in a caller-owned [`Scratch`] whose
-//! buffers grow to the largest network evaluated through them and are then
-//! reused — including [`Aggregation::Median`] nodes, whose sort runs
-//! in place inside the scratch buffer at any fan-in. The numerics are
+//! [`Network::activate_in_place`] is the one evaluation loop, and it
+//! performs **no heap allocation in steady state**: all mutable state
+//! lives in a caller-owned [`Scratch`] whose buffers grow to the largest
+//! network evaluated through them and are then reused — including
+//! [`Aggregation::Median`] nodes, whose sort runs in place inside the
+//! scratch buffer at any fan-in.
+//!
+//! The scratch's value slots are never zero-filled. Two facts make that
+//! safe:
+//!
+//! - **Input slots** hold whatever the caller last wrote through
+//!   [`Scratch::input_slots`]. Evaluation never writes them, so an
+//!   environment can write each observation straight into them
+//!   (`genesys_gym::episode_into`), and padding a caller zeroes once stays
+//!   zero across calls.
+//! - **Non-input slots** are each written in their wavefront before any
+//!   later wavefront reads them, so a stale value from an earlier call or
+//!   a wider network is never read. [`Network::activate_lanes_into`]
+//!   relies on the same fact.
+//!
+//! [`Network::activate_into`] copies a caller's observation into the
+//! input slots and then runs the same loop. The numerics are
 //! **bit-identical** to the
 //! retained reference interpreter ([`reference::activate`]) and to the
 //! pre-compilation implementation: edges are walked in the same order the
@@ -42,9 +60,9 @@
 //! [`Network::activate_lanes_into`] evaluates up to [`LANES`] networks of
 //! *different* topologies at once (a population's genomes, one
 //! observation each), wavefront by wavefront across the lanes. It shares
-//! the aggregation fold with [`Network::activate_into`], allocates nothing
-//! in steady state (caller-owned [`LaneScratch`]) and is bit-identical to
-//! it on every lane.
+//! the aggregation fold with [`Network::activate_in_place`], allocates
+//! nothing in steady state (caller-owned [`LaneScratch`]) and is
+//! bit-identical to it on every lane.
 
 use crate::activation::Activation;
 use crate::aggregation::Aggregation;
@@ -53,7 +71,8 @@ use crate::gene::{NodeId, NodeType};
 use crate::genome::Genome;
 use std::collections::HashMap;
 
-/// Reusable evaluation workspace for [`Network::activate_into`].
+/// Reusable evaluation workspace for [`Network::activate_in_place`] and
+/// [`Network::activate_into`].
 ///
 /// # Ownership rules
 ///
@@ -62,11 +81,17 @@ use std::collections::HashMap;
 /// networks of different sizes (buffers grow to the largest network seen
 /// and are retained). It must not be shared between concurrent
 /// evaluations — give each worker thread its own (e.g. via
-/// `crate::executor::WorkerLocal`). Contents carry no information between
-/// calls; reuse affects performance only, never results.
+/// `crate::executor::WorkerLocal`).
+///
+/// The buffers are never zero-filled between calls. A network's input
+/// slots ([`Scratch::input_slots`]) hold whatever the caller last wrote
+/// there: evaluation reads them and never writes them. Every other slot
+/// is written before it is read within a call, so nothing else carries
+/// over: reuse affects performance only, never results.
 #[derive(Debug, Clone, Default)]
 pub struct Scratch {
-    /// Node value slots (`Network::total_slots` entries while evaluating).
+    /// Node value slots (at least `Network::total_slots` entries while
+    /// evaluating; input `i` is slot `i`).
     values: Vec<f64>,
     /// Sort buffer for [`Aggregation::Median`] nodes.
     sorted: Vec<f64>,
@@ -76,6 +101,18 @@ impl Scratch {
     /// Creates an empty workspace (buffers grow on first use).
     pub fn new() -> Scratch {
         Scratch::default()
+    }
+
+    /// Grows the value buffer to fit `net` and returns `net`'s input slots,
+    /// for the caller to write an observation into before
+    /// [`Network::activate_in_place`]. Nothing is zero-filled: the slots
+    /// hold whatever was last written to them, and evaluation never writes
+    /// them.
+    pub fn input_slots(&mut self, net: &Network) -> &mut [f64] {
+        if self.values.len() < net.total_slots {
+            self.values.resize(net.total_slots, 0.0);
+        }
+        &mut self.values[..net.num_inputs]
     }
 }
 
@@ -176,6 +213,11 @@ impl NetworkPlan {
 /// let mut scratch = Scratch::new();
 /// let mut out = [0.0f64; 1];
 /// net.activate_into(&mut scratch, &[0.5, -0.5], &mut out);
+/// // Zero-copy form: write the observation into the input slots.
+/// scratch.input_slots(&net).copy_from_slice(&[0.5, -0.5]);
+/// let mut in_place = [0.0f64; 1];
+/// net.activate_in_place(&mut scratch, &mut in_place);
+/// assert_eq!(in_place, out);
 /// // Convenience wrapper (allocates per call):
 /// assert_eq!(net.activate(&[0.5, -0.5]), out);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
@@ -391,10 +433,42 @@ impl Network {
         Ok(())
     }
 
+    /// Evaluates the network on the observation in `scratch`'s input
+    /// slots ([`Scratch::input_slots`]), writing the output node values (in
+    /// output-id order) into `outputs`. This is the one evaluation loop and
+    /// the zero-allocation hot path: an environment writes each
+    /// observation straight into the input slots, and `scratch` and
+    /// `outputs` are reused across steps, episodes and networks. The input
+    /// slots are read as they stand and never written.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `outputs.len()` differs from the genome's output count.
+    pub fn activate_in_place(&self, scratch: &mut Scratch, outputs: &mut [f64]) {
+        assert_eq!(
+            outputs.len(),
+            self.num_outputs,
+            "output buffer size must match the genome interface"
+        );
+        // Grows the buffer to fit this network; the input slots keep what
+        // the caller wrote.
+        scratch.input_slots(self);
+        let Scratch { values, sorted } = scratch;
+        // Each non-input slot is written in its wavefront before a later
+        // wavefront reads it, so stale contents are never read.
+        for i in 0..self.slots.len() {
+            let agg = self.fold(i, values, sorted);
+            values[self.slots[i]] =
+                self.activations[i].apply(self.biases[i] + self.responses[i] * agg);
+        }
+        for (out, &slot) in outputs.iter_mut().zip(&self.output_slots) {
+            *out = values[slot];
+        }
+    }
+
     /// Evaluates the network on one observation, writing the output node
-    /// values (in output-id order) into `outputs`. This is the
-    /// zero-allocation hot path: `scratch` and `outputs` are reused by the
-    /// caller across steps, episodes and networks.
+    /// values (in output-id order) into `outputs`: copies `inputs` into
+    /// `scratch`'s input slots, then runs [`Network::activate_in_place`].
     ///
     /// # Panics
     ///
@@ -406,25 +480,8 @@ impl Network {
             self.num_inputs,
             "observation size must match the genome interface"
         );
-        assert_eq!(
-            outputs.len(),
-            self.num_outputs,
-            "output buffer size must match the genome interface"
-        );
-        let Scratch { values, sorted } = scratch;
-        values.clear();
-        values.resize(self.total_slots, 0.0);
-        // Input node ids are 0..num_inputs and the sorted gene cluster
-        // slots them first, so slot i == input i.
-        values[..self.num_inputs].copy_from_slice(inputs);
-        for i in 0..self.slots.len() {
-            let agg = self.fold(i, values, sorted);
-            values[self.slots[i]] =
-                self.activations[i].apply(self.biases[i] + self.responses[i] * agg);
-        }
-        for (out, &slot) in outputs.iter_mut().zip(&self.output_slots) {
-            *out = values[slot];
-        }
+        scratch.input_slots(self).copy_from_slice(inputs);
+        self.activate_in_place(scratch, outputs);
     }
 
     /// Aggregates eval node `i`'s weighted inputs read from `values` (this
@@ -478,7 +535,7 @@ impl Network {
     /// `exp`), but the lanes of one wavefront are independent, so the
     /// core overlaps their chains instead of running one network's chain
     /// end to end. Each lane still evaluates its nodes in
-    /// [`Network::activate_into`]'s order with the same fold, so every
+    /// [`Network::activate_in_place`]'s order with the same fold, so every
     /// lane is **bit-identical** to it on the same observation. Zero heap
     /// allocation in steady state: all mutable state lives in the
     /// caller-owned [`LaneScratch`].

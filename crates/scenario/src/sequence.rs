@@ -70,6 +70,10 @@ impl Task {
 /// The mapping is the identity prefix: task observation `i` feeds genome
 /// input `i`, unused genome inputs are held at `0.0`, and the task reads
 /// the first `action_dim` genome outputs (surplus outputs are ignored).
+/// [`adapted_episode`] realizes it without a copy: the task environment
+/// writes its observation straight into the first `obs_dim` input slots
+/// of the network's scratch, and the padding slots behind them are zeroed
+/// once per episode (evaluation never writes an input slot).
 /// It is deliberately *not* evolved — every genome sees the same pinout,
 /// so fitness differences are attributable to the network, and the
 /// mapping needs no checkpoint state.
@@ -121,21 +125,6 @@ impl IoAdapter {
         self.out_width
     }
 
-    /// Scatters a task observation into the genome input vector: identity
-    /// prefix, zero padding.
-    ///
-    /// # Panics
-    ///
-    /// Panics if slice lengths disagree with the adapter.
-    pub fn scatter_obs(&self, task_obs: &[f64], input: &mut [f64]) {
-        assert_eq!(task_obs.len(), self.obs_dim);
-        assert_eq!(input.len(), self.in_width);
-        input[..self.obs_dim].copy_from_slice(task_obs);
-        for slot in &mut input[self.obs_dim..] {
-            *slot = 0.0;
-        }
-    }
-
     /// The slice of genome outputs the task consumes as its action.
     ///
     /// # Panics
@@ -147,14 +136,14 @@ impl IoAdapter {
     }
 }
 
-/// Reusable buffers for [`adapted_episode`]: task observation, genome
-/// input/output vectors, and the network [`Scratch`]. Same ownership
-/// rules as `genesys_gym::RolloutScratch` — reuse one per worker, never
-/// share concurrently; contents carry no information between episodes.
+/// Reusable buffers for [`adapted_episode`]: the genome output vector and
+/// the network [`Scratch`], whose input slots receive the task
+/// observation and its zero padding. Same ownership rules as
+/// `genesys_gym::RolloutScratch` — reuse one per worker, never share
+/// concurrently; contents carry no information between episodes (each
+/// episode rewrites every input slot of the plan it runs).
 #[derive(Debug, Clone, Default)]
 pub struct AdapterScratch {
-    obs: Vec<f64>,
-    input: Vec<f64>,
     action: Vec<f64>,
     net: Scratch,
 }
@@ -169,11 +158,14 @@ impl AdapterScratch {
 /// Runs one episode of `env` under `net` through `adapter`, returning
 /// `(cumulative_reward, steps_taken)`.
 ///
-/// This is the sequence counterpart of `genesys_gym::episode_into`: after
-/// the buffers have grown to the widest interface seen, the loop performs
-/// zero heap allocations per step. When the task interface equals the
-/// genome interface the trajectory is bit-identical to `episode_into`
-/// (the scatter is a plain copy and the gather is the whole output).
+/// This is the sequence counterpart of `genesys_gym::episode_into`: the
+/// environment writes each observation straight into the network's first
+/// `obs_dim` input slots, the padding slots are zeroed once per episode,
+/// and after the buffers have grown to the widest interface seen the loop
+/// performs zero heap allocations per step. When the task interface
+/// equals the genome interface the trajectory is bit-identical to
+/// `episode_into` (there is no padding and the gather is the whole
+/// output).
 ///
 /// # Panics
 ///
@@ -198,24 +190,23 @@ pub fn adapted_episode(
     assert_eq!(env.observation_dim(), adapter.obs_dim());
     assert_eq!(env.action_dim(), adapter.act_dim());
     let AdapterScratch {
-        obs,
-        input,
         action,
         net: net_scratch,
     } = scratch;
-    obs.resize(adapter.obs_dim(), 0.0);
-    input.resize(adapter.in_width(), 0.0);
     action.resize(adapter.out_width(), 0.0);
-    let obs = &mut obs[..adapter.obs_dim()];
-    let input = &mut input[..adapter.in_width()];
     let action = &mut action[..adapter.out_width()];
-    env.reset_into(obs);
+    let obs_dim = adapter.obs_dim();
+    let input = net_scratch.input_slots(net);
+    input[obs_dim..].fill(0.0);
+    env.reset_into(&mut input[..obs_dim]);
     let mut fitness = 0.0;
     let mut steps = 0u64;
     loop {
-        adapter.scatter_obs(obs, input);
-        net.activate_into(net_scratch, input, action);
-        let (reward, done) = env.step_into(adapter.gather_actions(action), obs);
+        net.activate_in_place(net_scratch, action);
+        let (reward, done) = env.step_into(
+            adapter.gather_actions(action),
+            &mut net_scratch.input_slots(net)[..obs_dim],
+        );
         fitness += reward;
         steps += 1;
         if done {
@@ -564,11 +555,8 @@ mod tests {
     }
 
     #[test]
-    fn adapter_scatters_prefix_and_zero_pads() {
+    fn adapter_gathers_the_action_prefix() {
         let a = IoAdapter::new(2, 1, 4, 2);
-        let mut input = [9.0; 4];
-        a.scatter_obs(&[0.25, -1.5], &mut input);
-        assert_eq!(input, [0.25, -1.5, 0.0, 0.0]);
         let out = [0.7, 0.3];
         assert_eq!(a.gather_actions(&out), &[0.7]);
     }

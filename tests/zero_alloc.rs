@@ -2,16 +2,20 @@
 //! have grown (episode/plan setup), the inference hot loop — network
 //! activation through the compiled SoA plan plus environment stepping via
 //! `step_into` — performs **no heap allocation per step**, for every
-//! environment kind in the suite. This is the software mirror of the
-//! paper's premise that EvE/ADAM execute gene-level operations out of
-//! fixed buffers with no dynamic memory.
+//! environment kind in the suite, through the copying and the in-place
+//! entry points, and whole warmed episodes of both episode loops
+//! (`episode_into`, and the curriculum's `adapted_episode` under drift and
+//! padding) allocate nothing. This is the software mirror of the paper's
+//! premise that EvE/ADAM execute gene-level operations out of fixed
+//! buffers with no dynamic memory.
 
-use genesys::gym::{episode_into, EnvKind, EpisodeEvaluator, RolloutScratch};
+use genesys::gym::{episode_into, EnvKind, Environment, EpisodeEvaluator, RolloutScratch};
 use genesys::neat::trace::OpCounters;
 use genesys::neat::{
     Activation, Aggregation, ConnGene, EvalContext, Evaluation, Evaluator, Genome, InitialWeights,
     InnovationTracker, Network, NetworkPlan, NodeGene, NodeId, Scratch, SpeciesSet, XorWow,
 };
+use genesys::scenario::{adapted_episode, AdapterScratch, DriftedEnv, IoAdapter};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -66,6 +70,27 @@ fn evolved_net(kind: EnvKind) -> Network {
     Network::from_genome(&genome).expect("mutated genome stays acyclic")
 }
 
+/// One policy step through either entry point: `activate_into` reads the
+/// env's own observation buffer `obs`, while the in-place form reads the
+/// input slots the env last wrote and has it write the next observation
+/// there.
+fn policy_step(
+    net: &Network,
+    env: &mut dyn Environment,
+    scratch: &mut Scratch,
+    obs: &mut [f64],
+    action: &mut [f64],
+    in_place: bool,
+) -> (f64, bool) {
+    if in_place {
+        net.activate_in_place(scratch, action);
+        env.step_into(action, scratch.input_slots(net))
+    } else {
+        net.activate_into(scratch, obs, action);
+        env.step_into(action, obs)
+    }
+}
+
 // NOTE: the allocation counter is process-global, so everything that
 // measures it lives in ONE #[test] — libtest runs separate tests on
 // parallel threads, and a sibling test's setup allocations landing inside
@@ -90,51 +115,68 @@ fn measured_delta(mut measure: impl FnMut() -> u64) -> u64 {
 
 #[test]
 fn steady_state_rollout_does_not_allocate() {
-    // ---- per-step granularity, every env kind --------------------------
+    // ---- per-step granularity, every env kind, both entry points -------
     for kind in EnvKind::ALL {
-        // Episode/plan setup: allocation is allowed here.
-        let net = evolved_net(kind);
-        let mut obs = vec![0.0f64; kind.make(42).observation_dim()];
-        let mut action = vec![0.0f64; net.num_outputs()];
-        let mut scratch = Scratch::new();
-        let mut steps = 0u64;
-        let leaked = measured_delta(|| {
-            let mut env = kind.make(42);
-            env.reset_into(&mut obs);
-            // Warm the scratch buffers (they grow on first use); the
-            // episode must survive warmup or the measured loop would only
-            // cover the inert done-state early return.
-            let mut warm_done = false;
-            for _ in 0..3 {
-                net.activate_into(&mut scratch, &obs, &mut action);
-                warm_done = env.step_into(&action, &mut obs).1;
-            }
-            assert!(!warm_done, "{}: episode ended during warmup", kind.label());
-
-            // Steady state: zero heap allocations per step.
-            let before = allocations();
-            steps = 0;
-            loop {
-                net.activate_into(&mut scratch, &obs, &mut action);
-                let (reward, done) = env.step_into(&action, &mut obs);
-                assert!(reward.is_finite());
-                steps += 1;
-                if done || steps >= 500 {
-                    break;
+        for in_place in [false, true] {
+            // Episode/plan setup: allocation is allowed here.
+            let net = evolved_net(kind);
+            let mut obs = vec![0.0f64; kind.make(42).observation_dim()];
+            let mut action = vec![0.0f64; net.num_outputs()];
+            let mut scratch = Scratch::new();
+            let mut steps = 0u64;
+            let leaked = measured_delta(|| {
+                let mut env = kind.make(42);
+                if in_place {
+                    env.reset_into(scratch.input_slots(&net));
+                } else {
+                    env.reset_into(&mut obs);
                 }
-            }
-            let after = allocations();
-            assert!(steps > 1, "{}: no live steps were measured", kind.label());
-            after - before
-        });
-        assert_eq!(
-            leaked,
-            0,
-            "{}: {} heap allocations leaked into {} steady-state steps",
-            kind.label(),
-            leaked,
-            steps
-        );
+                // Warm the scratch buffers (they grow on first use); the
+                // episode must survive warmup or the measured loop would
+                // only cover the inert done-state early return.
+                let mut warm_done = false;
+                for _ in 0..3 {
+                    warm_done = policy_step(
+                        &net,
+                        env.as_mut(),
+                        &mut scratch,
+                        &mut obs,
+                        &mut action,
+                        in_place,
+                    )
+                    .1;
+                }
+                assert!(!warm_done, "{}: episode ended during warmup", kind.label());
+
+                // Steady state: zero heap allocations per step.
+                let before = allocations();
+                steps = 0;
+                loop {
+                    let (reward, done) = policy_step(
+                        &net,
+                        env.as_mut(),
+                        &mut scratch,
+                        &mut obs,
+                        &mut action,
+                        in_place,
+                    );
+                    assert!(reward.is_finite());
+                    steps += 1;
+                    if done || steps >= 500 {
+                        break;
+                    }
+                }
+                let after = allocations();
+                assert!(steps > 1, "{}: no live steps were measured", kind.label());
+                after - before
+            });
+            assert_eq!(
+                leaked,
+                0,
+                "{} (in place: {in_place}): {leaked} heap allocations leaked into {steps} steady-state steps",
+                kind.label(),
+            );
+        }
     }
 
     // ---- full-episode granularity through the public entry point -------
@@ -160,6 +202,39 @@ fn steady_state_rollout_does_not_allocate() {
         leaked, 0,
         "whole warmed episode ({steps} steps) must not allocate"
     );
+
+    // ---- whole curriculum episodes through `adapted_episode` -------------
+    // A 128-input RAM game under a sensor-flipping drift regime, and a
+    // 6-input task padded into a 128-input plan: with a warmed
+    // AdapterScratch and the env built outside the window, a whole
+    // episode allocates nothing.
+    let wide = evolved_net(EnvKind::Alien);
+    assert_eq!(wide.num_inputs(), 128);
+    let drifted: Box<dyn Environment> =
+        Box::new(DriftedEnv::new(EnvKind::Alien.make(7), 0x5EED, 3));
+    let padded = EnvKind::Acrobot.make(7);
+    for (label, mut env, obs_dim) in [
+        ("drifted Alien", drifted, 128),
+        ("padded Acrobot", padded, 6),
+    ] {
+        let adapter = IoAdapter::new(obs_dim, 1, 128, 1);
+        let mut scratch = AdapterScratch::new();
+        let (_, warm_steps) = adapted_episode(&wide, env.as_mut(), &adapter, &mut scratch);
+        assert!(warm_steps > 0);
+        let mut steps = 0u64;
+        let leaked = measured_delta(|| {
+            let before = allocations();
+            let (_, episode_steps) = adapted_episode(&wide, env.as_mut(), &adapter, &mut scratch);
+            let after = allocations();
+            steps = episode_steps;
+            assert!(steps > 1, "{label}: the episode runs");
+            after - before
+        });
+        assert_eq!(
+            leaked, 0,
+            "{label}: whole warmed adapted episode ({steps} steps) must not allocate"
+        );
+    }
 
     // ---- population lanes -------------------------------------------------
     // A warmed CartPole lane evaluation (16 lanes, each a different
