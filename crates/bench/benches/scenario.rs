@@ -3,7 +3,7 @@
 //! `GenerationStats::collect` (genome-buffer LZ entropy + unique-genome
 //! hashing at pop 10⁴), one whole task-sequence generation at the same
 //! population (the denominator the <5 % diagnostics-overhead budget in
-//! `docs/scenarios.md` is measured against — the `scenario` smoke bin
+//! `docs/scenarios.md` is measured against — `tests/diagnostics_budget.rs`
 //! asserts the ratio), the drifted-environment wrapper against the raw
 //! episode, and one fitness-matrix probe row. The bench-regression gate
 //! pins all four so diagnostics or drift overhead cannot quietly grow

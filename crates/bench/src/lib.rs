@@ -333,18 +333,16 @@ fn flag_value<T: std::str::FromStr>(
 
 /// The one CLI surface shared by every experiment binary:
 /// `--pop N --generations N --runs N --threads N --seed N --islands N
-/// --migration-interval N`, plus the `--flag N` flags a binary names for
-/// itself ([`ExperimentArgs::parse_with`], read through
-/// [`ExperimentArgs::get_usize`]).
+/// --migration-interval N`.
 ///
 /// Every flag is optional; each binary supplies its own defaults through
 /// the `*_or` accessors (full paper scale is reachable everywhere with
 /// `--pop 150 --generations 100 --runs 100`). `--seed` shifts the base of
 /// every workload seed, so any figure can be regenerated under a fresh
-/// random universe without editing code. Parsing is strict: a flag the
-/// binary does not read, a flag without a value, a repeated flag or a
-/// value that does not parse is an error naming the flag, so a stale or
-/// misspelt flag cannot silently run a binary on its defaults.
+/// random universe without editing code. Parsing is strict: any other
+/// argument, a flag without a value, a repeated flag or a value that does
+/// not parse is an error naming the flag, so a stale or misspelt flag
+/// cannot silently run a binary on its defaults.
 #[derive(Debug, Clone)]
 pub struct ExperimentArgs {
     /// `--pop`: population size.
@@ -361,50 +359,36 @@ pub struct ExperimentArgs {
     pub islands: Option<usize>,
     /// `--migration-interval`: generations between ring migrations.
     pub migration_interval: Option<usize>,
-    /// The binary's own flags, each with its value when given.
-    extra: Vec<(&'static str, Option<usize>)>,
 }
 
 impl ExperimentArgs {
-    /// Parses the process arguments, accepting the shared flags only.
-    /// Exits with status 2 on a bad argument (see
+    /// Parses the process arguments. Exits with status 2 and a message
+    /// naming the flag on a bad argument (see
     /// [`ExperimentArgs::from_args`]).
     pub fn parse() -> Self {
-        ExperimentArgs::parse_with(&[])
-    }
-
-    /// Parses the process arguments, accepting the shared flags and the
-    /// binary's own `extra` flags (each taking a `usize`). Exits with
-    /// status 2 and a message naming the flag on a bad argument.
-    pub fn parse_with(extra: &[&'static str]) -> Self {
-        ExperimentArgs::from_args(std::env::args().collect(), extra).unwrap_or_else(|message| {
+        ExperimentArgs::from_args(std::env::args().collect()).unwrap_or_else(|message| {
             eprintln!("error: {message}");
             std::process::exit(2);
         })
     }
 
     /// Parses an explicit argument vector. `raw[0]` is the program name,
-    /// as in [`std::env::args`]; the rest are `--flag value` pairs, each
-    /// flag one of the shared ones or of `extra`.
+    /// as in [`std::env::args`]; the rest are `--flag value` pairs.
     ///
     /// # Errors
     ///
     /// A message naming the offending argument, for an argument that is
     /// not an accepted flag, a flag given twice, a flag without a value, or
     /// a value that does not parse as a non-negative integer.
-    pub fn from_args(raw: Vec<String>, extra: &[&'static str]) -> Result<Self, String> {
-        let mut values: Vec<(&str, Option<&str>)> = SHARED_FLAGS
-            .iter()
-            .chain(extra)
-            .map(|&flag| (flag, None))
-            .collect();
+    pub fn from_args(raw: Vec<String>) -> Result<Self, String> {
+        let mut values: Vec<(&str, Option<&str>)> =
+            SHARED_FLAGS.iter().map(|&flag| (flag, None)).collect();
         let mut args = raw.iter().skip(1);
         while let Some(arg) = args.next() {
             let Some((flag, value)) = values.iter_mut().find(|(flag, _)| flag == arg) else {
-                let accepted: Vec<&str> = SHARED_FLAGS.iter().chain(extra).copied().collect();
                 return Err(format!(
                     "unknown argument `{arg}` (accepted: {})",
-                    accepted.join(" ")
+                    SHARED_FLAGS.join(" ")
                 ));
             };
             if value.is_some() {
@@ -421,10 +405,6 @@ impl ExperimentArgs {
             seed: flag_value(&values, "--seed")?,
             islands: flag_value(&values, "--islands")?,
             migration_interval: flag_value(&values, "--migration-interval")?,
-            extra: extra
-                .iter()
-                .map(|&flag| Ok((flag, flag_value(&values, flag)?)))
-                .collect::<Result<_, String>>()?,
         })
     }
 
@@ -480,28 +460,6 @@ impl ExperimentArgs {
     /// meaningful with `--islands` > 1.
     pub fn migration_interval_or(&self, default: usize) -> usize {
         self.migration_interval.unwrap_or(default)
-    }
-
-    /// Applies the island flags to a config: `--islands` (default keeps
-    /// `config.islands`) and `--migration-interval`.
-    pub fn apply_islands(&self, config: &mut genesys_neat::NeatConfig) {
-        config.islands = self.islands_or(config.islands);
-        config.migration_interval = self.migration_interval_or(config.migration_interval);
-    }
-
-    /// Reads one of the binary's own flags (named to
-    /// [`ExperimentArgs::parse_with`]), with the binary's default.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `key` was not named as one of the binary's flags.
-    pub fn get_usize(&self, key: &str, default: usize) -> usize {
-        let (_, value) = self
-            .extra
-            .iter()
-            .find(|(flag, _)| *flag == key)
-            .unwrap_or_else(|| panic!("`{key}` is not one of this binary's flags"));
-        value.unwrap_or(default)
     }
 }
 
@@ -570,15 +528,15 @@ mod tests {
         s.iter().map(|s| s.to_string()).collect()
     }
 
-    fn parsed(s: &[&str], extra: &[&'static str]) -> ExperimentArgs {
-        ExperimentArgs::from_args(to_args(s), extra).expect("valid arguments")
+    fn parsed(s: &[&str]) -> ExperimentArgs {
+        ExperimentArgs::from_args(to_args(s)).expect("valid arguments")
     }
 
     #[test]
     fn pool_respects_threads_flag() {
-        assert!(parsed(&["bin", "--threads", "1"], &[]).pool().is_none());
-        assert!(parsed(&["bin"], &[]).pool().is_none());
-        let pool = parsed(&["bin", "--threads", "3"], &[])
+        assert!(parsed(&["bin", "--threads", "1"]).pool().is_none());
+        assert!(parsed(&["bin"]).pool().is_none());
+        let pool = parsed(&["bin", "--threads", "3"])
             .pool()
             .expect("pool requested");
         assert_eq!(pool.workers(), 3);
@@ -586,28 +544,23 @@ mod tests {
 
     #[test]
     fn experiment_args_parse_all_flags() {
-        let args = parsed(
-            &[
-                "bin",
-                "--pop",
-                "32",
-                "--generations",
-                "5",
-                "--runs",
-                "2",
-                "--threads",
-                "4",
-                "--seed",
-                "1234",
-                "--islands",
-                "3",
-                "--migration-interval",
-                "6",
-                "--extra",
-                "9",
-            ],
-            &["--extra", "--unused"],
-        );
+        let args = parsed(&[
+            "bin",
+            "--pop",
+            "32",
+            "--generations",
+            "5",
+            "--runs",
+            "2",
+            "--threads",
+            "4",
+            "--seed",
+            "1234",
+            "--islands",
+            "3",
+            "--migration-interval",
+            "6",
+        ]);
         assert_eq!(args.pop_or(64), 32);
         assert_eq!(args.generations_or(8), 5);
         assert_eq!(args.runs_or(3), 2);
@@ -615,49 +568,37 @@ mod tests {
         assert_eq!(args.base_seed(0), 1234);
         assert_eq!(args.islands_or(1), 3);
         assert_eq!(args.migration_interval_or(0), 6);
-        assert_eq!(args.get_usize("--extra", 0), 9);
-        assert_eq!(args.get_usize("--unused", 7), 7, "absent own flag");
 
-        let empty = parsed(&["bin"], &[]);
+        let empty = parsed(&["bin"]);
         assert_eq!(empty.pop_or(64), 64);
         assert_eq!(empty.base_seed(100), 100, "defaults keep historic seeds");
         assert!(empty.pool().is_none());
         assert_eq!(empty.threads_or(4), 4, "absent flag takes the default");
-        let serial = parsed(&["bin", "--threads", "1"], &[]);
+        let serial = parsed(&["bin", "--threads", "1"]);
         assert_eq!(serial.threads_or(4), 1, "explicit --threads 1 wins");
     }
 
     #[test]
     fn experiment_args_reject_what_no_binary_reads() {
-        let error = |s: &[&str], extra: &[&'static str]| {
-            ExperimentArgs::from_args(to_args(s), extra).expect_err("rejected")
-        };
-        // A removed flag and a misspelt one, on megapop's flag set.
-        let megapop = ["--episodes"];
-        let stale = error(&["megapop", "--pop", "64", "--batch", "2"], &megapop);
+        let error = |s: &[&str]| ExperimentArgs::from_args(to_args(s)).expect_err("rejected");
+        // A removed flag, a misspelt one and a flag no binary reads any
+        // more.
+        let stale = error(&["bin", "--pop", "64", "--batch", "2"]);
         assert!(stale.contains("`--batch`"), "{stale}");
-        let typo = error(&["megapop", "--episdoes", "3"], &megapop);
+        let typo = error(&["bin", "--episdoes", "3"]);
         assert!(typo.contains("`--episdoes`"), "{typo}");
         assert!(
-            typo.contains("--episodes"),
+            typo.contains("--migration-interval"),
             "the message lists what is accepted"
         );
-        // One binary's own flag is unknown to another.
-        assert!(error(&["bin", "--episodes", "3"], &[]).contains("`--episodes`"));
+        assert!(error(&["bin", "--episodes", "3"]).contains("`--episodes`"));
         // Unparsable, missing and repeated values name the flag.
-        let bad = error(&["bin", "--pop", "x"], &[]);
+        let bad = error(&["bin", "--pop", "x"]);
         assert!(bad.contains("`--pop`") && bad.contains("`x`"), "{bad}");
-        assert!(error(&["bin", "--seed", "-1"], &[]).contains("`--seed`"));
-        assert!(error(&["megapop", "--episodes", "two"], &megapop).contains("`--episodes`"));
-        assert!(error(&["bin", "--threads"], &[]).contains("`--threads` needs a value"));
-        assert!(error(&["bin", "--pop", "--runs", "2"], &[]).contains("`--pop` needs a value"));
-        assert!(error(&["bin", "--runs", "1", "--runs", "2"], &[]).contains("`--runs` given twice"));
-        assert!(error(&["bin", "7"], &[]).contains("`7`"), "a stray value");
-    }
-
-    #[test]
-    #[should_panic(expected = "`--batch` is not one of this binary's flags")]
-    fn reading_an_unnamed_flag_panics() {
-        parsed(&["bin"], &["--episodes"]).get_usize("--batch", 1);
+        assert!(error(&["bin", "--seed", "-1"]).contains("`--seed`"));
+        assert!(error(&["bin", "--threads"]).contains("`--threads` needs a value"));
+        assert!(error(&["bin", "--pop", "--runs", "2"]).contains("`--pop` needs a value"));
+        assert!(error(&["bin", "--runs", "1", "--runs", "2"]).contains("`--runs` given twice"));
+        assert!(error(&["bin", "7"]).contains("`7`"), "a stray value");
     }
 }

@@ -1297,7 +1297,7 @@ mod tests {
     }
 
     /// `state.genomes[0]` with an extra hidden node of the given id,
-    /// installed as `best_ever`.
+    /// installed as `best_ever`, with the innovation counter past it.
     fn with_forged_id(state: RunState, id: u32) -> RunState {
         let RunState::Monolithic(mut state) = state else {
             panic!("forged-id helper expects a monolithic state");
@@ -1314,6 +1314,7 @@ mod tests {
         )
         .unwrap();
         state.best_ever = Some(forged);
+        state.innovation_next_node = id + 1;
         RunState::Monolithic(state)
     }
 

@@ -120,8 +120,9 @@ impl ArchipelagoState {
                 genomes: total,
             });
         }
-        for island in &self.islands {
-            island.validate()?;
+        let n = self.islands.len() as u32;
+        for (i, island) in self.islands.iter().enumerate() {
+            island.validate_island(i as u32, n)?;
         }
         Ok(())
     }
@@ -206,11 +207,11 @@ impl Archipelago {
             .into_iter()
             .enumerate()
             .map(|(i, state)| {
-                let mut island = Population::from_state(state)?;
+                let mut island = Population::from_valid_state(state);
                 island.set_innovation_stride(i as u32, n as u32);
-                Ok(island)
+                island
             })
-            .collect::<Result<Vec<_>, SessionError>>()?;
+            .collect();
         let mut archipelago = Archipelago {
             config,
             seed,
@@ -682,18 +683,29 @@ mod tests {
 
     #[test]
     fn single_island_archipelago_equals_monolithic() {
-        let config = island_config_of(24, 1);
-        let mut mono = Session::builder(config.clone(), 9)
-            .unwrap()
-            .workload(proxy)
-            .build();
-        let mut arch = Archipelago::new(config, 9);
-        for _ in 0..5 {
-            let mono_stats = mono.step();
-            let arch_stats = arch.step(&proxy, 9);
-            assert_eq!(mono_stats, arch_stats);
+        // Serially, then with one 4-worker pool shared by both sides: the
+        // archipelago runs its island as one whole-generation job, while
+        // the population evaluates in chunks and scans species in
+        // parallel (pop 128 also takes the blocked scan).
+        for pool in [None, Some(Arc::new(Executor::new(4)))] {
+            let config = island_config_of(128, 1);
+            let mut mono = Session::builder(config.clone(), 9).unwrap();
+            let mut arch = Archipelago::new(config, 9);
+            if let Some(pool) = &pool {
+                mono = mono.executor(Arc::clone(pool));
+                arch.set_executor(Arc::clone(pool));
+            }
+            let mut mono = mono.workload(proxy).build();
+            for _ in 0..5 {
+                assert_eq!(
+                    mono.step(),
+                    arch.step(&proxy, 9),
+                    "pool: {}",
+                    pool.is_some()
+                );
+            }
+            assert_eq!(mono.genomes(), Backend::genomes(&arch));
         }
-        assert_eq!(mono.genomes(), Backend::genomes(&arch));
     }
 
     #[test]

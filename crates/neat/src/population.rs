@@ -221,6 +221,12 @@ impl Population {
     /// Returns a [`SessionError`] if the state fails validation.
     pub fn from_state(state: EvolutionState) -> Result<Self, SessionError> {
         state.validate()?;
+        Ok(Population::from_valid_state(state))
+    }
+
+    /// [`Population::from_state`] for a state its caller has validated
+    /// (an archipelago validates each island under its own rule).
+    pub(crate) fn from_valid_state(state: EvolutionState) -> Self {
         let EvolutionState {
             config,
             genomes,
@@ -234,7 +240,7 @@ impl Population {
             best_ever,
             workload_state: _,
         } = state;
-        Ok(Population {
+        Population {
             config,
             genomes,
             species: SpeciesSet::from_parts(species, species_next_id),
@@ -249,7 +255,7 @@ impl Population {
             last_champion: None,
             arena: Vec::new(),
             plans: WorkerLocal::new(NetworkPlan::new),
-        })
+        }
     }
 
     /// Restricts this population's fresh hidden-node ids to island

@@ -72,6 +72,7 @@ use crate::config::NeatConfig;
 use crate::error::ConfigError;
 use crate::executor::Executor;
 use crate::genome::Genome;
+use crate::innovation::InnovationTracker;
 use crate::island::{ArchipelagoState, EvolutionBackend};
 use crate::network::{Network, NetworkPlan};
 use crate::population::{Population, RunOutcome};
@@ -252,12 +253,33 @@ pub struct EvolutionState {
 
 impl EvolutionState {
     /// Validates internal consistency (config validity, interface match,
-    /// species membership in range).
+    /// species membership in range, and an innovation counter beyond every
+    /// node id in the genomes, the species representatives and
+    /// `best_ever`, so no structural mutation can hand out an id already
+    /// in use).
     ///
     /// # Errors
     ///
     /// Returns the first violated invariant as a [`SessionError`].
     pub fn validate(&self) -> Result<(), SessionError> {
+        self.validate_structure()?;
+        self.check_innovation_counter(self.innovation_next_node, 1)
+    }
+
+    /// [`EvolutionState::validate`] for island `island` of `islands` in an
+    /// archipelago. The island hands out ids of one residue class only
+    /// ([`crate::InnovationTracker::set_stride`]), so its counter, moved
+    /// into that class, needs to exceed only that class's ids: migrants
+    /// legitimately carry other islands' larger ids.
+    pub(crate) fn validate_island(&self, island: u32, islands: u32) -> Result<(), SessionError> {
+        self.validate_structure()?;
+        let mut tracker = InnovationTracker::new(self.innovation_next_node);
+        tracker.set_stride(self.config.first_hidden_id() + island, islands);
+        self.check_innovation_counter(tracker.next_node_id(), islands)
+    }
+
+    /// Every invariant but the innovation counter's.
+    fn validate_structure(&self) -> Result<(), SessionError> {
         self.config.validate().map_err(SessionError::Config)?;
         if self.genomes.is_empty() {
             return Err(SessionError::EmptyState);
@@ -288,6 +310,35 @@ impl EvolutionState {
                         population: self.genomes.len(),
                     });
                 }
+            }
+        }
+        Ok(())
+    }
+
+    /// Fails if a node id of `counter`'s residue class modulo `stride` in
+    /// the genomes, the species representatives or `best_ever` is not
+    /// below `counter`.
+    fn check_innovation_counter(&self, counter: u32, stride: u32) -> Result<(), SessionError> {
+        let lineage = self
+            .genomes
+            .iter()
+            .chain(self.species.iter().map(|s| &s.representative))
+            .chain(&self.best_ever);
+        for genome in lineage {
+            // Node ids ascend, so a genome whose largest id is below the
+            // counter costs one comparison.
+            if genome.max_node_id() < counter {
+                continue;
+            }
+            let reused = genome
+                .node_genes()
+                .iter()
+                .rev()
+                .map(|n| n.id.0)
+                .take_while(|&id| id >= counter)
+                .find(|&id| (id - counter).is_multiple_of(stride));
+            if let Some(node) = reused {
+                return Err(SessionError::InnovationCounterBehind { counter, node });
             }
         }
         Ok(())
@@ -427,6 +478,15 @@ pub enum SessionError {
     /// A [`RunState`] kind was imported into a backend of the other kind
     /// (e.g. an archipelago checkpoint into a monolithic population).
     BackendMismatch,
+    /// The innovation counter does not exceed a node id the state carries,
+    /// so a later structural mutation would hand that id out again.
+    InnovationCounterBehind {
+        /// The node-id counter (for an island, moved into its residue
+        /// class).
+        counter: u32,
+        /// The node id it fails to exceed.
+        node: u32,
+    },
 }
 
 impl fmt::Display for SessionError {
@@ -457,6 +517,10 @@ impl fmt::Display for SessionError {
             SessionError::BackendMismatch => {
                 write!(f, "state kind does not match the backend kind")
             }
+            SessionError::InnovationCounterBehind { counter, node } => write!(
+                f,
+                "innovation counter {counter} does not exceed node id {node}"
+            ),
         }
     }
 }

@@ -150,6 +150,7 @@ impl ServeError {
                 SessionError::InterfaceMismatch { .. } => 403,
                 SessionError::MemberOutOfRange { .. } => 404,
                 SessionError::BackendMismatch => 405,
+                SessionError::InnovationCounterBehind { .. } => 406,
             },
             ServeError::Io(_) => 500,
             ServeError::Disconnected => 501,
@@ -231,6 +232,11 @@ mod tests {
         assert_eq!(ServeError::UnknownSession(1).code(), 200);
         assert_eq!(ServeError::Snapshot(SnapshotError::BadMagic).code(), 300);
         assert_eq!(ServeError::Session(SessionError::EmptyState).code(), 401);
+        let behind = SessionError::InnovationCounterBehind {
+            counter: 3,
+            node: 55,
+        };
+        assert_eq!(ServeError::Session(behind).code(), 406);
         assert_eq!(ServeError::Io(String::new()).code(), 500);
         assert_eq!(ServeError::TooManyConnections { cap: 256 }.code(), 502);
         let remote = ServeError::Remote {

@@ -34,8 +34,8 @@
 //! by its own `(seed, generation, index)` triples, so scheduling
 //! interleave, eviction, rehydration and worker count all leave a
 //! session's trajectory bit-identical to a direct
-//! [`Session`](genesys_neat::Session) run. `serve_loadtest` and the CI
-//! smoke job assert exactly that, byte-for-byte over checkpoint images.
+//! [`Session`](genesys_neat::Session) run. `tests/serve_eviction.rs`
+//! asserts exactly that, byte-for-byte over checkpoint images.
 //!
 //! # In-process quickstart
 //!

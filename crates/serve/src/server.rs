@@ -32,8 +32,8 @@
 //! image and dropped from RAM. Rehydration rebuilds the session from the
 //! image via `Session::resume`; because snapshots capture the complete
 //! evolution state, an evict/rehydrate cycle is **bit-identical** to
-//! never having evicted (asserted by `tests/serve_eviction.rs` and the
-//! CI smoke job). Checkpoint requests against evicted sessions are
+//! never having evicted (asserted by `tests/serve_eviction.rs`).
+//! Checkpoint requests against evicted sessions are
 //! served straight from the spill file without rehydrating.
 
 use crate::error::ServeError;

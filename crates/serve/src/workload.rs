@@ -7,8 +7,8 @@
 //! honours the determinism contract (`genesys_neat::session`): every
 //! random choice derives from the [`EvalContext`], so a server-mediated
 //! run is bit-identical to a direct [`genesys_neat::Session`] run with
-//! the same spec, seed and config — the property the CI smoke job and
-//! `serve_loadtest` assert byte-for-byte.
+//! the same spec, seed and config — the property `tests/serve_eviction.rs`
+//! asserts byte-for-byte.
 
 use crate::error::{FrameError, ServeError};
 use crate::protocol::{Reader, Writer};
@@ -22,8 +22,8 @@ use genesys_neat::{
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WorkloadSpec {
     /// A synthetic closed-form fitness: cheap, allocation-light, fully
-    /// deterministic — the load-test workload (`serve_loadtest` drives
-    /// hundreds of sessions of it).
+    /// deterministic — the load-test workload (perfbench's serve-zipf
+    /// drives a thousand sessions of it).
     Synthetic,
     /// Episode rollouts in one of the Table I environments
     /// (`EpisodeEvaluator`).

@@ -5,10 +5,14 @@
 //! generations: the fitness history, species assignments and genome bytes
 //! must be identical to an uninterrupted G+N run — at 1 and 4 workers, on
 //! CartPole and on the nonstationary drift environment, and across
-//! *different* worker counts before and after the power cycle.
+//! *different* worker counts before and after the power cycle. A
+//! checkpoint whose innovation counter was rewound below an id it carries
+//! is rejected at decode, validation and resume, served or not.
 
 use genesys::gym::{DriftingEvaluator, EnvKind, EpisodeEvaluator};
-use genesys::neat::{Evaluator, NeatConfig, RunState, Session};
+use genesys::neat::{EvalContext, Evaluator, NeatConfig, Network, RunState, Session, SessionError};
+use genesys::serve::{Reply, Request, Server, ServerConfig, WorkloadSpec};
+use genesys::soc::snapshot::SnapshotError;
 use genesys::soc::{encode_population, snapshot_from_bytes, snapshot_to_bytes};
 
 const G: usize = 3;
@@ -235,4 +239,139 @@ fn megapopulation_resume_is_bit_identical_through_population_lanes() {
         4,
         "megapop w1->w4",
     );
+}
+
+fn xor(_: EvalContext, net: &Network) -> f64 {
+    let cases = [
+        ([0.0, 0.0], 0.0),
+        ([0.0, 1.0], 1.0),
+        ([1.0, 0.0], 1.0),
+        ([1.0, 1.0], 0.0),
+    ];
+    4.0 - cases
+        .iter()
+        .map(|(x, y)| (net.activate(x)[0] - y).powi(2))
+        .sum::<f64>()
+}
+
+/// Five generations of XOR with a node added to most children, so the
+/// genomes carry hidden node ids far past the first one.
+fn xor_state(islands: usize) -> RunState {
+    let config = NeatConfig::builder(2, 1)
+        .pop_size(64)
+        .node_add_prob(0.9)
+        .islands(islands)
+        .migration_interval(2)
+        .build()
+        .unwrap();
+    let mut session = Session::builder(config, 7).unwrap().workload(xor).build();
+    for _ in 0..5 {
+        session.step();
+    }
+    session.export_state()
+}
+
+/// [`xor_state`] with its innovation counter rewound to the first hidden
+/// id. Resumed, the first node addition would hand out an id already in
+/// use and build a cyclic genome, panicking the evaluation of the next
+/// step.
+fn rewound_xor_state() -> RunState {
+    let mut state = xor_state(1);
+    let RunState::Monolithic(s) = &mut state else {
+        unreachable!("one island is the monolithic backend")
+    };
+    let first_hidden = s.config.first_hidden_id();
+    assert!(
+        s.genomes.iter().any(|g| g.max_node_id() >= first_hidden),
+        "the run added hidden nodes"
+    );
+    s.innovation_next_node = first_hidden;
+    state
+}
+
+/// Asserts that `state` fails validation with `counter`, and that
+/// `Session::resume` and the snapshot decoder reject it too.
+fn assert_rejected_at_every_entry_point(state: RunState, counter: u32) {
+    let error = state.validate().expect_err("a rewound counter is invalid");
+    assert!(
+        matches!(error, SessionError::InnovationCounterBehind { counter: c, node } if c == counter && node >= c),
+        "{error:?}"
+    );
+    assert_eq!(Session::resume(state.clone()).err(), Some(error));
+    let image = snapshot_to_bytes(&state).expect("the encoder does not validate");
+    assert!(matches!(
+        snapshot_from_bytes(&image),
+        Err(SnapshotError::InvalidState(_))
+    ));
+}
+
+#[test]
+fn a_rewound_innovation_counter_is_rejected_at_every_entry_point() {
+    assert_rejected_at_every_entry_point(rewound_xor_state(), 3);
+}
+
+#[test]
+fn an_island_counter_is_checked_in_its_own_residue_class_only() {
+    let mut state = xor_state(2);
+    state.validate().expect("an evolved archipelago is valid");
+    let RunState::Archipelago(a) = &mut state else {
+        unreachable!("two islands")
+    };
+    // Hand island 0's newest genome to island 1, as a migration may: its
+    // ids outrun island 1's counter but lie in island 0's residue class.
+    let migrant = a.islands[0]
+        .genomes
+        .iter()
+        .max_by_key(|g| g.max_node_id())
+        .unwrap()
+        .clone();
+    assert!(migrant.max_node_id() >= a.islands[1].innovation_next_node);
+    a.islands[1].genomes[0] = migrant;
+    assert!(
+        a.islands[1].validate().is_err(),
+        "the monolithic rule rejects the island"
+    );
+    state
+        .validate()
+        .expect("the island rule accepts the migrant");
+
+    // Island 1 of 2 hands out 4, 6, 8, …: rewound to 3, its counter moves
+    // into class as `set_stride` would, to 4, an id it has handed out.
+    let RunState::Archipelago(a) = &mut state else {
+        unreachable!("two islands")
+    };
+    a.islands[1].innovation_next_node = 3;
+    assert_rejected_at_every_entry_point(state, 4);
+}
+
+#[test]
+fn a_served_resume_of_a_rewound_image_fails_and_other_tenants_keep_stepping() {
+    let dir = std::env::temp_dir().join(format!("genesys-rewound-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let server = Server::start(ServerConfig::new(&dir)).unwrap();
+    let client = server.client();
+    let Reply::Submitted { session, .. } = client
+        .call(Request::Submit {
+            seed: 11,
+            workload: WorkloadSpec::Synthetic,
+            config: Box::new(NeatConfig::builder(3, 2).pop_size(10).build().unwrap()),
+        })
+        .unwrap()
+    else {
+        panic!("expected Submitted")
+    };
+    let rejected = client
+        .call(Request::Resume {
+            workload: WorkloadSpec::Synthetic,
+            snapshot: snapshot_to_bytes(&rewound_xor_state()).unwrap(),
+        })
+        .expect_err("the image fails snapshot validation");
+    assert_eq!(rejected.code(), 308, "{rejected}");
+    let stepped = client.call(Request::Step {
+        session,
+        generations: 2,
+    });
+    assert!(matches!(stepped, Ok(Reply::Stepped { .. })), "{stepped:?}");
+    drop(server);
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -172,6 +172,8 @@ proptest! {
         )
         .unwrap();
         state.best_ever = Some(forged.clone());
+        // A consistent state's counter exceeds every id it carries.
+        state.innovation_next_node = id + 1;
         let wrapped = RunState::Monolithic(Box::new(state.clone()));
         let words = encode_snapshot(&wrapped).expect("31-bit ids encode");
         prop_assert_eq!(decode_snapshot(&words).unwrap(), wrapped);
