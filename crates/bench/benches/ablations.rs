@@ -1,4 +1,4 @@
-//! Ablation benches for the design choices called out in `DESIGN.md` §5:
+//! Ablation benches for two of EvE's design choices:
 //! GLR-aware greedy PE allocation vs round-robin, and the multicast tree
 //! vs point-to-point buses, measured as modelled SRAM reads (reported via
 //! custom criterion measurement of the replay work).
@@ -50,7 +50,8 @@ fn bench_alloc_policy(c: &mut Criterion) {
     group.finish();
 
     // Print the modelled SRAM-read ablation once (criterion measures time;
-    // the architectural win is reads, reported here for EXPERIMENTS.md).
+    // the architectural win is reads, so they are printed beside the
+    // timings).
     for policy in [AllocPolicy::Greedy, AllocPolicy::RoundRobin] {
         let schedule = allocate_pes(&plans, 64, policy);
         let mut engine = EveEngine::new(64, pe_config.clone(), NocKind::MulticastTree, 5);

@@ -1,15 +1,15 @@
 //! Megapopulation hot paths at `--pop 10_000` scale: the geometric-skip
 //! attribute-mutation sweep (O(mutations) instead of O(genes)), capped
 //! speciation through the blocked columnar scan, population packing into
-//! a [`PopulationArena`], and the lockstep population-lane activation
-//! kernel against the scalar one. These are the paths the megapopulation
-//! refactor exists for; the bench-regression gate keeps them from quietly
-//! sliding back to per-gene costs.
+//! a [`PopulationArena`], and the lockstep population lanes
+//! ([`LaneNetworks`]) against the scalar activation. These are the paths
+//! the megapopulation refactor exists for; the bench-regression gate keeps
+//! them from quietly sliding back to per-gene costs.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use genesys_neat::trace::OpCounters;
 use genesys_neat::{
-    Genome, InnovationTracker, LaneScratch, NeatConfig, Network, PopulationArena, Scratch,
+    Genome, InnovationTracker, LaneNetworks, NeatConfig, Network, PopulationArena, Scratch,
     SpeciesSet, XorWow, LANES,
 };
 
@@ -87,9 +87,9 @@ fn bench_megapop(c: &mut Criterion) {
         });
     });
 
-    // One policy net evaluated POP times: scalar kernel vs the lockstep
-    // lane kernel at 16 lanes. Identical arithmetic per lane, so min times
-    // are directly comparable.
+    // One policy net evaluated POP times: scalar activation vs the
+    // lockstep lanes at 16 lanes. Identical arithmetic per lane, so min
+    // times are directly comparable.
     let net = evolved_net();
     let obs: Vec<f64> = (0..POP * 4).map(|i| (i % 97) as f64 / 97.0).collect();
 
@@ -107,16 +107,22 @@ fn bench_megapop(c: &mut Criterion) {
     });
 
     group.bench_with_input(BenchmarkId::new("activate_lanes16", POP), &POP, |b, _| {
-        let mut scratch = LaneScratch::new();
-        let nets = [&net; LANES];
-        let mut outputs = [0.0f64; LANES];
+        // The same net in every lane, loaded once, as a lane stepper loads
+        // each genome once for its whole episode.
+        let mut lanes = LaneNetworks::new();
+        for l in 0..LANES {
+            lanes.load(l, &net);
+        }
         b.iter(|| {
             let mut acc = 0.0;
-            // The observations lie lane after lane, as the kernel reads
-            // them: one call per 16 consecutive observations.
+            // One activation per 16 consecutive observations, each written
+            // into its lane's input slots.
             for inputs in obs.chunks_exact(4 * LANES) {
-                Network::activate_lanes_into(&nets, &mut scratch, inputs, &mut outputs);
-                acc += outputs.iter().sum::<f64>();
+                for (l, input) in inputs.chunks_exact(4).enumerate() {
+                    lanes.input_slots(l).copy_from_slice(input);
+                }
+                lanes.activate(LANES);
+                acc += (0..LANES).map(|l| lanes.output(l, 0)).sum::<f64>();
             }
             acc
         });

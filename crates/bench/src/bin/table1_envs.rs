@@ -34,5 +34,5 @@ fn main() {
         &rows,
     );
     println!("\nAll interfaces match Table I of the paper (Atari games are");
-    println!("synthetic RAM machines; see DESIGN.md §4 for the substitution).");
+    println!("synthetic RAM machines; see genesys_gym::atari_ram for the substitution).");
 }

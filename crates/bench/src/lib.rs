@@ -1,8 +1,10 @@
 //! # genesys-bench — the experiment harness
 //!
 //! Shared machinery for the binaries that regenerate every table and
-//! figure of the GeneSys evaluation (see `DESIGN.md` §3 for the index and
-//! `EXPERIMENTS.md` for paper-vs-measured records).
+//! figure of the GeneSys evaluation: one bin per table or figure in
+//! `src/bin/`, named after it (`table1_envs`, `fig04_evolution` …
+//! `fig11_design_space`), plus the `ablation_quantization` and
+//! `ext_power_gating` studies.
 //!
 //! The central artifact is a [`WorkloadRun`]: an actual multi-generation
 //! run of `genesys-neat` on one Table I environment, with the measured op

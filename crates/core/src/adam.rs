@@ -287,7 +287,7 @@ mod tests {
 
     #[test]
     fn packed_schedule_beats_naive_per_vertex() {
-        // The DESIGN.md §5 "ADAM packing" ablation: packing wavefronts into
+        // The "ADAM packing" ablation: packing wavefronts into
         // matrix-vector products must not be slower, and wins utilization.
         for extra in [0usize, 4, 10] {
             let (g, _) = genome_with_structure(extra);

@@ -212,7 +212,7 @@ pub fn replay_trace(
 }
 
 /// [`replay_trace`] with an explicit PE allocation policy (the greedy vs
-/// round-robin ablation of `DESIGN.md` §5).
+/// round-robin ablation that `genesys_bench`'s `ablations` bench runs).
 #[allow(clippy::too_many_arguments)]
 pub fn replay_trace_with_policy(
     trace: &GenerationTrace,

@@ -72,7 +72,8 @@ pub fn select_parents(
         .collect()
 }
 
-/// PE assignment policy — an ablation axis (DESIGN.md §5).
+/// PE assignment policy — an ablation axis (`genesys_bench`'s `ablations`
+/// bench compares the two).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum AllocPolicy {
     /// The paper's policy: group children sharing parents into the same

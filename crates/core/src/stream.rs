@@ -114,7 +114,7 @@ pub struct MergeReport {
     /// Connection genes dropped because an endpoint was missing.
     pub dropped_dangling: usize,
     /// Connection genes dropped because they would have made the graph
-    /// cyclic (feed-forward repair; see `DESIGN.md` §4).
+    /// cyclic (feed-forward repair; see [`merge_child`]).
     pub dropped_cyclic: usize,
     /// Genes dropped as duplicates of an earlier key.
     pub dropped_duplicates: usize,
@@ -127,7 +127,9 @@ pub struct MergeReport {
 /// the right order when put together in memory". On top of ordering, this
 /// model performs the validity repairs the paper assigns to the
 /// merge/CPU path: duplicate keys, dangling connections and — a deviation
-/// documented in `DESIGN.md` — cycle-creating additions are dropped.
+/// from the paper, so that every child stays the feed-forward graph
+/// `genesys_neat::Network` compiles — cycle-creating additions are
+/// dropped.
 ///
 /// # Errors
 ///

@@ -7,7 +7,7 @@
 //! state is packed into a 128-byte RAM exposed as the observation. This
 //! preserves exactly what the hardware study consumes — 128-input genomes
 //! (the ~110–120 k gene regime of Fig 4(b)), score-based fitness, and long
-//! episodes — per the substitution table in `DESIGN.md`.
+//! episodes.
 //!
 //! Four games mirror the paper's suite: [`AirRaid`], [`Alien`], [`Amidar`]
 //! and [`Asterix`].

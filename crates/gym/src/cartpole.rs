@@ -8,7 +8,7 @@
 use crate::env::{binary_action, ActionKind, Environment};
 use crate::episode_seed;
 use genesys_neat::{
-    EvalContext, Evaluation, Genome, LaneScratch, Network, NetworkPlan, XorWow, LANES,
+    EvalContext, Evaluation, Genome, LaneNetworks, Network, NetworkPlan, XorWow, LANES,
 };
 
 const GRAVITY: f64 = 9.8;
@@ -166,32 +166,33 @@ impl Lane {
 
 /// The CartPole lane stepper: evaluates a run of genomes with up to
 /// [`LANES`] of them stepping their episodes in lockstep, each lane a
-/// different genome with its own network plan and episode.
+/// different genome with its own network program and episode.
 ///
-/// Every step runs in three phases over the live lanes: the lockstep
-/// network kernel ([`Network::activate_lanes_into`]), every lane's
-/// `sin_cos θ`, then [`dynamics`] on the SoA lane state. Both `sin_cos`
-/// halves come from one libm `sincos` call per lane, the call the scalar
+/// A lane that starts a genome compiles it and loads the compiled
+/// program into its [`LaneNetworks`] lane. Every step then runs in three
+/// phases over the live lanes: each lane's state written straight into
+/// its input slots and the lane programs activated rank by rank
+/// ([`LaneNetworks::activate`]), every lane's `sin_cos θ`, then
+/// [`dynamics`] on the SoA lane state. Both `sin_cos` halves come from one
+/// libm `sincos` call per lane, the call the scalar
 /// [`CartPole::step_into`] compiles to as well; separate `cos` and `sin`
 /// phases would cost two calls per lane.
 ///
 /// A lane whose episode ends starts its genome's next episode (a reset of
 /// the same env) or, once the genome's episodes are done, refills with
 /// the run's next genome; lanes left without work are swapped out of the
-/// live prefix. Each lane's trajectory is the scalar loop's
-/// (`episode_into` over `CartPole::step_into`) bit for bit, so every
-/// genome's [`Evaluation`] equals `EpisodeEvaluator::evaluate`'s.
+/// live prefix, network program and state alike. Each lane's trajectory
+/// is the scalar loop's (`episode_into` over `CartPole::step_into`) bit
+/// for bit, so every genome's [`Evaluation`] equals
+/// `EpisodeEvaluator::evaluate`'s.
 #[derive(Debug)]
 pub(crate) struct Lanes {
-    /// One compile buffer per lane.
+    /// One compile buffer per lane position, so that a repeated run
+    /// compiles the same genomes into the same plans. Compaction swaps
+    /// the lane programs, not these.
     plans: Vec<NetworkPlan>,
-    /// `plans` index of each lane. Compaction swaps these, not the plans,
-    /// and every run starts from the identity, so the same run compiles
-    /// the same genomes into the same plans (and, once warm, allocates
-    /// nothing).
-    plan_of: [usize; LANES],
+    nets: LaneNetworks,
     lanes: Vec<Lane>,
-    scratch: LaneScratch,
     x: [f64; LANES],
     x_dot: [f64; LANES],
     theta: [f64; LANES],
@@ -203,18 +204,14 @@ pub(crate) struct Lanes {
     done: [bool; LANES],
     cos: [f64; LANES],
     sin: [f64; LANES],
-    /// Observations, lane after lane (the kernel's input layout).
-    inputs: [f64; 4 * LANES],
-    outputs: [f64; LANES],
 }
 
 impl Lanes {
     pub(crate) fn new() -> Lanes {
         Lanes {
             plans: (0..LANES).map(|_| NetworkPlan::new()).collect(),
-            plan_of: std::array::from_fn(|l| l),
+            nets: LaneNetworks::new(),
             lanes: vec![Lane::new(0, 0); LANES],
-            scratch: LaneScratch::new(),
             x: [0.0; LANES],
             x_dot: [0.0; LANES],
             theta: [0.0; LANES],
@@ -224,8 +221,6 @@ impl Lanes {
             done: [false; LANES],
             cos: [0.0; LANES],
             sin: [0.0; LANES],
-            inputs: [0.0; 4 * LANES],
-            outputs: [0.0; LANES],
         }
     }
 
@@ -244,7 +239,6 @@ impl Lanes {
         out: &mut [Evaluation],
     ) {
         assert_eq!(genomes.len(), out.len(), "one output slot per genome");
-        self.plan_of = std::array::from_fn(|l| l);
         let mut next = 0;
         let mut live = 0;
         while live < LANES && next < genomes.len() {
@@ -298,8 +292,14 @@ impl Lanes {
     /// episode: the env's constructor resets once, then the episode's
     /// reset, as in `episode_rollout_with`.
     fn start(&mut self, l: usize, k: usize, genome: &Genome, first: EvalContext) {
-        Network::compile_into(&mut self.plans[self.plan_of[l]], genome)
-            .expect("population genomes are valid");
+        let plan = &mut self.plans[l];
+        Network::compile_into(plan, genome).expect("population genomes are valid");
+        let net = plan.network();
+        assert!(
+            net.num_inputs() == 4 && net.num_outputs() == 1,
+            "CartPole lanes take genomes of 4 inputs and 1 output"
+        );
+        self.nets.load(l, net);
         let index = first.index + k as u64;
         self.lanes[l] = Lane::new(k, episode_seed(first.base_seed, first.generation, index));
         self.reset(l);
@@ -316,26 +316,19 @@ impl Lanes {
     }
 
     /// One step of lanes `0..live`, phase by phase across the lanes: the
-    /// network kernel, every lane's `sin_cos`, then the dynamics.
+    /// lane programs, every lane's `sin_cos`, then the dynamics.
     fn step(&mut self, live: usize) {
         // Lets the compiler drop the per-lane bounds checks below.
         assert!(live <= LANES);
         for l in 0..live {
-            self.inputs[4 * l..4 * l + 4].copy_from_slice(&[
+            self.nets.input_slots(l).copy_from_slice(&[
                 self.x[l],
                 self.x_dot[l],
                 self.theta[l],
                 self.theta_dot[l],
             ]);
         }
-        let nets: [&Network; LANES] =
-            std::array::from_fn(|l| self.plans[self.plan_of[l]].network());
-        Network::activate_lanes_into(
-            &nets[..live],
-            &mut self.scratch,
-            &self.inputs[..4 * live],
-            &mut self.outputs[..live],
-        );
+        self.nets.activate(live);
         for l in 0..live {
             (self.sin[l], self.cos[l]) = self.theta[l].sin_cos();
         }
@@ -344,7 +337,7 @@ impl Lanes {
             let state = [self.x[l], self.x_dot[l], self.theta[l], self.theta_dot[l]];
             let (next, done) = dynamics(
                 state,
-                self.outputs[l],
+                self.nets.output(l, 0),
                 self.cos[l],
                 self.sin[l],
                 self.steps[l],
@@ -355,9 +348,9 @@ impl Lanes {
         }
     }
 
-    /// Exchanges lanes `a` and `b`, plans and state alike.
+    /// Exchanges lanes `a` and `b`, network programs and state alike.
     fn swap(&mut self, a: usize, b: usize) {
-        self.plan_of.swap(a, b);
+        self.nets.swap(a, b);
         self.lanes.swap(a, b);
         for column in [
             &mut self.x,

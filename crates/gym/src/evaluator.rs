@@ -30,13 +30,15 @@ use genesys_neat::{
 /// For [`EnvKind::CartPole`], runs of genomes handed to
 /// [`Evaluator::evaluate_genomes`] go through a lane stepper: up to 16
 /// genomes step their episodes in lockstep, each lane with its own network
-/// plan and episode, and a lane refills with the run's next genome when
-/// its genome's episodes are done. The contract is bit-identity: every
+/// program (a lane of `genesys_neat::LaneNetworks`, loaded once per
+/// genome) and episode, and a lane refills with the run's next genome
+/// when its genome's episodes are done. The contract is bit-identity: every
 /// genome gets exactly the [`Evaluation`] that [`Evaluator::evaluate`]
 /// gives it (same initial state — the env constructor's reset, then the
 /// episode's — same reward sum and step count, same per-episode resets of
 /// one env when `episodes > 1`, same `total / episodes`). Lane buffers
-/// (plans, SoA state) are pooled per worker like the rollout scratch.
+/// (compile plans, lane programs, SoA state) are pooled per worker like
+/// the rollout scratch.
 /// Other kinds evaluate genome by genome.
 #[derive(Debug)]
 pub struct EpisodeEvaluator {

@@ -12,8 +12,8 @@
 //! | Atari-RAM ([`atari_ram`]) | 128 bytes | 1 integer (button) |
 //!
 //! Classic-control dynamics are bit-faithful to OpenAI gym; the Box2D and
-//! Atari workloads are reduced-order substitutes documented in
-//! `DESIGN.md` §4.
+//! Atari workloads are reduced-order substitutes, each documented in its
+//! module ([`bipedal`], [`lunar_lander`], [`atari_ram`]).
 //!
 //! Every environment implements the buffer-writing primitives
 //! [`Environment::reset_into`] / [`Environment::step_into`], and the
@@ -37,10 +37,12 @@
 //! A session hands its workload each generation's genomes in contiguous
 //! runs (`Evaluator::evaluate_genomes`). For [`EnvKind::CartPole`] (any
 //! episode count), [`EpisodeEvaluator`] steps the run's genomes in 16
-//! lockstep lanes, each lane a *different* genome with its own network
-//! plan and episode, refilled from the run as episodes end: the lockstep
-//! network kernel (`Network::activate_lanes_into`), then
-//! every lane's `sin_cos`, then the shared CartPole dynamics on SoA lane
+//! lockstep lanes, each lane a *different* genome with its own episode,
+//! refilled from the run as episodes end. A lane that takes a genome
+//! loads its compiled program into `genesys_neat::LaneNetworks` once.
+//! Every step then writes each lane's state straight into that lane's
+//! input slots, activates the lane programs rank by rank, runs every
+//! lane's `sin_cos`, then the shared CartPole dynamics on SoA lane
 //! state. Every lane's trajectory — initial state, reward sum, step count,
 //! per-episode resets — is the scalar [`episode_into`] loop's bit for bit,
 //! so fitness, step counts and whole session trajectories equal those of

@@ -108,9 +108,9 @@ impl ArchipelagoState {
             return Err(SessionError::EmptyState);
         }
         if self.islands.len() != self.config.islands {
-            return Err(SessionError::PopulationSizeMismatch {
+            return Err(SessionError::IslandCountMismatch {
                 config: self.config.islands,
-                genomes: self.islands.len(),
+                islands: self.islands.len(),
             });
         }
         let total: usize = self.islands.iter().map(|s| s.genomes.len()).sum();
@@ -828,10 +828,13 @@ mod tests {
 
         let mut missing = good.clone();
         missing.islands.pop();
-        assert!(matches!(
+        assert_eq!(
             missing.validate(),
-            Err(SessionError::PopulationSizeMismatch { .. })
-        ));
+            Err(SessionError::IslandCountMismatch {
+                config: 3,
+                islands: 2
+            })
+        );
 
         let mut short = good.clone();
         short.islands[0].genomes.pop();

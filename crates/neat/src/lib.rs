@@ -97,7 +97,7 @@ pub use genome::Genome;
 pub use hyperneat::{HyperNeat, Substrate};
 pub use innovation::{InnovationSource, InnovationTracker, SplitRecorder};
 pub use island::{island_seed, Archipelago, ArchipelagoState, EvolutionBackend};
-pub use network::{LaneScratch, Network, NetworkPlan, Scratch, LANES};
+pub use network::{LaneNetworks, Network, NetworkPlan, Scratch, LANES};
 pub use population::{Population, RunOutcome, RunResult};
 pub use reproduction::{ChildKind, ChildPlan, ReproductionReport};
 pub use rng::XorWow;

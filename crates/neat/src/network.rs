@@ -42,8 +42,8 @@
 //!   zero across calls.
 //! - **Non-input slots** are each written in their wavefront before any
 //!   later wavefront reads them, so a stale value from an earlier call or
-//!   a wider network is never read. [`Network::activate_lanes_into`]
-//!   relies on the same fact.
+//!   a wider network is never read. [`LaneNetworks`] relies on the same
+//!   fact for its per-lane value slots.
 //!
 //! [`Network::activate_into`] copies a caller's observation into the
 //! input slots and then runs the same loop. The numerics are
@@ -57,12 +57,15 @@
 //!
 //! # Lockstep lanes
 //!
-//! [`Network::activate_lanes_into`] evaluates up to [`LANES`] networks of
-//! *different* topologies at once (a population's genomes, one
-//! observation each), wavefront by wavefront across the lanes. It shares
-//! the aggregation fold with [`Network::activate_in_place`], allocates
-//! nothing in steady state (caller-owned [`LaneScratch`]) and is
-//! bit-identical to it on every lane.
+//! [`LaneNetworks`] evaluates up to [`LANES`] networks of *different*
+//! topologies at once (a population's genomes, one observation each).
+//! Each lane holds a flat program copied from its compiled [`Network`]
+//! once, when the lane takes a genome: one record per node (slot, edge
+//! range, bias, response, activation, aggregation), the lane's edges, its
+//! value slots and its output slots. Evaluation walks the lanes rank by
+//! rank — node `r` of every lane, then node `r + 1` — with the aggregation
+//! fold [`Network::activate_in_place`] uses, so every lane is
+//! bit-identical to it. Once its records have grown, it allocates nothing.
 
 use crate::activation::Activation;
 use crate::aggregation::Aggregation;
@@ -116,26 +119,206 @@ impl Scratch {
     }
 }
 
-/// Most networks one [`Network::activate_lanes_into`] call evaluates.
+/// Most networks one [`LaneNetworks`] evaluates at once.
 pub const LANES: usize = 16;
 
-/// Reusable workspace for [`Network::activate_lanes_into`], with the
-/// ownership rules of [`Scratch`]: reuse it across calls, lane counts and
-/// networks of any size; never share it between concurrent evaluations;
-/// its contents carry no information between calls.
+/// One compiled node of a lane program: [`Network`]'s per-node plan
+/// arrays gathered into one record.
+#[derive(Debug, Clone, Copy)]
+struct LaneNode {
+    /// Value slot the node writes.
+    slot: usize,
+    /// The node's edges are `edges[start..end]` of its lane program.
+    start: usize,
+    end: usize,
+    bias: f64,
+    response: f64,
+    activation: Activation,
+    aggregation: Aggregation,
+}
+
+/// One lane's flat program, copied from a compiled [`Network`].
 #[derive(Debug, Clone, Default)]
-pub struct LaneScratch {
-    /// Every lane's value slots, lane after lane.
+struct LaneProgram {
+    num_inputs: usize,
+    /// Node records in [`Network::activate_in_place`]'s order.
+    nodes: Vec<LaneNode>,
+    /// `(source value slot, weight)` edges, node after node.
+    edges: Vec<(usize, f64)>,
+    /// Value slots; input `i` is slot `i`.
     values: Vec<f64>,
+    output_slots: Vec<usize>,
+}
+
+/// Up to [`LANES`] networks evaluated in lockstep, one observation each.
+///
+/// [`LaneNetworks::load`] copies a compiled network into a lane's flat
+/// program; the caller then writes each observation into the lane's
+/// input slots ([`LaneNetworks::input_slots`]), runs
+/// [`LaneNetworks::activate`] over the live lanes and reads
+/// [`LaneNetworks::output`]. [`LaneNetworks::swap`] exchanges two lanes'
+/// programs, value slots included, so a caller can compact its live
+/// lanes into a prefix. Lanes may differ in topology and in interface.
+///
+/// Activation walks the live lanes rank by rank: node `r` of lane 0, of
+/// lane 1, …, then node `r + 1`. A lane's node waits on its earlier nodes
+/// (fold, then the activation's `exp`), but the lanes of one rank are
+/// independent, so the core overlaps their chains instead of running one
+/// network's chain end to end. Each lane evaluates its nodes in
+/// [`Network::activate_in_place`]'s order with the same fold, so every
+/// lane is **bit-identical** to it on the same observation.
+///
+/// # Ownership rules
+///
+/// Those of [`Scratch`]: reuse one instance across calls, lane counts and
+/// networks of any size; never share it between concurrent evaluations.
+/// The value slots are never zero-filled: input slots hold what the
+/// caller last wrote, and every other slot is written before it is read.
+/// Every lane's record is reserved to the largest node, edge, slot and
+/// output counts any lane has held, so once each network of a run has
+/// been loaded, loading them again — into any lane, after any swaps —
+/// allocates nothing.
+#[derive(Debug, Clone)]
+pub struct LaneNetworks {
+    lanes: [LaneProgram; LANES],
+    /// The largest node, edge, slot and output counts any lane has held.
+    capacity: [usize; 4],
     /// Sort buffer for [`Aggregation::Median`] nodes.
     sorted: Vec<f64>,
 }
 
-impl LaneScratch {
-    /// Creates an empty workspace (buffers grow on first use).
-    pub fn new() -> LaneScratch {
-        LaneScratch::default()
+impl Default for LaneNetworks {
+    fn default() -> LaneNetworks {
+        LaneNetworks::new()
     }
+}
+
+impl LaneNetworks {
+    /// Creates empty lanes (records grow on first load).
+    pub fn new() -> LaneNetworks {
+        LaneNetworks {
+            lanes: std::array::from_fn(|_| LaneProgram::default()),
+            capacity: [0; 4],
+            sorted: Vec::new(),
+        }
+    }
+
+    /// Copies `net`'s compiled program into lane `lane`, replacing what
+    /// the lane held. The lane's input slots are left as they were, or
+    /// zero where the lane had fewer slots.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lane >= LANES`.
+    pub fn load(&mut self, lane: usize, net: &Network) {
+        let counts = [
+            net.slots.len(),
+            net.edges.len(),
+            net.total_slots,
+            net.output_slots.len(),
+        ];
+        if counts.iter().zip(&self.capacity).any(|(n, c)| n > c) {
+            for (c, n) in self.capacity.iter_mut().zip(counts) {
+                *c = (*c).max(n);
+            }
+            let [nodes, edges, slots, outputs] = self.capacity;
+            for program in &mut self.lanes {
+                reserve_total(&mut program.nodes, nodes);
+                reserve_total(&mut program.edges, edges);
+                reserve_total(&mut program.values, slots);
+                reserve_total(&mut program.output_slots, outputs);
+            }
+        }
+        let program = &mut self.lanes[lane];
+        program.num_inputs = net.num_inputs;
+        program.nodes.clear();
+        program.nodes.extend((0..net.slots.len()).map(|i| LaneNode {
+            slot: net.slots[i],
+            start: net.edge_offsets[i],
+            end: net.edge_offsets[i + 1],
+            bias: net.biases[i],
+            response: net.responses[i],
+            activation: net.activations[i],
+            aggregation: net.aggregations[i],
+        }));
+        program.edges.clear();
+        program.edges.extend_from_slice(&net.edges);
+        program.values.resize(net.total_slots, 0.0);
+        program.output_slots.clear();
+        program.output_slots.extend_from_slice(&net.output_slots);
+    }
+
+    /// Lane `lane`'s input slots, for the caller to write an observation
+    /// into before [`LaneNetworks::activate`]. Evaluation never writes
+    /// them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lane >= LANES`.
+    pub fn input_slots(&mut self, lane: usize) -> &mut [f64] {
+        let program = &mut self.lanes[lane];
+        &mut program.values[..program.num_inputs]
+    }
+
+    /// Evaluates lanes `0..live` on the observations in their input
+    /// slots, rank by rank (see the type docs). A lane that never held a
+    /// network evaluates nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `live > LANES`.
+    pub fn activate(&mut self, live: usize) {
+        let LaneNetworks { lanes, sorted, .. } = self;
+        let lanes = &mut lanes[..live];
+        let depth = lanes.iter().map(|p| p.nodes.len()).max().unwrap_or(0);
+        for r in 0..depth {
+            for LaneProgram {
+                nodes,
+                edges,
+                values,
+                ..
+            } in lanes.iter_mut()
+            {
+                // A lane's nodes run in `activate_in_place`'s order, so each
+                // non-input slot is written before a later node reads it.
+                if let Some(&node) = nodes.get(r) {
+                    let agg = fold(
+                        node.aggregation,
+                        &edges[node.start..node.end],
+                        values,
+                        sorted,
+                    );
+                    values[node.slot] = node.activation.apply(node.bias + node.response * agg);
+                }
+            }
+        }
+    }
+
+    /// Output `o` (in output-id order) of lane `lane` after
+    /// [`LaneNetworks::activate`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lane >= LANES` or `o` is not below the lane's output
+    /// count.
+    pub fn output(&self, lane: usize, o: usize) -> f64 {
+        let program = &self.lanes[lane];
+        program.values[program.output_slots[o]]
+    }
+
+    /// Exchanges lanes `a` and `b`: programs and value slots alike.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `a` or `b` is not below [`LANES`].
+    pub fn swap(&mut self, a: usize, b: usize) {
+        self.lanes.swap(a, b);
+    }
+}
+
+/// Grows `v`'s capacity to at least `total` elements.
+fn reserve_total<T>(v: &mut Vec<T>, total: usize) {
+    v.reserve(total.saturating_sub(v.len()));
 }
 
 /// Reusable compilation workspace for [`Network::compile_into`]: a
@@ -457,7 +640,8 @@ impl Network {
         // Each non-input slot is written in its wavefront before a later
         // wavefront reads it, so stale contents are never read.
         for i in 0..self.slots.len() {
-            let agg = self.fold(i, values, sorted);
+            let edges = &self.edges[self.edge_offsets[i]..self.edge_offsets[i + 1]];
+            let agg = fold(self.aggregations[i], edges, values, sorted);
             values[self.slots[i]] =
                 self.activations[i].apply(self.biases[i] + self.responses[i] * agg);
         }
@@ -482,127 +666,6 @@ impl Network {
         );
         scratch.input_slots(self).copy_from_slice(inputs);
         self.activate_in_place(scratch, outputs);
-    }
-
-    /// Aggregates eval node `i`'s weighted inputs read from `values` (this
-    /// network's value slots). The one copy of the aggregation fold: fold
-    /// order and empty cases match [`Aggregation::apply`] bit for bit.
-    #[inline(always)]
-    fn fold(&self, i: usize, values: &[f64], sorted: &mut Vec<f64>) -> f64 {
-        let edges = &self.edges[self.edge_offsets[i]..self.edge_offsets[i + 1]];
-        if edges.is_empty() {
-            return match self.aggregations[i] {
-                Aggregation::Product => 1.0,
-                _ => 0.0,
-            };
-        }
-        match self.aggregations[i] {
-            Aggregation::Sum => edges.iter().fold(0.0, |acc, &(s, w)| acc + w * values[s]),
-            Aggregation::Product => edges.iter().fold(1.0, |acc, &(s, w)| acc * (w * values[s])),
-            Aggregation::Max => edges.iter().fold(f64::NEG_INFINITY, |acc, &(s, w)| {
-                f64::max(acc, w * values[s])
-            }),
-            Aggregation::Min => edges
-                .iter()
-                .fold(f64::INFINITY, |acc, &(s, w)| f64::min(acc, w * values[s])),
-            Aggregation::Mean => {
-                edges.iter().fold(0.0, |acc, &(s, w)| acc + w * values[s]) / edges.len() as f64
-            }
-            Aggregation::MaxAbs => edges.iter().fold(0.0, |best: f64, &(s, w)| {
-                let v = w * values[s];
-                if v.abs() > best.abs() {
-                    v
-                } else {
-                    best
-                }
-            }),
-            Aggregation::Median => {
-                sorted.clear();
-                sorted.extend(edges.iter().map(|&(s, w)| w * values[s]));
-                median_in_place(sorted)
-            }
-        }
-    }
-
-    /// Evaluates up to [`LANES`] networks in lockstep, one observation
-    /// each: network `nets[l]` reads `inputs[l * num_inputs..]` and writes
-    /// `outputs[l * num_outputs..]`. The networks may differ in topology
-    /// (a population's genomes) but must share one interface.
-    ///
-    /// The walk goes wavefront by wavefront across the lanes: wavefront
-    /// `w` of lane 0, of lane 1, …, then wavefront `w + 1`. A lane's next
-    /// wavefront waits on its current one (fold, then the sigmoid's
-    /// `exp`), but the lanes of one wavefront are independent, so the
-    /// core overlaps their chains instead of running one network's chain
-    /// end to end. Each lane still evaluates its nodes in
-    /// [`Network::activate_in_place`]'s order with the same fold, so every
-    /// lane is **bit-identical** to it on the same observation. Zero heap
-    /// allocation in steady state: all mutable state lives in the
-    /// caller-owned [`LaneScratch`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `nets` is empty or longer than [`LANES`], if the networks'
-    /// interfaces differ, or if `inputs.len()` differs from
-    /// `nets.len() × num_inputs` or `outputs.len()` from
-    /// `nets.len() × num_outputs`.
-    pub fn activate_lanes_into(
-        nets: &[&Network],
-        scratch: &mut LaneScratch,
-        inputs: &[f64],
-        outputs: &mut [f64],
-    ) {
-        assert!(
-            !nets.is_empty() && nets.len() <= LANES,
-            "between 1 and LANES networks per call"
-        );
-        let (num_inputs, num_outputs) = (nets[0].num_inputs, nets[0].num_outputs);
-        assert_eq!(
-            inputs.len(),
-            num_inputs * nets.len(),
-            "observation size must match the genome interface"
-        );
-        assert_eq!(
-            outputs.len(),
-            num_outputs * nets.len(),
-            "output buffer size must match the genome interface"
-        );
-        let LaneScratch { values, sorted } = scratch;
-        // Lane l's value slots are values[base[l]..base[l + 1]].
-        let mut base = [0usize; LANES + 1];
-        let mut depth = 0;
-        for (l, net) in nets.iter().enumerate() {
-            assert!(
-                net.num_inputs == num_inputs && net.num_outputs == num_outputs,
-                "every lane must share the genome interface"
-            );
-            base[l + 1] = base[l] + net.total_slots;
-            depth = depth.max(net.layer_ranges.len());
-        }
-        // Every slot is an input or a node written in its wavefront before
-        // any later wavefront reads it, so stale contents are never read.
-        values.resize(values.len().max(base[nets.len()]), 0.0);
-        for l in 0..nets.len() {
-            values[base[l]..base[l] + num_inputs]
-                .copy_from_slice(&inputs[l * num_inputs..(l + 1) * num_inputs]);
-        }
-        for w in 0..depth {
-            for (l, net) in nets.iter().enumerate() {
-                if let Some(&(start, end)) = net.layer_ranges.get(w) {
-                    let lane = &mut values[base[l]..base[l + 1]];
-                    for i in start..end {
-                        let agg = net.fold(i, lane, sorted);
-                        lane[net.slots[i]] =
-                            net.activations[i].apply(net.biases[i] + net.responses[i] * agg);
-                    }
-                }
-            }
-        }
-        for (l, net) in nets.iter().enumerate() {
-            for (o, &slot) in net.output_slots.iter().enumerate() {
-                outputs[l * num_outputs + o] = values[base[l] + slot];
-            }
-        }
     }
 
     /// Evaluates the network on one observation, returning the output node
@@ -669,6 +732,52 @@ impl Network {
     /// Total number of nodes (value slots).
     pub fn num_nodes(&self) -> usize {
         self.total_slots
+    }
+}
+
+/// Aggregates one node's weighted inputs: `edges` are its `(source value
+/// slot, weight)` pairs in genome connection order, read from `values`.
+/// The one copy of the aggregation fold, shared by
+/// [`Network::activate_in_place`] and [`LaneNetworks::activate`]: fold
+/// order and empty cases match [`Aggregation::apply`] bit for bit.
+#[inline(always)]
+fn fold(
+    aggregation: Aggregation,
+    edges: &[(usize, f64)],
+    values: &[f64],
+    sorted: &mut Vec<f64>,
+) -> f64 {
+    if edges.is_empty() {
+        return match aggregation {
+            Aggregation::Product => 1.0,
+            _ => 0.0,
+        };
+    }
+    match aggregation {
+        Aggregation::Sum => edges.iter().fold(0.0, |acc, &(s, w)| acc + w * values[s]),
+        Aggregation::Product => edges.iter().fold(1.0, |acc, &(s, w)| acc * (w * values[s])),
+        Aggregation::Max => edges.iter().fold(f64::NEG_INFINITY, |acc, &(s, w)| {
+            f64::max(acc, w * values[s])
+        }),
+        Aggregation::Min => edges
+            .iter()
+            .fold(f64::INFINITY, |acc, &(s, w)| f64::min(acc, w * values[s])),
+        Aggregation::Mean => {
+            edges.iter().fold(0.0, |acc, &(s, w)| acc + w * values[s]) / edges.len() as f64
+        }
+        Aggregation::MaxAbs => edges.iter().fold(0.0, |best: f64, &(s, w)| {
+            let v = w * values[s];
+            if v.abs() > best.abs() {
+                v
+            } else {
+                best
+            }
+        }),
+        Aggregation::Median => {
+            sorted.clear();
+            sorted.extend(edges.iter().map(|&(s, w)| w * values[s]));
+            median_in_place(sorted)
+        }
     }
 }
 

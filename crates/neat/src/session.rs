@@ -487,6 +487,14 @@ pub enum SessionError {
         /// The node id it fails to exceed.
         node: u32,
     },
+    /// An archipelago state's `config.islands` disagrees with the number
+    /// of island states it carries.
+    IslandCountMismatch {
+        /// Configured island count.
+        config: usize,
+        /// Island states actually present.
+        islands: usize,
+    },
 }
 
 impl fmt::Display for SessionError {
@@ -520,6 +528,10 @@ impl fmt::Display for SessionError {
             SessionError::InnovationCounterBehind { counter, node } => write!(
                 f,
                 "innovation counter {counter} does not exceed node id {node}"
+            ),
+            SessionError::IslandCountMismatch { config, islands } => write!(
+                f,
+                "config.islands {config} does not match {islands} island states"
             ),
         }
     }

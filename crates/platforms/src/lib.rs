@@ -6,8 +6,11 @@
 //!
 //! All models consume a [`WorkloadProfile`] — op/byte counts *measured*
 //! from actual runs of `genesys-neat` — and apply per-device constants.
-//! See `DESIGN.md` §4 for why this substitution preserves the paper's
-//! comparisons.
+//! This stands in for the paper's physical measurements: every platform
+//! is charged for the same measured workload, so the relative magnitudes
+//! that the paper's comparisons (log-scale Fig 9, Table III) consume are
+//! preserved, while absolute times rest on the assumed constants (see the
+//! [`cpu`] module).
 //!
 //! ```
 //! use genesys_platforms::{CpuModel, WorkloadProfile};

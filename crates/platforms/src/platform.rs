@@ -134,7 +134,7 @@ pub fn platform_by_label(label: &str) -> Option<&'static PlatformSpec> {
 }
 
 /// Workload statistics extracted from an actual NEAT run; every baseline
-/// cost model is driven by these measured counts (see `DESIGN.md` §4 on
+/// cost model is driven by these measured counts (see the [crate] docs on
 /// the trace-driven substitution for the paper's physical measurements).
 #[derive(Debug, Clone, PartialEq)]
 pub struct WorkloadProfile {

@@ -151,6 +151,7 @@ impl ServeError {
                 SessionError::MemberOutOfRange { .. } => 404,
                 SessionError::BackendMismatch => 405,
                 SessionError::InnovationCounterBehind { .. } => 406,
+                SessionError::IslandCountMismatch { .. } => 407,
             },
             ServeError::Io(_) => 500,
             ServeError::Disconnected => 501,
@@ -237,6 +238,11 @@ mod tests {
             node: 55,
         };
         assert_eq!(ServeError::Session(behind).code(), 406);
+        let islands = SessionError::IslandCountMismatch {
+            config: 4,
+            islands: 3,
+        };
+        assert_eq!(ServeError::Session(islands).code(), 407);
         assert_eq!(ServeError::Io(String::new()).code(), 500);
         assert_eq!(ServeError::TooManyConnections { cap: 256 }.code(), 502);
         let remote = ServeError::Remote {

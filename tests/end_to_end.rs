@@ -210,7 +210,8 @@ fn checkpoint_restore_resumes_evolution() {
 #[test]
 fn quantized_and_float_evolution_both_learn() {
     // Ablation: the SoC's fixed-point gene encoding does not break
-    // learnability on CartPole (DESIGN.md §5 quantization ablation).
+    // learnability on CartPole (the quantization ablation, which the
+    // `ablation_quantization` bin runs at full scale).
     let config = NeatConfig::builder(4, 1).pop_size(48).build().unwrap();
 
     let mut float_pop = Population::new(config.clone(), 77);

@@ -7,7 +7,9 @@
 //! CartPole and on the nonstationary drift environment, and across
 //! *different* worker counts before and after the power cycle. A
 //! checkpoint whose innovation counter was rewound below an id it carries
-//! is rejected at decode, validation and resume, served or not.
+//! is rejected at decode, validation and resume, served or not, and an
+//! archipelago checkpoint missing an island state is rejected as an
+//! island-count mismatch.
 
 use genesys::gym::{DriftingEvaluator, EnvKind, EpisodeEvaluator};
 use genesys::neat::{EvalContext, Evaluator, NeatConfig, Network, RunState, Session, SessionError};
@@ -342,6 +344,30 @@ fn an_island_counter_is_checked_in_its_own_residue_class_only() {
     };
     a.islands[1].innovation_next_node = 3;
     assert_rejected_at_every_entry_point(state, 4);
+}
+
+#[test]
+fn an_archipelago_missing_an_island_is_an_island_count_mismatch() {
+    let mut state = xor_state(4);
+    let RunState::Archipelago(a) = &mut state else {
+        unreachable!("four islands")
+    };
+    a.islands.pop();
+    assert_eq!(
+        state.validate(),
+        Err(SessionError::IslandCountMismatch {
+            config: 4,
+            islands: 3
+        })
+    );
+    let image = snapshot_to_bytes(&state).expect("the encoder does not validate");
+    match snapshot_from_bytes(&image) {
+        Err(SnapshotError::InvalidState(message)) => assert!(
+            message.contains("config.islands 4 does not match 3 island states"),
+            "{message}"
+        ),
+        other => panic!("expected InvalidState, got {other:?}"),
+    }
 }
 
 #[test]

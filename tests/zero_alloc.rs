@@ -5,9 +5,10 @@
 //! environment kind in the suite, through the copying and the in-place
 //! entry points, and whole warmed episodes of both episode loops
 //! (`episode_into`, and the curriculum's `adapted_episode` under drift and
-//! padding) allocate nothing. This is the software mirror of the paper's
-//! premise that EvE/ADAM execute gene-level operations out of fixed
-//! buffers with no dynamic memory.
+//! padding) allocate nothing, nor does a warmed CartPole evaluation
+//! through the population lanes (`LaneNetworks`). This is the software
+//! mirror of the paper's premise that EvE/ADAM execute gene-level
+//! operations out of fixed buffers with no dynamic memory.
 
 use genesys::gym::{episode_into, EnvKind, Environment, EpisodeEvaluator, RolloutScratch};
 use genesys::neat::trace::OpCounters;
@@ -239,9 +240,11 @@ fn steady_state_rollout_does_not_allocate() {
     // ---- population lanes -------------------------------------------------
     // A warmed CartPole lane evaluation (16 lanes, each a different
     // genome, refilled from the run as episodes end) allocates nothing:
-    // the lane plans, the SoA lane state and the kernel's scratch live in
-    // the evaluator's per-worker slot and are reused across calls, and the
-    // envs of refilled lanes are built on the stack.
+    // the compile plans, the lane programs (every record reserved to the
+    // largest network any lane has held, so a genome landing in another
+    // lane's record after compaction swaps still fits) and the SoA lane
+    // state live in the evaluator's per-worker slot and are reused across
+    // calls, and the envs of refilled lanes are built on the stack.
     let config = EnvKind::CartPole.neat_config();
     let mut rng = XorWow::seed_from_u64_value(29);
     let mut innov = InnovationTracker::new(config.first_hidden_id());
