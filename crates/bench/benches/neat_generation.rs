@@ -3,9 +3,9 @@
 //! software half of the paper's Table III CPU rows.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use genesys_neat::{NeatConfig, Network, Population};
+use genesys_neat::{EvalContext, NeatConfig, Network, Population, Session};
 
-fn proxy_fitness(net: &Network) -> f64 {
+fn proxy_fitness(_ctx: EvalContext, net: &Network) -> f64 {
     let mut fit = 0.0;
     for case in [
         [0.1, 0.9, 0.2, 0.8],
@@ -20,21 +20,16 @@ fn proxy_fitness(net: &Network) -> f64 {
 fn bench_generation(c: &mut Criterion) {
     let mut group = c.benchmark_group("neat_generation");
     for &pop_size in &[50usize, 150] {
-        group.bench_with_input(BenchmarkId::new("serial", pop_size), &pop_size, |b, &n| {
-            let config = NeatConfig::builder(4, 1).pop_size(n).build().unwrap();
-            let mut pop = Population::new(config, 1);
-            b.iter(|| pop.evolve_once(proxy_fitness));
-        });
-        group.bench_with_input(
-            BenchmarkId::new("plp_4_threads", pop_size),
-            &pop_size,
-            |b, &n| {
+        for (label, threads) in [("serial", 1), ("plp_4_threads", 4)] {
+            group.bench_with_input(BenchmarkId::new(label, pop_size), &pop_size, |b, &n| {
                 let config = NeatConfig::builder(4, 1).pop_size(n).build().unwrap();
-                let mut pop = Population::new(config, 1);
-                pop.set_parallelism(4);
-                b.iter(|| pop.evolve_once(proxy_fitness));
-            },
-        );
+                let mut session = Session::on(Population::new(config, 1), 1)
+                    .workload(proxy_fitness)
+                    .threads(threads)
+                    .build();
+                b.iter(|| session.step());
+            });
+        }
     }
     group.finish();
 }

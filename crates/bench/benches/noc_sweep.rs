@@ -3,15 +3,20 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use genesys_core::{replay_trace, GenomeBuffer, NocKind, SramConfig};
-use genesys_neat::{GenerationTrace, Genome, NeatConfig, Network, Population};
+use genesys_neat::{
+    EvalContext, GenerationTrace, Genome, NeatConfig, Network, Population, Session,
+};
 
 fn traced_population() -> (GenerationTrace, Vec<usize>, Vec<usize>) {
     let config = NeatConfig::builder(8, 1).pop_size(150).build().unwrap();
-    let mut pop = Population::new(config, 9);
-    let parent_sizes: Vec<usize> = pop.genomes().iter().map(Genome::num_genes).collect();
-    pop.evolve_once(|net: &Network| net.activate(&[0.2; 8])[0]);
-    let child_sizes: Vec<usize> = pop.genomes().iter().map(Genome::num_genes).collect();
-    (pop.last_trace().unwrap().clone(), parent_sizes, child_sizes)
+    let mut session = Session::on(Population::new(config, 9), 9)
+        .workload(|_: EvalContext, net: &Network| net.activate(&[0.2; 8])[0])
+        .build();
+    let parent_sizes: Vec<usize> = session.genomes().iter().map(Genome::num_genes).collect();
+    session.step();
+    let child_sizes: Vec<usize> = session.genomes().iter().map(Genome::num_genes).collect();
+    let trace = session.backend().last_trace().unwrap().clone();
+    (trace, parent_sizes, child_sizes)
 }
 
 fn bench_replay(c: &mut Criterion) {

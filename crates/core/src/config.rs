@@ -25,8 +25,6 @@ pub struct SocConfig {
     pub alloc_policy: AllocPolicy,
     /// Technology calibration.
     pub tech: TechModel,
-    /// Episodes averaged per fitness evaluation.
-    pub episodes_per_eval: usize,
     /// PRNG seed for the hardware PRNG block.
     pub prng_seed: u64,
 }
@@ -40,7 +38,6 @@ impl Default for SocConfig {
             noc_kind: NocKind::MulticastTree,
             alloc_policy: AllocPolicy::Greedy,
             tech: TechModel::default(),
-            episodes_per_eval: 1,
             prng_seed: 0xD00D_FEED,
         }
     }

@@ -283,7 +283,20 @@ mod tests {
     use super::*;
     use crate::selector::{allocate_pes, select_parents, AllocPolicy};
     use crate::sram::SramConfig;
-    use genesys_neat::{NeatConfig, Population, SpeciesSet, XorWow};
+    use genesys_neat::{
+        EvalContext, Evaluator, NeatConfig, Network, Population, Session, SpeciesSet, XorWow,
+    };
+
+    /// A session after one generation of a fresh 2-input population of
+    /// `n` (seed `seed`); its backend holds the reproduction trace.
+    fn one_generation(n: usize, seed: u64) -> Session<impl Evaluator, Population> {
+        let c = NeatConfig::builder(2, 1).pop_size(n).build().unwrap();
+        let mut session = Session::on(Population::new(c, seed), seed)
+            .workload(|_: EvalContext, net: &Network| net.activate(&[0.4, 0.6])[0])
+            .build();
+        session.step();
+        session
+    }
 
     fn evaluated_population(n: usize) -> (Vec<Genome>, NeatConfig) {
         let c = NeatConfig::builder(3, 1).pop_size(n).build().unwrap();
@@ -367,10 +380,8 @@ mod tests {
 
     #[test]
     fn replay_matches_functional_round_count() {
-        let c = NeatConfig::builder(2, 1).pop_size(20).build().unwrap();
-        let mut pop = Population::new(c, 3);
-        pop.evolve_once(|net| net.activate(&[0.4, 0.6])[0]);
-        let trace = pop.last_trace().unwrap();
+        let pop = one_generation(20, 3);
+        let trace = pop.backend().last_trace().unwrap();
         let parent_sizes = vec![5usize; 20];
         let child_sizes: Vec<usize> = pop.genomes().iter().map(Genome::num_genes).collect();
         let mut buffer = GenomeBuffer::new(SramConfig::default());
@@ -390,10 +401,8 @@ mod tests {
 
     #[test]
     fn replay_multicast_beats_p2p_on_shared_parents() {
-        let c = NeatConfig::builder(2, 1).pop_size(40).build().unwrap();
-        let mut pop = Population::new(c, 4);
-        pop.evolve_once(|net| net.activate(&[0.4, 0.6])[0]);
-        let trace = pop.last_trace().unwrap();
+        let pop = one_generation(40, 4);
+        let trace = pop.backend().last_trace().unwrap();
         let parent_sizes = vec![5usize; 40];
         let child_sizes = vec![5usize; 40];
         let mut b1 = GenomeBuffer::new(SramConfig::default());

@@ -29,13 +29,16 @@
 //!
 //! ```
 //! use genesys_core::{GenesysSoc, SocConfig};
-//! use genesys_gym::{CartPole, Environment};
-//! use genesys_neat::NeatConfig;
+//! use genesys_gym::{EnvKind, EpisodeEvaluator};
+//! use genesys_neat::{NeatConfig, Session};
 //!
 //! let neat = NeatConfig::builder(4, 1).pop_size(16).build()?;
-//! let mut soc = GenesysSoc::new(SocConfig::default().with_num_eve_pes(8), neat, 1);
-//! let mut factory = |i: usize| -> Box<dyn Environment> { Box::new(CartPole::new(i as u64)) };
-//! let report = soc.run_generation(&mut factory);
+//! let soc = GenesysSoc::new(SocConfig::default().with_num_eve_pes(8), neat, 1);
+//! let mut session = Session::on(soc, 1)
+//!     .workload(EpisodeEvaluator::new(EnvKind::CartPole))
+//!     .build();
+//! session.step();
+//! let report = session.backend().last_report().expect("one generation ran");
 //! assert!(report.energy.total() > 0.0);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```

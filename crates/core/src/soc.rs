@@ -1,13 +1,14 @@
 //! The GeneSys SoC: the full closed learning loop of Section IV-B.
 //!
-//! One [`GenesysSoc::run_generation`] call executes the walkthrough's ten
-//! steps: genomes are mapped onto ADAM (1), interact with their
-//! environment instances (2–5), rewards become fitness (6), the CPU-side
-//! selector picks parents (7), Gene Split streams them into the EvE PEs
-//! (8–9), and Gene Merge writes the children back to the genome buffer
-//! (10). The children are produced *functionally* by the PE pipeline —
-//! quantized, hardware-semantics evolution — while every phase is also
-//! accounted in cycles and energy.
+//! A [`GenesysSoc`] is a session [`Backend`]: one [`Backend::step`]
+//! (driven by `Session::on(GenesysSoc::new(..), seed)`) executes the
+//! walkthrough's ten steps. Genomes are mapped onto ADAM (1), interact
+//! with the session workload's environment instances (2–5), rewards
+//! become fitness (6), the CPU-side selector picks parents (7), Gene Split
+//! streams them into the EvE PEs (8–9), and Gene Merge writes the children
+//! back to the genome buffer (10). The children are produced
+//! *functionally* by the PE pipeline — quantized, hardware-semantics
+//! evolution — while every phase is also accounted in cycles and energy.
 //!
 //! Step 7 runs the same serial planning pass
 //! (`genesys_neat::reproduction::plan_offspring`) as the software
@@ -23,11 +24,10 @@ use crate::eve::{EveEngine, MergeDrops};
 use crate::pe::PeConfig;
 use crate::selector::{allocate_pes, select_parents};
 use crate::sram::{GenomeBuffer, SramStats};
-use genesys_gym::{episode_into, Environment, RolloutScratch};
 use genesys_neat::trace::OpCounters;
 use genesys_neat::{
-    Backend, EvalContext, Evaluator, EvolutionState, GenerationStats, Genome, NeatConfig, Network,
-    NetworkPlan, RunState, SessionError, SpeciesSet, XorWow,
+    Backend, EvalContext, Evaluation, Evaluator, EvolutionState, GenerationStats, Genome,
+    NeatConfig, Network, NetworkPlan, RunState, SessionError, SpeciesSet, XorWow,
 };
 
 /// Inference-phase accounting (walkthrough steps 1–6).
@@ -183,50 +183,21 @@ impl GenesysSoc {
         self.best_ever.as_ref()
     }
 
-    /// Trace of the most recent generation's full SoC accounting (cycles,
-    /// energy, NoC traffic), however the generation was driven — directly
-    /// or through the session [`Backend`] interface.
+    /// The most recent generation's full SoC accounting (cycles, energy,
+    /// NoC traffic); a session reads it as `session.backend().last_report()`.
     pub fn last_report(&self) -> Option<&GenerationReport> {
         self.last_report.as_ref()
     }
 
-    /// Runs one generation against environments produced by `env_factory`
-    /// (one instance per genome — the paper's "n Environment Instances").
-    ///
-    /// Compatibility shim over the evaluator-driven generation loop; the
-    /// session path ([`Backend::step`]) drives the same ten steps through
-    /// a `genesys_neat::Session` workload instead.
-    pub fn run_generation(
-        &mut self,
-        env_factory: &mut dyn FnMut(usize) -> Box<dyn Environment>,
-    ) -> GenerationReport {
-        // One buffer set for the whole generation: the rollout hot loop
-        // allocates nothing per step (the software mirror of ADAM running
-        // out of fixed SRAM buffers).
-        let mut scratch = RolloutScratch::new();
-        let episodes = self.soc.episodes_per_eval.max(1);
-        let (report, _stats) = self.run_generation_inner(&mut |idx, net| {
-            let mut env = env_factory(idx);
-            let mut fitness = 0.0;
-            let mut steps = 0u64;
-            for _ in 0..episodes {
-                let (episode_fitness, episode_steps) =
-                    episode_into(net, env.as_mut(), &mut scratch);
-                fitness += episode_fitness;
-                steps += episode_steps;
-            }
-            (fitness / episodes as f64, steps)
-        });
-        report
-    }
-
-    /// The ten-step generation walkthrough, driven by any per-genome
-    /// evaluation returning `(fitness, env_steps)`. Returns the full SoC
-    /// accounting plus the software-comparable generation statistics.
+    /// The ten-step generation walkthrough: genome `i` earns its fitness
+    /// from `workload` under the context `(base_seed, generation, i)`.
+    /// Keeps the full SoC accounting as [`GenesysSoc::last_report`] and
+    /// returns the software-comparable generation statistics.
     fn run_generation_inner(
         &mut self,
-        eval: &mut dyn FnMut(usize, &Network) -> (f64, u64),
-    ) -> (GenerationReport, GenerationStats) {
+        workload: &dyn Evaluator,
+        base_seed: u64,
+    ) -> GenerationStats {
         let tech = self.soc.tech;
         let mut buffer = GenomeBuffer::new(self.soc.sram);
         let total_genes: usize = self.genomes.iter().map(Genome::num_genes).sum();
@@ -251,7 +222,15 @@ impl GenesysSoc {
             // Step 1: map the genome over the MAC units (one pass of its
             // genes from the buffer).
             buffer.read_genes(genome.num_genes() as u64);
-            let (fitness, steps) = eval(idx, net);
+            let ctx = EvalContext {
+                base_seed,
+                generation: self.generation as u64,
+                index: idx as u64,
+            };
+            let Evaluation {
+                fitness,
+                env_steps: steps,
+            } = workload.evaluate(ctx, net);
             // Steps 2–5: every environment step is one packed inference.
             inference.env_steps += steps;
             inference.cycles += steps * timing.total_cycles();
@@ -379,31 +358,8 @@ impl GenesysSoc {
         };
         self.genomes = report.children;
         self.generation += 1;
-        self.last_report = Some(result.clone());
-        (result, stats)
-    }
-
-    /// Runs generations until the NEAT target fitness is reached or
-    /// `max_generations` have been evaluated. Returns the per-generation
-    /// reports and whether the target was reached.
-    pub fn run_until(
-        &mut self,
-        max_generations: usize,
-        env_factory: &mut dyn FnMut(usize) -> Box<dyn Environment>,
-    ) -> (Vec<GenerationReport>, bool) {
-        let mut reports = Vec::new();
-        for _ in 0..max_generations {
-            let report = self.run_generation(env_factory);
-            let hit = self
-                .neat
-                .target_fitness
-                .is_some_and(|t| report.max_fitness >= t);
-            reports.push(report);
-            if hit {
-                return (reports, true);
-            }
-        }
-        (reports, false)
+        self.last_report = Some(result);
+        stats
     }
 }
 
@@ -412,29 +368,12 @@ impl GenesysSoc {
 /// [`genesys_neat::Population`] — `Session::on(GenesysSoc::new(..), seed)`.
 ///
 /// Evaluation is serial (the SoC's environment instances are physical, not
-/// worker threads), so [`Backend::set_executor`] is a no-op.
-///
-/// On this path the **workload owns evaluation**, including the episode
-/// count: configure repeats through the evaluator (e.g.
-/// `EpisodeEvaluator::episodes(n)`), not through
-/// [`SocConfig::episodes_per_eval`] — that knob applies only to the
-/// env-factory shim [`GenesysSoc::run_generation`], whose per-genome
-/// environments the session workload replaces.
+/// worker threads), so [`Backend::set_executor`] is a no-op. The
+/// **workload owns evaluation**, the episode count included (e.g.
+/// `EpisodeEvaluator::episodes(n)`).
 impl Backend for GenesysSoc {
     fn step(&mut self, workload: &dyn Evaluator, base_seed: u64) -> GenerationStats {
-        let generation = self.generation as u64;
-        let (_report, stats) = self.run_generation_inner(&mut |index, net| {
-            let evaluation = workload.evaluate(
-                EvalContext {
-                    base_seed,
-                    generation,
-                    index: index as u64,
-                },
-                net,
-            );
-            (evaluation.fitness, evaluation.env_steps)
-        });
-        stats
+        self.run_generation_inner(workload, base_seed)
     }
 
     fn generation(&self) -> usize {
@@ -510,7 +449,8 @@ impl Backend for GenesysSoc {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use genesys_gym::{CartPole, EnvKind};
+    use genesys_gym::{EnvKind, EpisodeEvaluator};
+    use genesys_neat::Session;
 
     fn small_soc(pop: usize) -> GenesysSoc {
         let neat = NeatConfig::builder(4, 1)
@@ -521,11 +461,18 @@ mod tests {
         GenesysSoc::new(SocConfig::default().with_num_eve_pes(16), neat, 42)
     }
 
+    /// A session evolving [`small_soc`] on one CartPole episode per genome.
+    fn cartpole_session(pop: usize) -> Session<EpisodeEvaluator, GenesysSoc> {
+        Session::on(small_soc(pop), 42)
+            .workload(EpisodeEvaluator::new(EnvKind::CartPole))
+            .build()
+    }
+
     #[test]
     fn one_generation_produces_full_report() {
-        let mut soc = small_soc(20);
-        let mut factory = |i: usize| -> Box<dyn Environment> { Box::new(CartPole::new(i as u64)) };
-        let report = soc.run_generation(&mut factory);
+        let mut soc = cartpole_session(20);
+        soc.step();
+        let report = soc.backend().last_report().expect("one generation ran");
         assert_eq!(report.generation, 0);
         assert!(
             report.max_fitness >= 1.0,
@@ -541,10 +488,9 @@ mod tests {
 
     #[test]
     fn genomes_stay_valid_across_generations() {
-        let mut soc = small_soc(16);
-        let mut factory = |i: usize| -> Box<dyn Environment> { Box::new(CartPole::new(i as u64)) };
+        let mut soc = cartpole_session(16);
         for _ in 0..5 {
-            soc.run_generation(&mut factory);
+            soc.step();
             for g in soc.genomes() {
                 assert!(g.validate().is_ok());
             }
@@ -553,12 +499,11 @@ mod tests {
 
     #[test]
     fn hardware_evolution_improves_cartpole_fitness() {
-        let mut soc = small_soc(48);
-        let mut factory = |i: usize| -> Box<dyn Environment> { Box::new(CartPole::new(i as u64)) };
-        let first = soc.run_generation(&mut factory).max_fitness;
+        let mut soc = cartpole_session(48);
+        let first = soc.step().max_fitness;
         let mut best = first;
         for _ in 0..20 {
-            best = best.max(soc.run_generation(&mut factory).max_fitness);
+            best = best.max(soc.step().max_fitness);
         }
         assert!(
             best > first,
@@ -569,12 +514,11 @@ mod tests {
     #[test]
     fn deterministic_given_seed() {
         let run = || {
-            let mut soc = small_soc(16);
-            let mut factory =
-                |i: usize| -> Box<dyn Environment> { Box::new(CartPole::new(i as u64)) };
+            let mut soc = cartpole_session(16);
             let mut out = Vec::new();
             for _ in 0..3 {
-                let r = soc.run_generation(&mut factory);
+                soc.step();
+                let r = soc.backend().last_report().unwrap();
                 out.push((r.max_fitness, r.total_genes, r.evolution.cycles));
             }
             out
@@ -584,18 +528,15 @@ mod tests {
 
     #[test]
     fn run_until_respects_generation_budget() {
-        let mut soc = small_soc(10);
-        let mut factory = |i: usize| -> Box<dyn Environment> { Box::new(CartPole::new(i as u64)) };
-        let (reports, _) = soc.run_until(4, &mut factory);
-        assert!(reports.len() <= 4);
+        let report = cartpole_session(10).run(4);
+        assert!(report.history.len() <= 4);
     }
 
     #[test]
     fn quantized_genomes_round_trip_the_codec() {
         use crate::codec::{decode_genome, encode_genome};
-        let mut soc = small_soc(12);
-        let mut factory = |i: usize| -> Box<dyn Environment> { Box::new(CartPole::new(i as u64)) };
-        soc.run_generation(&mut factory);
+        let mut soc = cartpole_session(12);
+        soc.step();
         // Children produced by the PEs carry only representable attribute
         // values, so an encode/decode round trip is lossless.
         for g in soc.genomes() {
@@ -609,8 +550,6 @@ mod tests {
 
     #[test]
     fn session_drives_the_soc_backend() {
-        use genesys_gym::EpisodeEvaluator;
-        use genesys_neat::Session;
         let neat = NeatConfig::builder(4, 1).pop_size(12).build().unwrap();
         let soc = GenesysSoc::new(SocConfig::default().with_num_eve_pes(8), neat, 5);
         let mut session = Session::on(soc, 5)
@@ -626,8 +565,6 @@ mod tests {
 
     #[test]
     fn soc_session_resume_is_bit_identical() {
-        use genesys_gym::EpisodeEvaluator;
-        use genesys_neat::Session;
         let neat = || NeatConfig::builder(4, 1).pop_size(10).build().unwrap();
         let soc_config = || SocConfig::default().with_num_eve_pes(8);
         let workload = || EpisodeEvaluator::new(EnvKind::CartPole);
@@ -661,9 +598,12 @@ mod tests {
                 .conn_add_prob(neat.conn_add_prob)
                 .build()
                 .unwrap();
-            let mut soc = GenesysSoc::new(SocConfig::default().with_num_eve_pes(4), small, 7);
-            let mut factory = move |i: usize| -> Box<dyn Environment> { kind.make(i as u64) };
-            let report = soc.run_generation(&mut factory);
+            let soc = GenesysSoc::new(SocConfig::default().with_num_eve_pes(4), small, 7);
+            let mut session = Session::on(soc, 7)
+                .workload(EpisodeEvaluator::new(kind))
+                .build();
+            session.step();
+            let report = session.backend().last_report().unwrap();
             assert!(report.inference.env_steps > 0, "{}", kind.label());
         }
     }

@@ -83,7 +83,7 @@ impl Evaluator for EpisodeEvaluator {
                 Evaluation { fitness, env_steps }
             } else {
                 // Multi-episode evaluation: one environment, reset per
-                // episode (the SoC's `episodes_per_eval` semantics).
+                // episode, fitness averaged over the episodes.
                 let mut env = self.kind.make(env_seed);
                 let mut total = 0.0;
                 let mut env_steps = 0;

@@ -120,11 +120,11 @@ impl RolloutScratch {
 /// buffers, returning `(cumulative_reward, steps_taken)`.
 ///
 /// This is **the** episode loop: [`rollout`], [`rollout_with`],
-/// [`episode_rollout`] and [`episode_rollout_with`] (and the SoC
-/// simulator's inference phase) all funnel through it, so the
-/// reward/termination semantics cannot drift between entry points. After
-/// the buffers have grown to the environment's interface (first call), the
-/// loop performs **zero heap allocations per step**:
+/// [`episode_rollout`] and [`episode_rollout_with`] (and through them the
+/// genome-by-genome path of [`EpisodeEvaluator`]) all funnel through it,
+/// so the reward/termination semantics cannot drift between entry points.
+/// After the buffers have grown to the environment's interface (first
+/// call), the loop performs **zero heap allocations per step**:
 /// [`Environment::reset_into`] and [`Environment::step_into`] write each
 /// observation straight into the network's input slots
 /// ([`Scratch::input_slots`]), and the network evaluates it there through

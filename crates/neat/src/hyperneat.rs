@@ -196,6 +196,7 @@ mod tests {
     use super::*;
     use crate::population::Population;
     use crate::rng::XorWow;
+    use crate::session::{EvalContext, Session};
 
     fn expressor() -> HyperNeat {
         HyperNeat::new(Substrate::grid(4, &[6], 2))
@@ -278,18 +279,19 @@ mod tests {
     #[test]
     fn cppn_population_evolves_expressible_genomes() {
         let h = expressor();
-        let mut pop = Population::new(h.cppn_config(), 42);
-        for _ in 0..3 {
-            pop.evolve_once(|cppn_net| {
-                // Favour CPPNs whose output varies across space (non-trivial
-                // weight patterns).
-                let a = cppn_net.activate(&[-1.0, -1.0, 1.0, 1.0])[0];
-                let b = cppn_net.activate(&[1.0, -1.0, -1.0, 1.0])[0];
-                (a - b).abs()
-            });
-        }
+        // Favour CPPNs whose output varies across space (non-trivial
+        // weight patterns).
+        let spatial_variation = |_ctx: EvalContext, cppn_net: &Network| {
+            let a = cppn_net.activate(&[-1.0, -1.0, 1.0, 1.0])[0];
+            let b = cppn_net.activate(&[1.0, -1.0, -1.0, 1.0])[0];
+            (a - b).abs()
+        };
+        let mut session = Session::on(Population::new(h.cppn_config(), 42), 42)
+            .workload(spatial_variation)
+            .build();
+        session.run(3);
         // Every genome in the final population must express cleanly.
-        for (i, cppn) in pop.genomes().iter().enumerate() {
+        for (i, cppn) in session.genomes().iter().enumerate() {
             let phenotype = h.express(cppn, i as u64).unwrap();
             assert!(phenotype.validate().is_ok());
         }

@@ -21,9 +21,9 @@
 //!   pipeline (serial planning, executor-parallel child construction,
 //!   serial innovation assignment) and the **reproduction trace** the
 //!   paper uses to drive its hardware evaluation (Section VI-A).
-//! * [`population`] — the outer evolutionary loop with optional
-//!   population-level parallelism (PLP) over evaluation, speciation and
-//!   reproduction.
+//! * [`population`] — the software backend of the outer evolutionary
+//!   loop, with optional population-level parallelism (PLP) over
+//!   evaluation, speciation and reproduction.
 //! * [`island`] — asynchronous island evolution: the population split
 //!   into self-contained islands, each scheduled as one whole-generation
 //!   job on the shared executor (no cross-island phase barrier), with
@@ -98,13 +98,13 @@ pub use hyperneat::{HyperNeat, Substrate};
 pub use innovation::{InnovationSource, InnovationTracker, SplitRecorder};
 pub use island::{island_seed, Archipelago, ArchipelagoState, EvolutionBackend};
 pub use network::{LaneNetworks, Network, NetworkPlan, Scratch, LANES};
-pub use population::{Population, RunOutcome, RunResult};
+pub use population::Population;
 pub use reproduction::{ChildKind, ChildPlan, ReproductionReport};
 pub use rng::XorWow;
 pub use session::{
     evaluate_each, Backend, BestSummary, EvalContext, Evaluation, Evaluator, EvolutionState,
-    GenerationEvent, OwnedGenerationEvent, RunState, Session, SessionBuilder, SessionError,
-    SessionReport,
+    GenerationEvent, OwnedGenerationEvent, RunOutcome, RunState, Session, SessionBuilder,
+    SessionError, SessionReport,
 };
 pub use species::{SpeciateScanStats, Species, SpeciesId, SpeciesSet};
 pub use stats::{GenerationStats, PopulationDiagnostics};

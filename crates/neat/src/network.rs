@@ -363,7 +363,8 @@ pub struct NetworkPlan {
     frontier: Vec<usize>,
     /// Next Kahn wavefront.
     next: Vec<usize>,
-    /// Inner layer vectors reclaimed from the previous compile.
+    /// Layer vectors past the depth of the most recent compile, kept for
+    /// the next deeper one.
     spare_layers: Vec<Vec<NodeId>>,
 }
 
@@ -543,9 +544,7 @@ impl Network {
             cursor[dst] += 1;
         }
 
-        // Reclaim the previous compile's layer vectors, then reset the
-        // compiled arrays (capacity retained).
-        spare_layers.append(&mut net.layers);
+        // Reset the compiled arrays (capacity retained).
         net.slots.clear();
         net.biases.clear();
         net.responses.clear();
@@ -559,18 +558,29 @@ impl Network {
 
         // Kahn wavefronts over slots. Sorting slots reproduces the NodeId
         // sort of the one-shot compiler (slot order == id order), and each
-        // wavefront is flattened straight into the SoA plan.
+        // wavefront is flattened straight into the SoA plan. The two
+        // wavefront buffers trade roles once per wavefront, so each holds
+        // room for every slot; wavefront `w` reuses the layer vector the
+        // previous compile left at depth `w`. Recompiling a genome through
+        // the plan that compiled it therefore grows no buffer.
         frontier.clear();
+        frontier.reserve(n);
+        next.clear();
+        next.reserve(n);
         for (slot, d) in indegree.iter().enumerate() {
             if *d == 0 {
                 frontier.push(slot);
             }
         }
         let mut processed = 0usize;
+        let mut depth = 0usize;
         while !frontier.is_empty() {
             next.clear();
             let start = net.slots.len();
-            let mut layer = spare_layers.pop().unwrap_or_default();
+            if depth == net.layers.len() {
+                net.layers.push(spare_layers.pop().unwrap_or_default());
+            }
+            let layer = &mut net.layers[depth];
             layer.clear();
             for &slot in frontier.iter() {
                 processed += 1;
@@ -595,10 +605,12 @@ impl Network {
                 net.edge_offsets.push(net.edges.len());
             }
             net.layer_ranges.push((start, net.slots.len()));
-            net.layers.push(layer);
+            depth += 1;
             next.sort_unstable();
             std::mem::swap(frontier, next);
         }
+        // Keep the layer vectors of a deeper earlier network for later.
+        spare_layers.extend(net.layers.drain(depth..));
         if processed != n {
             return Err(GenomeError::Cycle);
         }
@@ -1162,6 +1174,59 @@ mod tests {
             let fresh = Network::from_genome(&g).unwrap();
             assert_eq!(plan.network(), &fresh, "reused plan vs one-shot compile");
         }
+    }
+
+    /// Capacities of every buffer a plan holds, its network's included.
+    fn plan_capacities(plan: &NetworkPlan) -> Vec<usize> {
+        let net = &plan.net;
+        let mut capacities = vec![
+            plan.indegree.capacity(),
+            plan.out_offsets.capacity(),
+            plan.out_targets.capacity(),
+            plan.in_offsets.capacity(),
+            plan.in_edges.capacity(),
+            plan.conn_slots.capacity(),
+            plan.cursor.capacity(),
+            plan.frontier.capacity(),
+            plan.next.capacity(),
+            plan.spare_layers.capacity(),
+            net.slots.capacity(),
+            net.biases.capacity(),
+            net.responses.capacity(),
+            net.activations.capacity(),
+            net.aggregations.capacity(),
+            net.edge_offsets.capacity(),
+            net.edges.capacity(),
+            net.layer_ranges.capacity(),
+            net.output_slots.capacity(),
+            net.layers.capacity(),
+        ];
+        let layers = net.layers.iter().chain(&plan.spare_layers);
+        capacities.extend(layers.map(Vec::capacity));
+        capacities
+    }
+
+    #[test]
+    fn recompiling_a_genome_grows_no_plan_buffer() {
+        // 8 inputs -> hidden -> output: three wavefronts, the first the
+        // widest, so a wavefront buffer or layer vector that changed roles
+        // between compiles would have to grow on the second one.
+        let nodes: Vec<NodeGene> = (0..8)
+            .map(|i| NodeGene::input(NodeId(i)))
+            .chain([NodeGene::output(NodeId(8)), NodeGene::hidden(NodeId(9))])
+            .collect();
+        let conns: Vec<ConnGene> = (0..8)
+            .map(|i| ConnGene::new(NodeId(i), NodeId(9), 0.5))
+            .chain([ConnGene::new(NodeId(9), NodeId(8), 1.5)])
+            .collect();
+        let g = Genome::from_parts(0, 8, 1, nodes, conns).unwrap();
+        let mut plan = NetworkPlan::new();
+        Network::compile_into(&mut plan, &g).unwrap();
+        assert_eq!(plan.network().layers().len(), 3);
+        let warm = plan_capacities(&plan);
+        Network::compile_into(&mut plan, &g).unwrap();
+        assert_eq!(plan_capacities(&plan), warm);
+        assert_eq!(plan.network(), &Network::from_genome(&g).unwrap());
     }
 
     #[test]

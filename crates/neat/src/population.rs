@@ -1,54 +1,30 @@
 //! The outer evolutionary loop (Fig 3(a) of the paper).
 //!
-//! A [`Population`] owns the genomes of the current generation, evaluates
-//! them against a fitness function (optionally in parallel — the paper's
+//! A [`Population`] owns the genomes of the current generation plus all
+//! the evolution machinery, and it is a session [`Backend`]: one
+//! [`Backend::step`] evaluates every genome through the session's workload
+//! (in parallel on an attached [`Executor`]: the paper's
 //! **population-level parallelism**, PLP), applies speciation and fitness
-//! sharing, and reproduces the next generation, emitting the
-//! [`GenerationTrace`] that drives the hardware model.
+//! sharing, and reproduces the next generation, recording the
+//! [`GenerationTrace`] that drives the hardware model. Drive it through
+//! `Session::on(Population::new(config, seed), seed)`, or let
+//! [`crate::Session::builder`] build one.
 
 use crate::config::NeatConfig;
 use crate::executor::{Executor, WorkerLocal};
 use crate::genome::Genome;
 use crate::innovation::InnovationTracker;
-use crate::network::{Network, NetworkPlan, LANES};
+use crate::network::{NetworkPlan, LANES};
 use crate::reproduction::reproduce_into;
 use crate::rng::XorWow;
-use crate::session::{EvalContext, Evaluation, Evaluator, EvolutionState, SessionError};
+use crate::session::{
+    Backend, EvalContext, Evaluation, Evaluator, EvolutionState, RunState, SessionError,
+};
 use crate::species::SpeciesSet;
 use crate::stats::GenerationStats;
 use crate::trace::GenerationTrace;
 use std::sync::Arc;
 use std::time::Instant;
-
-/// Why an evolution run stopped.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RunOutcome {
-    /// The target fitness was reached at the recorded generation.
-    Converged {
-        /// Generation index at which the target was first reached.
-        generation: usize,
-    },
-    /// The generation budget was exhausted without convergence.
-    GenerationLimit,
-}
-
-/// Result of [`Population::run`].
-#[derive(Debug)]
-pub struct RunResult {
-    /// Per-generation statistics, one entry per evaluated generation.
-    pub history: Vec<GenerationStats>,
-    /// Why the run stopped.
-    pub outcome: RunOutcome,
-    /// Best genome observed across the whole run.
-    pub best: Genome,
-}
-
-impl RunResult {
-    /// Convenience: did the run reach the target fitness?
-    pub fn converged(&self) -> bool {
-        matches!(self.outcome, RunOutcome::Converged { .. })
-    }
-}
 
 /// A NEAT population: the set of genomes of the current generation plus all
 /// evolution machinery.
@@ -79,9 +55,10 @@ pub struct Population {
     /// Per-worker compiled-plan scratch: each evaluation job checks one
     /// out and hands it to [`Evaluator::evaluate_genomes`], which
     /// recompiles each genome through it instead of building a fresh
-    /// [`Network`] per genome per generation, so unchanged elites cost no
-    /// heap allocation. A workload with buffers of its own (lanes) keeps
-    /// them itself. Pure cache — never serialized, no effect on results.
+    /// [`crate::Network`] per genome per generation, so unchanged elites
+    /// cost no heap allocation. A workload with buffers of its own (lanes)
+    /// keeps them itself. Pure cache — never serialized, no effect on
+    /// results.
     plans: WorkerLocal<NetworkPlan>,
 }
 
@@ -118,32 +95,8 @@ impl Population {
         }
     }
 
-    /// Enables population-level parallelism: fitness evaluation fans out
-    /// over `threads` OS threads (the paper's CPU_b/CPU_d configuration
-    /// runs 4).
-    ///
-    /// Compatibility shim over [`Population::set_executor`]: spawns a
-    /// dedicated persistent [`Executor`] of `threads` workers (once — the
-    /// pool is reused across every subsequent generation). Pass `1` (or
-    /// `0`) to return to serial evaluation. To share one pool between
-    /// several populations, build the [`Executor`] yourself and use
-    /// [`Population::set_executor`].
-    pub fn set_parallelism(&mut self, threads: usize) {
-        if threads <= 1 {
-            self.executor = None;
-        } else if self.executor.as_deref().map(Executor::workers) != Some(threads) {
-            self.executor = Some(Arc::new(Executor::new(threads)));
-        }
-    }
-
-    /// Runs fitness evaluation on an existing persistent worker pool. The
-    /// pool is shared (`Arc`), so several populations — or the bench
-    /// harness's repeated workload runs — can reuse one set of threads.
-    pub fn set_executor(&mut self, executor: Arc<Executor>) {
-        self.executor = Some(executor);
-    }
-
-    /// The evaluation pool in use, if parallelism is enabled.
+    /// The evaluation pool attached through [`Backend::set_executor`]
+    /// (`SessionBuilder::{executor, threads}`), if any.
     pub fn executor(&self) -> Option<&Arc<Executor>> {
         self.executor.as_ref()
     }
@@ -268,7 +221,7 @@ impl Population {
             .set_stride(self.config.first_hidden_id() + island, islands);
     }
 
-    /// Current generation index (0 before the first [`Population::evolve_once`]).
+    /// Current generation index (0 before the first [`Backend::step`]).
     pub fn generation(&self) -> usize {
         self.generation
     }
@@ -307,39 +260,6 @@ impl Population {
     /// (the next step repopulates it).
     pub fn champion(&self) -> Option<&Genome> {
         self.last_champion.as_ref()
-    }
-
-    /// Evaluates every genome with `fitness_fn`, storing fitness in place.
-    /// Returns the total inference MAC count (one forward pass per genome),
-    /// used by the cost models.
-    pub fn evaluate<F>(&mut self, fitness_fn: F) -> u64
-    where
-        F: Fn(&Network) -> f64 + Sync,
-    {
-        self.evaluate_indexed(|_, net| fitness_fn(net))
-    }
-
-    /// Like [`Population::evaluate`], but the fitness function also
-    /// receives the genome's index within the generation. This is the hook
-    /// for *deterministic* parallel evaluation: derive any per-genome
-    /// randomness (gym episode seeds, dropout masks, …) from the index so
-    /// the result is independent of which worker runs the genome — see the
-    /// determinism contract in [`crate::executor`].
-    pub fn evaluate_indexed<F>(&mut self, fitness_fn: F) -> u64
-    where
-        F: Fn(usize, &Network) -> f64 + Sync,
-    {
-        let workload = |ctx: EvalContext, net: &Network| fitness_fn(ctx.index as usize, net);
-        self.evaluate_workload(&workload, self.first_context(0)).0
-    }
-
-    /// The context of this generation's genome 0 under `base_seed`.
-    pub(crate) fn first_context(&self, base_seed: u64) -> EvalContext {
-        EvalContext {
-            base_seed,
-            generation: self.generation as u64,
-            index: 0,
-        }
     }
 
     /// Genomes per evaluation job: the whole generation when serial;
@@ -429,50 +349,6 @@ impl Population {
         (macs, env_steps)
     }
 
-    /// One full generation: evaluate → speciate → fitness sharing →
-    /// stagnation → reproduce. Returns the statistics of the *evaluated*
-    /// generation; afterwards [`Population::genomes`] holds the next one.
-    pub fn evolve_once<F>(&mut self, fitness_fn: F) -> GenerationStats
-    where
-        F: Fn(&Network) -> f64 + Sync,
-    {
-        self.evolve_once_indexed(|_, net| fitness_fn(net))
-    }
-
-    /// Index-aware variant of [`Population::evolve_once`]; see
-    /// [`Population::evaluate_indexed`] for when the index matters.
-    ///
-    /// The whole generation — evaluation, speciation's distance matrix and
-    /// child construction — runs on the persistent executor when one is
-    /// set, with results bit-identical to the serial path at any worker
-    /// count (see [`crate::executor`] and [`crate::reproduction`] for the
-    /// determinism contracts). The outgoing generation's genomes are
-    /// recycled as the next generation's child buffers, so steady-state
-    /// reproduction reuses gene storage instead of cloning per child.
-    pub fn evolve_once_indexed<F>(&mut self, fitness_fn: F) -> GenerationStats
-    where
-        F: Fn(usize, &Network) -> f64 + Sync,
-    {
-        let workload = |ctx: EvalContext, net: &Network| fitness_fn(ctx.index as usize, net);
-        self.evolve_workload(&workload, self.first_context(0))
-    }
-
-    /// One full generation under `workload`: [`Population::evaluate_workload`]
-    /// from `first`, then [`Population::finish_generation`], with the
-    /// evaluation's wall clock and environment steps in the stats.
-    pub(crate) fn evolve_workload(
-        &mut self,
-        workload: &dyn Evaluator,
-        first: EvalContext,
-    ) -> GenerationStats {
-        let eval_start = Instant::now();
-        let (macs, env_steps) = self.evaluate_workload(workload, first);
-        let eval_ns = eval_start.elapsed().as_nanos() as u64;
-        let mut stats = self.finish_generation(macs, eval_ns);
-        stats.env_steps = env_steps;
-        stats
-    }
-
     /// The post-evaluation half of a generation: speciate → stagnation →
     /// fitness sharing → reproduce → advance the generation counter.
     /// `macs` is the inference MAC count returned by
@@ -482,8 +358,8 @@ impl Population {
     ///
     /// Split out so the archipelago backend (`crate::island`) can run its
     /// deterministic migration exchange between evaluation and
-    /// reproduction on migration epochs; every other caller goes through
-    /// [`Population::evolve_workload`].
+    /// reproduction on migration epochs; a population of its own runs
+    /// both halves in [`Backend::step`].
     pub(crate) fn finish_generation(&mut self, macs: u64, eval_ns: u64) -> GenerationStats {
         let pool = self.executor.clone();
         let pool = pool.as_deref();
@@ -589,37 +465,65 @@ impl Population {
             self.next_key += 1;
         }
     }
+}
 
-    /// Runs evolution until the configured target fitness is reached or
-    /// `max_generations` have been evaluated.
-    pub fn run<F>(&mut self, fitness_fn: F, max_generations: usize) -> RunResult
-    where
-        F: Fn(&Network) -> f64 + Sync,
-    {
-        let mut history = Vec::new();
-        for _ in 0..max_generations {
-            let stats = self.evolve_once(&fitness_fn);
-            let hit_target = self
-                .config
-                .target_fitness
-                .is_some_and(|t| stats.max_fitness >= t);
-            let generation = stats.generation;
-            history.push(stats);
-            if hit_target {
-                return RunResult {
-                    history,
-                    outcome: RunOutcome::Converged { generation },
-                    best: self.best_ever.clone().expect("evaluated at least once"),
-                };
+/// The software backend. A step runs the whole generation (evaluation,
+/// speciation's distance matrix and child construction) on the attached
+/// executor, with results bit-identical to the serial path at any worker
+/// count (see [`crate::executor`] and [`crate::reproduction`] for the
+/// determinism contracts). The outgoing generation's genomes are recycled
+/// as the next generation's child buffers, so steady-state reproduction
+/// reuses gene storage instead of cloning per child.
+impl Backend for Population {
+    fn step(&mut self, workload: &dyn Evaluator, base_seed: u64) -> GenerationStats {
+        let first = EvalContext {
+            base_seed,
+            generation: self.generation as u64,
+            index: 0,
+        };
+        let eval_start = Instant::now();
+        let (macs, env_steps) = self.evaluate_workload(workload, first);
+        let eval_ns = eval_start.elapsed().as_nanos() as u64;
+        let mut stats = self.finish_generation(macs, eval_ns);
+        stats.env_steps = env_steps;
+        stats
+    }
+
+    fn generation(&self) -> usize {
+        self.generation
+    }
+
+    fn genomes(&self) -> &[Genome] {
+        &self.genomes
+    }
+
+    fn best_genome(&self) -> Option<&Genome> {
+        self.best_ever.as_ref()
+    }
+
+    fn champion(&self) -> Option<&Genome> {
+        self.last_champion.as_ref()
+    }
+
+    fn neat_config(&self) -> &NeatConfig {
+        &self.config
+    }
+
+    fn set_executor(&mut self, pool: Arc<Executor>) {
+        self.executor = Some(pool);
+    }
+
+    fn export_state(&self) -> RunState {
+        RunState::Monolithic(Box::new(Population::export_state(self)))
+    }
+
+    fn import_state(&mut self, state: RunState) -> Result<(), SessionError> {
+        match state {
+            RunState::Monolithic(state) => {
+                *self = Population::from_state(*state)?;
+                Ok(())
             }
-        }
-        RunResult {
-            best: self
-                .best_ever
-                .clone()
-                .unwrap_or_else(|| self.genomes[0].clone()),
-            history,
-            outcome: RunOutcome::GenerationLimit,
+            RunState::Archipelago(_) => Err(SessionError::BackendMismatch),
         }
     }
 }
@@ -627,10 +531,12 @@ impl Population {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::network::Network;
+    use crate::session::{Session, SessionBuilder};
 
     /// A toy separable fitness: reward networks whose output tracks the
     /// first input. Solvable by weight evolution alone.
-    fn proxy_fitness(net: &Network) -> f64 {
+    fn proxy_fitness(_ctx: EvalContext, net: &Network) -> f64 {
         let cases = [[0.0, 0.0], [0.25, 1.0], [0.5, 0.5], [1.0, 0.0]];
         let mut fit = 4.0;
         for c in &cases {
@@ -649,6 +555,16 @@ mod tests {
             .unwrap()
     }
 
+    /// A session builder on a fresh population seeded with `seed`.
+    fn on(seed: u64) -> SessionBuilder<Population> {
+        Session::on(Population::new(small_config(), seed), seed)
+    }
+
+    /// A serial session evolving a fresh population against the proxy.
+    fn session(seed: u64) -> Session<impl Evaluator, Population> {
+        on(seed).workload(proxy_fitness).build()
+    }
+
     #[test]
     fn generation_zero_is_uniform() {
         let pop = Population::new(small_config(), 7);
@@ -659,22 +575,22 @@ mod tests {
 
     #[test]
     fn evolve_once_advances_generation_and_records_trace() {
-        let mut pop = Population::new(small_config(), 7);
-        let stats = pop.evolve_once(proxy_fitness);
+        let mut s = session(7);
+        let stats = s.step();
         assert_eq!(stats.generation, 0);
-        assert_eq!(pop.generation(), 1);
-        assert_eq!(pop.genomes().len(), 40);
-        assert!(pop.last_trace().is_some());
+        assert_eq!(s.generation(), 1);
+        assert_eq!(s.genomes().len(), 40);
+        assert!(s.backend().last_trace().is_some());
         assert!(stats.ops.total() > 0);
     }
 
     #[test]
     fn fitness_improves_over_generations() {
-        let mut pop = Population::new(small_config(), 11);
-        let first = pop.evolve_once(proxy_fitness).max_fitness;
+        let mut s = session(11);
+        let first = s.step().max_fitness;
         let mut best = first;
         for _ in 0..25 {
-            best = best.max(pop.evolve_once(proxy_fitness).max_fitness);
+            best = best.max(s.step().max_fitness);
         }
         assert!(
             best > first + 0.05,
@@ -684,60 +600,55 @@ mod tests {
 
     #[test]
     fn run_stops_at_target() {
-        let mut pop = Population::new(small_config(), 3);
-        let result = pop.run(proxy_fitness, 200);
-        if result.converged() {
-            let last = result.history.last().unwrap();
+        let mut s = session(3);
+        let report = s.run(200);
+        if report.converged() {
+            let last = report.history.last().unwrap();
             assert!(last.max_fitness >= 3.8);
         } else {
-            assert_eq!(result.history.len(), 200);
+            assert_eq!(report.history.len(), 200);
         }
-        assert!(result.best.fitness().is_some());
+        assert!(report.best.as_ref().and_then(Genome::fitness).is_some());
     }
 
     #[test]
     fn parallel_and_serial_evaluation_agree() {
-        let mut serial = Population::new(small_config(), 5);
-        let macs_serial = serial.evaluate(proxy_fitness);
+        let mut serial = session(5);
+        let serial_stats = serial.step();
         for workers in [1usize, 4, 8] {
-            let mut par = Population::new(small_config(), 5);
-            par.set_executor(std::sync::Arc::new(Executor::new(workers)));
-            let macs_par = par.evaluate(proxy_fitness);
-            assert_eq!(macs_serial, macs_par, "workers={workers}");
-            for (gs, gp) in serial.genomes().iter().zip(par.genomes().iter()) {
-                assert_eq!(gs.fitness(), gp.fitness(), "workers={workers}");
-            }
+            let mut par = on(5)
+                .workload(proxy_fitness)
+                .executor(Arc::new(Executor::new(workers)))
+                .build();
+            assert_eq!(par.step(), serial_stats, "workers={workers}");
+            assert_eq!(
+                par.export_state(),
+                serial.export_state(),
+                "workers={workers}"
+            );
         }
     }
 
     #[test]
-    fn set_parallelism_shim_reuses_its_pool() {
-        let mut pop = Population::new(small_config(), 5);
-        pop.set_parallelism(4);
-        let pool = std::sync::Arc::as_ptr(pop.executor().unwrap());
-        pop.set_parallelism(4); // same width: must not respawn
-        assert_eq!(pool, std::sync::Arc::as_ptr(pop.executor().unwrap()));
-        pop.set_parallelism(1);
-        assert!(pop.executor().is_none(), "threads<=1 falls back to serial");
-    }
-
-    #[test]
-    fn evaluate_indexed_passes_stable_indices() {
-        let mut pop = Population::new(small_config(), 5);
-        pop.set_parallelism(4);
-        pop.evaluate_indexed(|i, _| i as f64);
-        for (i, g) in pop.genomes().iter().enumerate() {
+    fn step_passes_stable_indices() {
+        let mut s = on(5)
+            .workload(|ctx: EvalContext, _: &Network| ctx.index as f64)
+            .threads(4)
+            .build();
+        s.step();
+        // After the step the child arena holds the evaluated generation.
+        for (i, g) in s.backend().arena.iter().enumerate() {
             assert_eq!(g.fitness(), Some(i as f64));
         }
     }
 
     #[test]
     fn deterministic_given_seed() {
-        let mut a = Population::new(small_config(), 99);
-        let mut b = Population::new(small_config(), 99);
+        let mut a = session(99);
+        let mut b = session(99);
         for _ in 0..5 {
-            let sa = a.evolve_once(proxy_fitness);
-            let sb = b.evolve_once(proxy_fitness);
+            let sa = a.step();
+            let sb = b.step();
             assert_eq!(sa.max_fitness, sb.max_fitness);
             assert_eq!(sa.total_genes, sb.total_genes);
             assert_eq!(sa.ops, sb.ops);
@@ -746,12 +657,12 @@ mod tests {
 
     #[test]
     fn different_seeds_diverge() {
-        let mut a = Population::new(small_config(), 1);
-        let mut b = Population::new(small_config(), 2);
+        let mut a = session(1);
+        let mut b = session(2);
         let mut any_diff = false;
         for _ in 0..5 {
-            let sa = a.evolve_once(proxy_fitness);
-            let sb = b.evolve_once(proxy_fitness);
+            let sa = a.step();
+            let sb = b.step();
             if sa.total_genes != sb.total_genes || sa.max_fitness != sb.max_fitness {
                 any_diff = true;
             }
@@ -761,22 +672,22 @@ mod tests {
 
     #[test]
     fn best_ever_tracks_across_generations() {
-        let mut pop = Population::new(small_config(), 21);
+        let mut s = session(21);
         let mut running_max = f64::NEG_INFINITY;
         for _ in 0..10 {
-            let s = pop.evolve_once(proxy_fitness);
-            running_max = running_max.max(s.max_fitness);
-            let best = pop.best_genome().unwrap().fitness().unwrap();
+            let stats = s.step();
+            running_max = running_max.max(stats.max_fitness);
+            let best = s.best_genome().unwrap().fitness().unwrap();
             assert!((best - running_max).abs() < 1e-12);
         }
     }
 
     #[test]
     fn genome_count_stays_constant() {
-        let mut pop = Population::new(small_config(), 13);
+        let mut s = session(13);
         for _ in 0..10 {
-            pop.evolve_once(proxy_fitness);
-            assert_eq!(pop.genomes().len(), 40);
+            s.step();
+            assert_eq!(s.genomes().len(), 40);
         }
     }
 }

@@ -11,8 +11,10 @@
 //!   [`Evaluator::evaluate`] per genome) under the index-keyed determinism
 //!   contract below;
 //! * a **backend** — anything implementing [`Backend`]: the software
-//!   [`Population`] or the cycle-accurate `GenesysSoc` hardware model
-//!   (`genesys_core`), both driven by the same generation loop;
+//!   [`Population`](crate::Population), the island-model
+//!   [`Archipelago`](crate::Archipelago), or the cycle-accurate
+//!   `GenesysSoc` hardware model (`genesys_core`), all driven by the same
+//!   generation loop, which is the only way to advance any of them;
 //! * an optional shared [`Executor`] for population-level parallelism;
 //! * streaming [`GenerationEvent`] observers replacing ad-hoc history
 //!   vectors;
@@ -75,7 +77,6 @@ use crate::genome::Genome;
 use crate::innovation::InnovationTracker;
 use crate::island::{ArchipelagoState, EvolutionBackend};
 use crate::network::{Network, NetworkPlan};
-use crate::population::{Population, RunOutcome};
 use crate::species::Species;
 use crate::stats::GenerationStats;
 use std::fmt;
@@ -347,11 +348,11 @@ impl EvolutionState {
 
 /// The complete checkpoint of any backend — what [`Session::export_state`]
 /// captures and [`Session::resume`] consumes. Monolithic backends (the
-/// shared [`Population`], the SoC model) carry one [`EvolutionState`];
-/// the island backend ([`crate::island::Archipelago`]) carries one per
-/// island plus the global schedule counters. `genesys_core::snapshot`
-/// serializes either kind into one versioned binary format (a kind word
-/// selects the body).
+/// shared [`Population`](crate::Population), the SoC model) carry one
+/// [`EvolutionState`]; the island backend ([`crate::island::Archipelago`])
+/// carries one per island plus the global schedule counters.
+/// `genesys_core::snapshot` serializes either kind into one versioned
+/// binary format (a kind word selects the body).
 // Both bodies are boxed: the inline footprints are lopsided (an
 // `EvolutionState` embeds the config *and* the best-ever genome inline;
 // an `ArchipelagoState` only the config), so either variant left inline
@@ -553,9 +554,11 @@ impl std::error::Error for SessionError {
 }
 
 /// An evolution backend: something that can advance a population by one
-/// generation under a workload. Implemented by the software [`Population`]
-/// and by `genesys_core::GenesysSoc` (the cycle-accurate hardware model),
-/// so both are driven by the same [`Session`] loop.
+/// generation under a workload. Implemented by the software
+/// [`Population`](crate::Population) and
+/// [`Archipelago`](crate::Archipelago), and by `genesys_core::GenesysSoc`
+/// (the cycle-accurate hardware model), so all are driven by the same
+/// [`Session`] loop.
 pub trait Backend {
     /// Runs one full generation: evaluates every genome through
     /// `workload` (passing an [`EvalContext`] built from `base_seed`, the
@@ -602,50 +605,6 @@ pub trait Backend {
     /// [`SessionError::BackendMismatch`] if the state kind belongs to the
     /// other backend kind and this backend cannot switch.
     fn import_state(&mut self, state: RunState) -> Result<(), SessionError>;
-}
-
-impl Backend for Population {
-    fn step(&mut self, workload: &dyn Evaluator, base_seed: u64) -> GenerationStats {
-        self.evolve_workload(workload, self.first_context(base_seed))
-    }
-
-    fn generation(&self) -> usize {
-        Population::generation(self)
-    }
-
-    fn genomes(&self) -> &[Genome] {
-        Population::genomes(self)
-    }
-
-    fn best_genome(&self) -> Option<&Genome> {
-        Population::best_genome(self)
-    }
-
-    fn champion(&self) -> Option<&Genome> {
-        Population::champion(self)
-    }
-
-    fn neat_config(&self) -> &NeatConfig {
-        self.config()
-    }
-
-    fn set_executor(&mut self, pool: Arc<Executor>) {
-        Population::set_executor(self, pool);
-    }
-
-    fn export_state(&self) -> RunState {
-        RunState::Monolithic(Box::new(Population::export_state(self)))
-    }
-
-    fn import_state(&mut self, state: RunState) -> Result<(), SessionError> {
-        match state {
-            RunState::Monolithic(state) => {
-                *self = Population::from_state(*state)?;
-                Ok(())
-            }
-            RunState::Archipelago(_) => Err(SessionError::BackendMismatch),
-        }
-    }
 }
 
 /// One generation's worth of progress, streamed to observers as it
@@ -743,6 +702,18 @@ type Observer = Box<dyn FnMut(&GenerationEvent<'_>) + Send>;
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NoWorkload;
 
+/// Why a [`Session::run`] call stopped.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RunOutcome {
+    /// The target fitness was reached at the recorded generation.
+    Converged {
+        /// Generation index at which the target was first reached.
+        generation: usize,
+    },
+    /// The generation budget was exhausted without convergence.
+    GenerationLimit,
+}
+
 /// Report of one [`Session::run`] call.
 #[derive(Debug)]
 pub struct SessionReport {
@@ -809,7 +780,7 @@ impl<B: fmt::Debug, W: fmt::Debug> fmt::Debug for SessionBuilder<B, W> {
 
 impl Session {
     /// Starts a software session: a fresh [`EvolutionBackend`] built from
-    /// `config` (a shared [`Population`], or a
+    /// `config` (a shared [`Population`](crate::Population), or a
     /// [`crate::island::Archipelago`] when `config.islands > 1`), seeded
     /// with `seed` (which also serves as the base of every evaluation
     /// seed).
@@ -1022,7 +993,8 @@ impl<W: Evaluator, B: Backend> Session<W, B> {
     }
 
     /// The backend, for backend-specific inspection (e.g.
-    /// [`Population::last_trace`], the SoC's generation reports).
+    /// [`Population::last_trace`](crate::Population::last_trace), the
+    /// SoC's generation reports).
     pub fn backend(&self) -> &B {
         &self.backend
     }

@@ -1,22 +1,17 @@
 //! Cross-crate integration tests: the full GeneSys stack, software NEAT
 //! vs the hardware loop, trace replay, and the experiment harness.
 
-use genesys::gym::{rollout, CartPole, EnvKind, Environment, MountainCar};
-use genesys::neat::{Genome, NeatConfig, Population, RunOutcome};
+use genesys::gym::{rollout, EnvKind, EpisodeEvaluator, MountainCar};
+use genesys::neat::{EvalContext, Genome, NeatConfig, Network, Population, RunOutcome, Session};
 use genesys::platforms::{CpuModel, GpuModel, WorkloadProfile};
 use genesys::soc::{
     decode_genome, encode_genome, replay_trace, GenesysSoc, GenomeBuffer, NocKind, SocConfig,
     SramConfig,
 };
-use std::sync::atomic::{AtomicU64, Ordering};
 
-fn cartpole_fitness() -> impl Fn(&genesys::neat::Network) -> f64 + Sync {
-    let seed = AtomicU64::new(0);
-    move |net| {
-        let s = seed.fetch_add(1, Ordering::Relaxed);
-        let mut env = CartPole::new(s);
-        rollout(net, &mut env, 1)
-    }
+/// One CartPole episode per genome, seeded from its evaluation context.
+fn cartpole() -> EpisodeEvaluator {
+    EpisodeEvaluator::new(EnvKind::CartPole)
 }
 
 #[test]
@@ -26,9 +21,11 @@ fn software_neat_learns_cartpole() {
         .target_fitness(Some(150.0))
         .build()
         .unwrap();
-    let mut pop = Population::new(config, 5);
-    pop.set_parallelism(4);
-    let result = pop.run(cartpole_fitness(), 40);
+    let mut session = Session::on(Population::new(config, 5), 5)
+        .workload(cartpole())
+        .threads(4)
+        .build();
+    let result = session.run(40);
     let best_seen = result
         .history
         .iter()
@@ -51,9 +48,16 @@ fn hardware_loop_matches_software_interface_and_learns() {
         .target_fitness(Some(150.0))
         .build()
         .unwrap();
-    let mut soc = GenesysSoc::new(SocConfig::default().with_num_eve_pes(32), neat, 17);
-    let mut factory = |i: usize| -> Box<dyn Environment> { Box::new(CartPole::new(i as u64)) };
-    let (reports, _converged) = soc.run_until(25, &mut factory);
+    let soc = GenesysSoc::new(SocConfig::default().with_num_eve_pes(32), neat, 17);
+    let mut session = Session::on(soc, 17).workload(cartpole()).build();
+    let mut reports = Vec::new();
+    for _ in 0..25 {
+        let converged = session.run(1).converged();
+        reports.push(session.backend().last_report().unwrap().clone());
+        if converged {
+            break;
+        }
+    }
     let first = reports.first().unwrap().max_fitness;
     let best = reports
         .iter()
@@ -75,14 +79,12 @@ fn hardware_loop_matches_software_interface_and_learns() {
 #[test]
 fn evolved_population_round_trips_the_genome_buffer_encoding() {
     let config = NeatConfig::builder(2, 1).pop_size(32).build().unwrap();
-    let mut pop = Population::new(config, 3);
-    for _ in 0..5 {
-        pop.evolve_once(|net| {
-            let mut env = MountainCar::new(1);
-            rollout(net, &mut env, 1)
-        });
-    }
-    for genome in pop.genomes() {
+    let mountain_car = |_: EvalContext, net: &Network| rollout(net, &mut MountainCar::new(1), 1);
+    let mut session = Session::on(Population::new(config, 3), 3)
+        .workload(mountain_car)
+        .build();
+    session.run(5);
+    for genome in session.genomes() {
         let words = encode_genome(genome);
         let back = decode_genome(genome.key(), 2, 1, &words).expect("valid image");
         assert_eq!(back.num_nodes(), genome.num_nodes());
@@ -100,11 +102,13 @@ fn evolved_population_round_trips_the_genome_buffer_encoding() {
 #[test]
 fn trace_replay_is_consistent_with_the_trace() {
     let config = NeatConfig::builder(6, 2).pop_size(50).build().unwrap();
-    let mut pop = Population::new(config, 9);
-    let parent_sizes: Vec<usize> = pop.genomes().iter().map(Genome::num_genes).collect();
-    pop.evolve_once(|net| net.activate(&[0.5; 6]).iter().sum());
-    let trace = pop.last_trace().unwrap().clone();
-    let child_sizes: Vec<usize> = pop.genomes().iter().map(Genome::num_genes).collect();
+    let mut session = Session::on(Population::new(config, 9), 9)
+        .workload(|_: EvalContext, net: &Network| net.activate(&[0.5; 6]).iter().sum())
+        .build();
+    let parent_sizes: Vec<usize> = session.genomes().iter().map(Genome::num_genes).collect();
+    session.step();
+    let trace = session.backend().last_trace().unwrap().clone();
+    let child_sizes: Vec<usize> = session.genomes().iter().map(Genome::num_genes).collect();
 
     let mut buffer = GenomeBuffer::new(SramConfig::default());
     let report = replay_trace(
@@ -162,21 +166,12 @@ fn every_suite_env_supports_one_soc_generation() {
             .pop_size(6)
             .build()
             .unwrap();
-        let mut soc = GenesysSoc::new(SocConfig::default().with_num_eve_pes(4), neat, 2);
-        let mut factory = move |i: usize| -> Box<dyn Environment> {
-            let mut seed_env = kind.make(i as u64);
-            // bound Atari episodes so the test stays fast
-            if kind.is_atari() {
-                seed_env = match kind {
-                    EnvKind::Asterix => {
-                        Box::new(genesys::gym::AsterixRam::from_seed(i as u64).with_max_steps(80))
-                    }
-                    _ => seed_env,
-                };
-            }
-            seed_env
-        };
-        let report = soc.run_generation(&mut factory);
+        let soc = GenesysSoc::new(SocConfig::default().with_num_eve_pes(4), neat, 2);
+        let mut session = Session::on(soc, 2)
+            .workload(EpisodeEvaluator::new(kind))
+            .build();
+        session.step();
+        let report = session.backend().last_report().unwrap();
         assert!(report.inference.env_steps > 0, "{}", kind.label());
         assert!(report.evolution.cycles > 0, "{}", kind.label());
     }
@@ -186,21 +181,23 @@ fn every_suite_env_supports_one_soc_generation() {
 fn checkpoint_restore_resumes_evolution() {
     use genesys::soc::{decode_population, encode_population};
     let config = NeatConfig::builder(4, 1).pop_size(24).build().unwrap();
-    let mut pop = Population::new(config.clone(), 13);
-    for _ in 0..5 {
-        pop.evolve_once(cartpole_fitness());
-    }
+    let mut session = Session::on(Population::new(config.clone(), 13), 13)
+        .workload(cartpole())
+        .build();
+    session.run(5);
     // Checkpoint through the genome-buffer image format.
-    let image = encode_population(pop.genomes());
+    let image = encode_population(session.genomes());
     let restored = decode_population(4, 1, &image).unwrap();
     assert_eq!(restored.len(), 24);
-    let mut resumed = Population::from_genomes(config, restored, 14);
-    let stats = resumed.evolve_once(cartpole_fitness());
+    let mut resumed = Session::on(Population::from_genomes(config, restored, 14), 14)
+        .workload(cartpole())
+        .build();
+    let stats = resumed.step();
     assert_eq!(stats.generation, 0);
     assert_eq!(resumed.genomes().len(), 24);
     // Structural knowledge survived the checkpoint: resumed genomes keep
     // whatever hidden structure evolution had built.
-    let genes_before: usize = pop.genomes().iter().map(Genome::num_genes).sum();
+    let genes_before: usize = session.genomes().iter().map(Genome::num_genes).sum();
     assert!(genes_before > 0);
     for g in resumed.genomes() {
         assert!(g.validate().is_ok());
@@ -214,17 +211,20 @@ fn quantized_and_float_evolution_both_learn() {
     // `ablation_quantization` bin runs at full scale).
     let config = NeatConfig::builder(4, 1).pop_size(48).build().unwrap();
 
-    let mut float_pop = Population::new(config.clone(), 77);
+    let mut float_pop = Session::on(Population::new(config.clone(), 77), 77)
+        .workload(cartpole())
+        .build();
     let mut best_float = f64::MIN;
     for _ in 0..10 {
-        best_float = best_float.max(float_pop.evolve_once(cartpole_fitness()).max_fitness);
+        best_float = best_float.max(float_pop.step().max_fitness);
     }
 
-    let mut soc = GenesysSoc::new(SocConfig::default().with_num_eve_pes(32), config, 77);
-    let mut factory = |i: usize| -> Box<dyn Environment> { Box::new(CartPole::new(i as u64)) };
+    let soc = GenesysSoc::new(SocConfig::default().with_num_eve_pes(32), config, 77);
+    let mut soc = Session::on(soc, 77).workload(cartpole()).build();
     let mut best_quant = f64::MIN;
     for _ in 0..10 {
-        best_quant = best_quant.max(soc.run_generation(&mut factory).max_fitness);
+        soc.step();
+        best_quant = best_quant.max(soc.backend().last_report().unwrap().max_fitness);
     }
     assert!(
         best_float > 20.0,

@@ -1,21 +1,23 @@
 //! The evolution-phase determinism contract, end to end: one full
-//! `evolve_once` — evaluation, parallel speciation, parallel plan/execute
-//! reproduction, serial innovation assignment — must be **bit-identical**
-//! at any worker count, and the two-pass innovation assignment must match
-//! the direct serial tracker path on arbitrary genomes.
+//! generation (`Session::step` on a `Population`) — evaluation, parallel
+//! speciation, parallel plan/execute reproduction, serial innovation
+//! assignment — must be **bit-identical** at any worker count, and the
+//! two-pass innovation assignment must match the direct serial tracker
+//! path on arbitrary genomes.
 
 use genesys::neat::reproduction::{child_seed, plan_offspring, ChildKind};
 use genesys::neat::trace::OpCounters;
 use genesys::neat::{
-    Executor, Genome, InnovationTracker, NeatConfig, Network, NodeId, Population, SpeciesSet,
-    SplitRecorder, XorWow,
+    EvalContext, Executor, Genome, InnovationTracker, NeatConfig, Network, NodeId, Population,
+    Session, SessionBuilder, SpeciesSet, SplitRecorder, XorWow,
 };
 use proptest::prelude::*;
 use std::sync::Arc;
 
 /// A cheap, index-seeded fitness so every genome gets a distinct,
 /// deterministic score regardless of evaluation order.
-fn indexed_fitness(index: usize, net: &Network) -> f64 {
+fn indexed_fitness(ctx: EvalContext, net: &Network) -> f64 {
+    let index = ctx.index as usize;
     let inputs: Vec<f64> = (0..net.num_inputs())
         .map(|i| ((index + i) % 7) as f64 * 0.3 - 0.9)
         .collect();
@@ -27,6 +29,11 @@ fn config(pop: usize) -> NeatConfig {
         .pop_size(pop)
         .build()
         .expect("valid config")
+}
+
+/// A session builder on a fresh population of `pop` seeded `seed`.
+fn on(pop: usize, seed: u64) -> SessionBuilder<Population> {
+    Session::on(Population::new(config(pop), seed), seed)
 }
 
 fn species_fingerprint(species: &SpeciesSet) -> Vec<(u32, Vec<usize>, u64, usize)> {
@@ -43,23 +50,28 @@ fn species_fingerprint(species: &SpeciesSet) -> Vec<(u32, Vec<usize>, u64, usize
         .collect()
 }
 
-/// `evolve_once` produces bit-identical genomes, species and traces at
-/// 1, 4 and 8 workers — the acceptance test of the staged pipeline.
+/// Each generation produces bit-identical genomes, species and traces
+/// at 1, 4 and 8 workers — the acceptance test of the staged pipeline.
 #[test]
 fn evolve_once_bit_identical_at_1_4_8_workers() {
     const GENERATIONS: usize = 6;
     let run = |workers: Option<usize>| {
-        let mut pop = Population::new(config(48), 2024);
+        let mut builder = on(48, 2024).workload(indexed_fitness);
         if let Some(w) = workers {
-            pop.set_executor(Arc::new(Executor::new(w)));
+            builder = builder.executor(Arc::new(Executor::new(w)));
         }
+        let mut session = builder.build();
         let mut traces = Vec::new();
         for _ in 0..GENERATIONS {
-            pop.evolve_once_indexed(indexed_fitness);
-            traces.push(pop.last_trace().expect("reproduced").clone());
+            session.step();
+            traces.push(session.backend().last_trace().expect("reproduced").clone());
         }
-        let genomes: Vec<Genome> = pop.genomes().to_vec();
-        (genomes, species_fingerprint(pop.species()), traces)
+        let genomes: Vec<Genome> = session.genomes().to_vec();
+        (
+            genomes,
+            species_fingerprint(session.backend().species()),
+            traces,
+        )
     };
 
     let (serial_genomes, serial_species, serial_traces) = run(None);
@@ -86,12 +98,14 @@ fn evolve_once_bit_identical_at_1_4_8_workers() {
 #[test]
 fn shared_pool_across_generations_stays_in_lockstep() {
     let pool = Arc::new(Executor::new(4));
-    let mut serial = Population::new(config(32), 7);
-    let mut parallel = Population::new(config(32), 7);
-    parallel.set_executor(Arc::clone(&pool));
+    let mut serial = on(32, 7).workload(indexed_fitness).build();
+    let mut parallel = on(32, 7)
+        .workload(indexed_fitness)
+        .executor(Arc::clone(&pool))
+        .build();
     for generation in 0..5 {
-        let a = serial.evolve_once_indexed(indexed_fitness);
-        let b = parallel.evolve_once_indexed(indexed_fitness);
+        let a = serial.step();
+        let b = parallel.step();
         assert_eq!(a.max_fitness.to_bits(), b.max_fitness.to_bits());
         assert_eq!(a.total_genes, b.total_genes);
         assert_eq!(a.ops, b.ops, "generation {generation}");

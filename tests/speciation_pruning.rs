@@ -34,7 +34,8 @@ fn config(pop: usize, exact: bool) -> NeatConfig {
 }
 
 /// Index-seeded fitness: deterministic and order-independent.
-fn indexed_fitness(index: usize, net: &Network) -> f64 {
+fn indexed_fitness(ctx: EvalContext, net: &Network) -> f64 {
+    let index = ctx.index as usize;
     let inputs: Vec<f64> = (0..net.num_inputs())
         .map(|i| ((index + i) % 7) as f64 * 0.3 - 0.9)
         .collect();
@@ -72,16 +73,19 @@ fn run_monolithic(exact: bool, workers: Option<usize>) -> MonolithicRun {
     // Populations below the blocked-scan cutoff (128) take the scalar scan
     // in both arms; 192 keeps the default arm on the blocked path so the
     // A/B actually exercises the columnar kernel.
-    let mut pop = Population::new(config(192, exact), 2024);
+    let mut builder =
+        Session::on(Population::new(config(192, exact), 2024), 2024).workload(indexed_fitness);
     if let Some(w) = workers {
-        pop.set_executor(Arc::new(Executor::new(w)));
+        builder = builder.executor(Arc::new(Executor::new(w)));
     }
+    let mut session = builder.build();
     let mut distances = Vec::with_capacity(GENERATIONS);
     for _ in 0..GENERATIONS {
-        pop.evolve_once_indexed(indexed_fitness);
-        distances.push(pop.species().scan_stats().exact);
+        session.step();
+        distances.push(session.backend().species().scan_stats().exact);
     }
-    (pop.genomes().to_vec(), species_fingerprint(&pop), distances)
+    let pop = session.backend();
+    (pop.genomes().to_vec(), species_fingerprint(pop), distances)
 }
 
 /// Monolithic backend: blocked ≡ exact at serial, 1, 4 and 8 workers,

@@ -1,8 +1,10 @@
 //! Stress and edge-case tests: capacity spills, degenerate selections,
 //! extreme configurations — the failure modes a downstream user will hit.
 
-use genesys::gym::{CartPole, Environment};
-use genesys::neat::{Genome, NeatConfig, Population, SpeciesSet, XorWow};
+use genesys::gym::{EnvKind, EpisodeEvaluator};
+use genesys::neat::{
+    EvalContext, Genome, NeatConfig, Network, Population, Session, SpeciesSet, XorWow,
+};
 use genesys::soc::{
     allocate_pes, select_parents, AllocPolicy, EveEngine, GenesysSoc, GenomeBuffer, NocKind,
     PeConfig, SocConfig, SramConfig,
@@ -87,6 +89,16 @@ fn single_pe_engine_handles_a_whole_generation() {
     assert_eq!(report.rounds, non_elite, "one PE = one child per round");
 }
 
+/// A serial session on a fresh population of `config` seeded `seed`.
+fn session<F>(config: NeatConfig, seed: u64, fitness: F) -> Session<F, Population>
+where
+    F: Fn(EvalContext, &Network) -> f64 + Sync,
+{
+    Session::on(Population::new(config, seed), seed)
+        .workload(fitness)
+        .build()
+}
+
 #[test]
 fn tiny_population_of_two_survives_many_generations() {
     let config = NeatConfig::builder(2, 1)
@@ -95,9 +107,9 @@ fn tiny_population_of_two_survives_many_generations() {
         .min_species_size(1)
         .build()
         .unwrap();
-    let mut pop = Population::new(config, 5);
+    let mut pop = session(config, 5, |_, net| net.activate(&[0.5, 0.5])[0]);
     for _ in 0..30 {
-        let stats = pop.evolve_once(|net| net.activate(&[0.5, 0.5])[0]);
+        let stats = pop.step();
         assert_eq!(pop.genomes().len(), 2);
         assert!(stats.max_fitness.is_finite());
     }
@@ -111,12 +123,14 @@ fn soc_with_one_pe_and_one_genome_per_species_runs() {
         .min_species_size(1)
         .build()
         .unwrap();
-    let mut soc = GenesysSoc::new(SocConfig::default().with_num_eve_pes(1), neat, 6);
-    let mut factory = |i: usize| -> Box<dyn Environment> { Box::new(CartPole::new(i as u64)) };
+    let soc = GenesysSoc::new(SocConfig::default().with_num_eve_pes(1), neat, 6);
+    let mut soc = Session::on(soc, 6)
+        .workload(EpisodeEvaluator::new(EnvKind::CartPole))
+        .build();
     for _ in 0..3 {
-        let report = soc.run_generation(&mut factory);
+        soc.step();
         assert_eq!(soc.genomes().len(), 4);
-        assert!(report.evolution.rounds >= 1);
+        assert!(soc.backend().last_report().unwrap().evolution.rounds >= 1);
     }
 }
 
@@ -131,9 +145,11 @@ fn extreme_mutation_rates_never_break_invariants() {
         .weight_mutate_rate(1.0)
         .build()
         .unwrap();
-    let mut pop = Population::new(config, 7);
+    let mut pop = session(config, 7, |_, net| {
+        net.activate(&[0.1, 0.2, 0.3]).iter().sum()
+    });
     for _ in 0..15 {
-        pop.evolve_once(|net| net.activate(&[0.1, 0.2, 0.3]).iter().sum());
+        pop.step();
         for g in pop.genomes() {
             assert!(g.validate().is_ok());
         }
@@ -150,10 +166,8 @@ fn zero_structural_mutation_preserves_minimal_topology() {
         .node_delete_prob(0.0)
         .build()
         .unwrap();
-    let mut pop = Population::new(config, 8);
-    for _ in 0..10 {
-        pop.evolve_once(|net| net.activate(&[0.1, 0.2, 0.3])[0]);
-    }
+    let mut pop = session(config, 8, |_, net| net.activate(&[0.1, 0.2, 0.3])[0]);
+    pop.run(10);
     for g in pop.genomes() {
         assert_eq!(g.num_nodes(), 4, "weights-only evolution keeps topology");
         assert_eq!(g.num_conns(), 3);

@@ -3,10 +3,10 @@
 //! must stay addressable under their documented paths, and the `src/lib.rs`
 //! quickstart must keep working when written against them.
 
-use genesys::gym::{rollout, CartPole, Environment};
-use genesys::neat::{NeatConfig, Population};
+use genesys::gym::{CartPole, EnvKind, Environment, EpisodeEvaluator};
+use genesys::neat::{NeatConfig, Session};
 use genesys::platforms::{CpuModel, WorkloadProfile};
-use genesys::soc::SocConfig;
+use genesys::soc::{snapshot_from_bytes, snapshot_to_bytes, SocConfig};
 
 /// Every umbrella module resolves and its headline types are constructible.
 #[test]
@@ -49,16 +49,28 @@ fn umbrella_aliases_match_member_crates() {
     assert!(cost.evolution_s > 0.0);
 }
 
-/// The `src/lib.rs` quickstart, as an integration test: one evolved
-/// generation on CartPole through the umbrella paths only.
+/// The `src/lib.rs` quickstart, as an integration test through the
+/// umbrella paths only: evolve, checkpoint to bytes, resume, and land on
+/// the genomes of the run that never stopped.
 #[test]
 fn quickstart_flow_runs() {
-    let config = NeatConfig::for_env("cartpole", 4, 1);
-    let mut pop = Population::new(config, 42);
-    let stats = pop.evolve_once(|net| {
-        let mut env = CartPole::new(7);
-        rollout(net, &mut env, 1)
-    });
-    assert!(stats.max_fitness >= 0.0);
-    assert_eq!(pop.generation(), 1);
+    let mut config = EnvKind::CartPole.neat_config();
+    config.pop_size = 16;
+
+    let mut session = Session::builder(config, 42)
+        .unwrap()
+        .workload(EpisodeEvaluator::new(EnvKind::CartPole))
+        .build();
+    session.run(2);
+    let checkpoint = snapshot_to_bytes(&session.export_state()).unwrap();
+
+    let state = snapshot_from_bytes(&checkpoint).unwrap();
+    let mut resumed = Session::resume(state)
+        .unwrap()
+        .workload(EpisodeEvaluator::new(EnvKind::CartPole))
+        .build();
+    assert_eq!(resumed.generation(), 2);
+    session.run(2);
+    resumed.run(2);
+    assert_eq!(session.genomes(), resumed.genomes());
 }
