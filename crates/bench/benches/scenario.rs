@@ -10,13 +10,13 @@
 //! into the evolution loop.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use genesys_gym::{episode_into, EnvKind, RolloutScratch};
+use genesys_gym::{
+    adapted_episode, episode_into, AdapterScratch, DriftSchedule, DriftedEnv, EnvKind,
+    RolloutScratch, Task, TaskPlan, TaskSequence,
+};
 use genesys_neat::trace::OpCounters;
 use genesys_neat::{
     Genome, InnovationTracker, NeatConfig, Network, PopulationDiagnostics, Session, XorWow,
-};
-use genesys_scenario::{
-    adapted_episode, AdapterScratch, DriftSchedule, DriftedEnv, Task, TaskPlan, TaskSequence,
 };
 
 const POP: usize = 10_000;

@@ -141,21 +141,22 @@ impl GenesysSoc {
     /// [`SessionError::BackendMismatch`] for an archipelago checkpoint
     /// (the SoC models one shared genome buffer).
     pub fn from_state(soc: SocConfig, state: RunState) -> Result<Self, SessionError> {
-        let neat = NeatConfig::builder(1, 1).build().expect("placeholder");
-        let mut booted = GenesysSoc {
-            soc,
-            neat,
-            genomes: Vec::new(),
-            species: SpeciesSet::new(),
-            rng: XorWow::seed_from_u64_value(0),
-            seed: 0,
-            generation: 0,
-            next_key: 0,
-            best_ever: None,
-            last_report: None,
+        let RunState::Monolithic(state) = state else {
+            return Err(SessionError::BackendMismatch);
         };
-        Backend::import_state(&mut booted, state)?;
-        Ok(booted)
+        state.validate()?;
+        Ok(GenesysSoc {
+            soc,
+            neat: state.config,
+            genomes: state.genomes,
+            species: SpeciesSet::from_parts(state.species, state.species_next_id),
+            rng: XorWow::from_state(state.rng_state.0, state.rng_state.1),
+            seed: state.seed,
+            generation: state.generation as usize,
+            next_key: state.next_key,
+            best_ever: state.best_ever,
+            last_report: None,
+        })
     }
 
     /// Current generation index.
@@ -425,25 +426,6 @@ impl Backend for GenesysSoc {
             workload_state: 0,
         }))
     }
-
-    fn import_state(&mut self, state: RunState) -> Result<(), SessionError> {
-        // The SoC models one shared genome buffer; archipelago
-        // checkpoints have no hardware equivalent yet.
-        let RunState::Monolithic(state) = state else {
-            return Err(SessionError::BackendMismatch);
-        };
-        state.validate()?;
-        self.neat = state.config;
-        self.genomes = state.genomes;
-        self.species = SpeciesSet::from_parts(state.species, state.species_next_id);
-        self.rng = XorWow::from_state(state.rng_state.0, state.rng_state.1);
-        self.seed = state.seed;
-        self.generation = state.generation as usize;
-        self.next_key = state.next_key;
-        self.best_ever = state.best_ever;
-        self.last_report = None;
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -586,6 +568,25 @@ mod tests {
 
         assert_eq!(&full_report.history[2..], &tail_report.history[..]);
         assert_eq!(full.genomes(), tail.genomes());
+    }
+
+    /// The SoC models one shared genome buffer, so an archipelago state
+    /// is refused; a monolithic one boots to the state it was given.
+    #[test]
+    fn wrong_state_kind_is_a_backend_mismatch() {
+        let islands = NeatConfig::builder(4, 1)
+            .pop_size(16)
+            .islands(2)
+            .build()
+            .unwrap();
+        let arch = Backend::export_state(&genesys_neat::Archipelago::new(islands, 3));
+        assert_eq!(
+            GenesysSoc::from_state(SocConfig::default(), arch).unwrap_err(),
+            SessionError::BackendMismatch
+        );
+        let mono = small_soc(12).export_state();
+        let booted = GenesysSoc::from_state(SocConfig::default(), mono.clone()).unwrap();
+        assert_eq!(booted.export_state(), mono);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! which is exactly the kind of distribution shift the continual-learning
 //! literature studies and the cheapest one to make deterministic.
 
-use genesys_gym::{ActionKind, Environment};
+use crate::{ActionKind, Environment};
 use std::fmt;
 
 /// SplitMix64 finalizer — the same mix the session seed derivation uses,
@@ -207,7 +207,7 @@ impl Environment for DriftedEnv {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use genesys_gym::EnvKind;
+    use crate::EnvKind;
 
     #[test]
     fn sudden_flips_once() {

@@ -1,16 +1,13 @@
 //! Session workloads for the environment suite.
 //!
-//! These are the [`Evaluator`] implementations a `genesys_neat::Session`
-//! drives: [`EpisodeEvaluator`] rolls one (or more) episodes of a Table I
-//! environment per genome, and [`DriftingEvaluator`] runs the paper's
-//! continuous-learning scenario on the nonstationary
-//! [`DriftingCartPole`]. Both honour the session determinism contract —
-//! every episode seed and drift regime is a pure function of the
-//! [`EvalContext`] — so fitness is bit-identical at any worker count and
-//! across checkpoint/resume.
+//! [`EpisodeEvaluator`] is the [`Evaluator`] a `genesys_neat::Session`
+//! drives to roll one (or more) episodes of a Table I environment per
+//! genome. It honours the session determinism contract — every episode
+//! seed is a pure function of the [`EvalContext`] — so fitness is
+//! bit-identical at any worker count and across checkpoint/resume. The
+//! drifting and curriculum workload is [`crate::TaskSequence`].
 
 use crate::cartpole::Lanes;
-use crate::nonstationary::DriftingCartPole;
 use crate::{episode_into, episode_rollout_with, episode_seed, EnvKind, RolloutScratch};
 use genesys_neat::{
     evaluate_each, EvalContext, Evaluation, Evaluator, Genome, Network, NetworkPlan, WorkerLocal,
@@ -118,92 +115,9 @@ impl Evaluator for EpisodeEvaluator {
     }
 }
 
-/// The continuous-learning workload: every genome faces the same drifting
-/// cart-pole world, whose physics regime advances with the global episode
-/// index.
-///
-/// # Drift phase and checkpoints
-///
-/// The episode index of an evaluation is the pure function
-/// `episode_offset + generation * episodes_per_generation + index`, so the
-/// drift schedule depends only on *where* in the run an evaluation sits —
-/// never on evaluation order (this replaces the order-dependent
-/// `AtomicU64` episode counter the original continuous-learning example
-/// used). The phase is serialized across power cycles: `episode_offset`
-/// travels in [`Evaluator::state`] and the generation counter in the
-/// session's `EvolutionState`, so a resumed run faces exactly the regimes
-/// the uninterrupted run would have.
-#[derive(Debug)]
-pub struct DriftingEvaluator {
-    world_seed: u64,
-    period: u64,
-    episodes_per_generation: u64,
-    episode_offset: u64,
-    scratch: WorkerLocal<RolloutScratch>,
-}
-
-impl DriftingEvaluator {
-    /// Creates the workload: regimes advance every `period` episodes, and
-    /// each generation consumes `episodes_per_generation` episodes
-    /// (normally the population size — one episode per genome).
-    pub fn new(world_seed: u64, period: u64, episodes_per_generation: u64) -> Self {
-        DriftingEvaluator {
-            world_seed,
-            period: period.max(1),
-            episodes_per_generation,
-            episode_offset: 0,
-            scratch: WorkerLocal::new(RolloutScratch::new),
-        }
-    }
-
-    /// Starts the drift at a nonzero phase (e.g. to continue a world that
-    /// already ran outside this session).
-    pub fn with_episode_offset(mut self, offset: u64) -> Self {
-        self.episode_offset = offset;
-        self
-    }
-
-    /// The serialized drift phase (see the type docs).
-    pub fn episode_offset(&self) -> u64 {
-        self.episode_offset
-    }
-
-    /// Global episode index of evaluation `(generation, index)`.
-    pub fn episode_at(&self, generation: u64, index: u64) -> u64 {
-        self.episode_offset + generation * self.episodes_per_generation + index
-    }
-
-    /// An environment positioned at the first episode of `generation`,
-    /// for probing the regime in force (reporting, not evaluation).
-    pub fn probe(&self, generation: u64) -> DriftingCartPole {
-        DriftingCartPole::new(self.world_seed, self.period)
-            .with_episode(self.episode_at(generation, 0))
-    }
-}
-
-impl Evaluator for DriftingEvaluator {
-    fn evaluate(&self, ctx: EvalContext, net: &Network) -> Evaluation {
-        let episode = self.episode_at(ctx.generation, ctx.index);
-        let mut env = DriftingCartPole::new(self.world_seed, self.period).with_episode(episode);
-        let (fitness, env_steps) = self
-            .scratch
-            .with(|buffers| episode_into(net, &mut env, buffers));
-        Evaluation { fitness, env_steps }
-    }
-
-    fn state(&self) -> u64 {
-        self.episode_offset
-    }
-
-    fn restore_state(&mut self, state: u64) {
-        self.episode_offset = state;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use genesys_neat::{NeatConfig, Session};
 
     #[test]
     fn episode_evaluator_matches_manual_rollout() {
@@ -312,54 +226,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn drift_phase_is_pure_in_generation_and_index() {
-        let eval = DriftingEvaluator::new(7, 300, 96);
-        assert_eq!(eval.episode_at(0, 0), 0);
-        assert_eq!(eval.episode_at(3, 10), 3 * 96 + 10);
-        let offset = DriftingEvaluator::new(7, 300, 96).with_episode_offset(500);
-        assert_eq!(offset.episode_at(3, 10), 500 + 3 * 96 + 10);
-        assert_eq!(offset.state(), 500);
-    }
-
-    #[test]
-    fn drift_phase_survives_checkpoint_resume() {
-        let config = NeatConfig::builder(4, 1).pop_size(12).build().unwrap();
-        let pop = config.pop_size as u64;
-        let make_eval = || DriftingEvaluator::new(4242, 30, pop).with_episode_offset(17);
-
-        let mut full = Session::builder(config.clone(), 8)
-            .unwrap()
-            .workload(make_eval())
-            .build();
-        let full_report = full.run(6);
-
-        let mut head = Session::builder(config, 8)
-            .unwrap()
-            .workload(make_eval())
-            .build();
-        head.run(3);
-        let state = head.export_state();
-        assert_eq!(state.workload_state(), 17, "drift phase serialized");
-        // Resume with a *default-phase* evaluator: the checkpoint restores
-        // the offset.
-        let mut resumed = Session::resume(state)
-            .unwrap()
-            .workload(DriftingEvaluator::new(4242, 30, pop))
-            .build();
-        assert_eq!(resumed.workload().episode_offset(), 17);
-        let tail = resumed.run(3);
-        assert_eq!(&full_report.history[3..], &tail.history[..]);
-        assert_eq!(full.genomes(), resumed.genomes());
-    }
-
-    #[test]
-    fn probe_reports_the_regime_evaluations_face() {
-        let eval = DriftingEvaluator::new(11, 5, 10);
-        // Generation 1 starts at episode 10 -> regime 2 (episode/period).
-        assert_eq!(eval.probe(1).regime(), 2);
-        assert_eq!(eval.probe(0).regime(), 0);
     }
 }

@@ -26,11 +26,18 @@
 //! workspace's counting-allocator test), with fitness bit-identical to the
 //! allocating wrappers.
 //!
-//! The [`evaluator`] module packages the suite as session workloads:
-//! [`EpisodeEvaluator`] (one seeded episode per genome) and
-//! [`DriftingEvaluator`] (the nonstationary continuous-learning scenario,
-//! drift phase serialized across checkpoints) plug into
-//! `genesys_neat::Session`.
+//! The suite plugs into `genesys_neat::Session` as two workloads:
+//!
+//! * [`EpisodeEvaluator`] ([`evaluator`]): seeded episodes of one
+//!   environment per genome.
+//! * [`TaskSequence`] ([`sequence`]): the continuous-learning workload. A
+//!   [`TaskPlan`] orders environment families behind one genome interface
+//!   ([`IoAdapter`]), and a [`DriftSchedule`] ([`drift`]) changes the
+//!   world at most once per generation, by a [`DriftedEnv`] sensor
+//!   transform. Every genome of a generation faces the same world, and
+//!   the sequence position rides in the checkpoint.
+//!   `TaskPlan::drifting(kind, DriftSchedule::Linear { period }, ..)` is
+//!   the one-environment drifting world.
 //!
 //! # Population lanes
 //!
@@ -47,7 +54,7 @@
 //! per-episode resets — is the scalar [`episode_into`] loop's bit for bit,
 //! so fitness, step counts and whole session trajectories equal those of
 //! genome-by-genome evaluation at any worker count. Every other workload
-//! (the other environments, drift, scenario tasks, the SoC) evaluates
+//! (the other environments, task sequences and drift, the SoC) evaluates
 //! genome by genome.
 //!
 //! # Quickstart
@@ -72,21 +79,23 @@ pub mod acrobot;
 pub mod atari_ram;
 pub mod bipedal;
 pub mod cartpole;
+pub mod drift;
 pub mod env;
 pub mod evaluator;
 pub mod lunar_lander;
 pub mod mountain_car;
-pub mod nonstationary;
+pub mod sequence;
 
 pub use acrobot::Acrobot;
 pub use atari_ram::{AirRaidRam, AlienRam, AmidarRam, AsterixRam, RamEnv, RamGame, RAM_SIZE};
 pub use bipedal::Bipedal;
 pub use cartpole::CartPole;
+pub use drift::{regime_gains, DriftSchedule, DriftedEnv};
 pub use env::{binary_action, quantize_action, ActionKind, Environment, Step};
-pub use evaluator::{DriftingEvaluator, EpisodeEvaluator};
+pub use evaluator::EpisodeEvaluator;
 pub use lunar_lander::LunarLander;
 pub use mountain_car::MountainCar;
-pub use nonstationary::DriftingCartPole;
+pub use sequence::{adapted_episode, AdapterScratch, IoAdapter, Task, TaskPlan, TaskSequence};
 
 use genesys_neat::{NeatConfig, Network, Scratch};
 

@@ -25,7 +25,7 @@
 //! curriculum mid-sequence (or mid-drift) bit-identically.
 
 use crate::drift::{DriftSchedule, DriftedEnv};
-use genesys_gym::{EnvKind, Environment};
+use crate::{EnvKind, Environment};
 use genesys_neat::{EvalContext, Evaluation, Evaluator, NeatConfig, Network, Scratch, WorkerLocal};
 
 /// One curriculum entry: an environment family, how many generations the
@@ -139,7 +139,7 @@ impl IoAdapter {
 /// Reusable buffers for [`adapted_episode`]: the genome output vector and
 /// the network [`Scratch`], whose input slots receive the task
 /// observation and its zero padding. Same ownership rules as
-/// `genesys_gym::RolloutScratch` — reuse one per worker, never share
+/// [`RolloutScratch`](crate::RolloutScratch) — reuse one per worker, never share
 /// concurrently; contents carry no information between episodes (each
 /// episode rewrites every input slot of the plan it runs).
 #[derive(Debug, Clone, Default)]
@@ -158,7 +158,7 @@ impl AdapterScratch {
 /// Runs one episode of `env` under `net` through `adapter`, returning
 /// `(cumulative_reward, steps_taken)`.
 ///
-/// This is the sequence counterpart of `genesys_gym::episode_into`: the
+/// This is the sequence counterpart of [`episode_into`](crate::episode_into): the
 /// environment writes each observation straight into the network's first
 /// `obs_dim` input slots, the padding slots are zeroed once per episode,
 /// and after the buffers have grown to the widest interface seen the loop
@@ -420,7 +420,7 @@ impl TaskSequence {
     /// Averages fitness over `episodes` episodes per evaluation, each
     /// with its own derived seed (the `(task, episode)` mix
     /// [`TaskPlan::probe_fitness`] uses) — the knob
-    /// `genesys_gym::EpisodeEvaluator::episodes` offers, for curricula.
+    /// [`EpisodeEvaluator::episodes`](crate::EpisodeEvaluator::episodes) offers, for curricula.
     /// Multi-episode averaging matters most on drifting tasks, where a
     /// single episode is a noisy read of a regime. Configuration, not
     /// workload state: like the gym evaluator's, it is not serialized —
@@ -441,9 +441,11 @@ impl TaskSequence {
         self.generation_offset
     }
 
-    /// The scenario generation a session generation maps to.
+    /// The scenario generation a session generation maps to. It wraps
+    /// past `u64::MAX`: the offset comes from a checkpoint, which a
+    /// served client supplies, so it may be any value.
     pub fn scenario_generation(&self, session_generation: u64) -> u64 {
-        self.generation_offset + session_generation
+        self.generation_offset.wrapping_add(session_generation)
     }
 }
 
@@ -580,10 +582,10 @@ mod tests {
             &adapter,
             &mut AdapterScratch::new(),
         );
-        let want = genesys_gym::episode_into(
+        let want = crate::episode_into(
             &net,
             kind.make(21).as_mut(),
-            &mut genesys_gym::RolloutScratch::new(),
+            &mut crate::RolloutScratch::new(),
         );
         assert_eq!((fit.to_bits(), steps), (want.0.to_bits(), want.1));
     }

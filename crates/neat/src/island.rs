@@ -504,18 +504,6 @@ impl Backend for Archipelago {
             workload_state: 0,
         }))
     }
-
-    fn import_state(&mut self, state: RunState) -> Result<(), SessionError> {
-        match state {
-            RunState::Archipelago(state) => {
-                let executor = self.executor.take();
-                *self = Archipelago::from_state(*state)?;
-                self.executor = executor;
-                Ok(())
-            }
-            RunState::Monolithic(_) => Err(SessionError::BackendMismatch),
-        }
-    }
 }
 
 /// The run-surface backend: a [`Population`] when `config.islands <= 1`,
@@ -632,13 +620,6 @@ impl Backend for EvolutionBackend {
             EvolutionBackend::Monolithic(p) => Backend::export_state(p),
             EvolutionBackend::Archipelago(a) => Backend::export_state(a),
         }
-    }
-
-    fn import_state(&mut self, state: RunState) -> Result<(), SessionError> {
-        // Unlike a bare Population or Archipelago, the run-surface enum
-        // accepts either kind: the state dictates the variant.
-        *self = EvolutionBackend::from_state(state)?;
-        Ok(())
     }
 }
 
@@ -775,26 +756,22 @@ mod tests {
         assert_eq!(Backend::export_state(&full), Backend::export_state(&tail));
     }
 
+    /// The run-surface enum takes either state kind: the state picks the
+    /// variant. (`GenesysSoc::from_state`, which models one shared genome
+    /// buffer, returns `BackendMismatch` for an archipelago state; its
+    /// test of the same name is in `genesys_core`.)
     #[test]
     fn wrong_state_kind_is_a_backend_mismatch() {
-        let mut arch = Archipelago::new(island_config_of(16, 2), 3);
-        let mut mono = Population::new(island_config_of(16, 1), 3);
-        let mono_state = Backend::export_state(&mono);
+        let arch = Archipelago::new(island_config_of(16, 2), 3);
+        let mono = Population::new(island_config_of(16, 1), 3);
         let arch_state = Backend::export_state(&arch);
-        assert_eq!(
-            arch.import_state(mono_state.clone()),
-            Err(SessionError::BackendMismatch)
-        );
-        assert_eq!(
-            Backend::import_state(&mut mono, arch_state.clone()),
-            Err(SessionError::BackendMismatch)
-        );
-        // The run-surface enum accepts both and switches variant.
-        let mut backend = EvolutionBackend::new(island_config_of(16, 1), 3);
-        backend.import_state(arch_state).unwrap();
+        let mono_state = Backend::export_state(&mono);
+        let backend = EvolutionBackend::from_state(arch_state.clone()).unwrap();
         assert!(matches!(backend, EvolutionBackend::Archipelago(_)));
-        backend.import_state(mono_state).unwrap();
+        assert_eq!(Backend::export_state(&backend), arch_state);
+        let backend = EvolutionBackend::from_state(mono_state.clone()).unwrap();
         assert!(matches!(backend, EvolutionBackend::Monolithic(_)));
+        assert_eq!(Backend::export_state(&backend), mono_state);
     }
 
     #[test]

@@ -516,16 +516,6 @@ impl Backend for Population {
     fn export_state(&self) -> RunState {
         RunState::Monolithic(Box::new(Population::export_state(self)))
     }
-
-    fn import_state(&mut self, state: RunState) -> Result<(), SessionError> {
-        match state {
-            RunState::Monolithic(state) => {
-                *self = Population::from_state(*state)?;
-                Ok(())
-            }
-            RunState::Archipelago(_) => Err(SessionError::BackendMismatch),
-        }
-    }
 }
 
 #[cfg(test)]

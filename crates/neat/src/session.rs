@@ -164,8 +164,9 @@ pub trait Evaluator: Sync {
         evaluate_each(self, genomes, first, plan, out);
     }
 
-    /// Serializable workload state, stored in checkpoints (e.g. the
-    /// nonstationary drift phase). Defaults to 0 for stateless workloads.
+    /// Serializable workload state, stored in checkpoints (e.g. a task
+    /// sequence's generation offset). Defaults to 0 for stateless
+    /// workloads.
     fn state(&self) -> u64 {
         0
     }
@@ -220,7 +221,7 @@ where
 ///
 /// Carried inside a [`RunState`] — one per population — produced by
 /// [`Session::export_state`] / [`Backend::export_state`] and consumed by
-/// [`Session::resume`] / [`Backend::import_state`].
+/// [`Session::resume`].
 /// `genesys_core::snapshot` defines the versioned binary wire format.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EvolutionState {
@@ -247,8 +248,8 @@ pub struct EvolutionState {
     pub next_key: u64,
     /// Best genome observed so far, if any generation was evaluated.
     pub best_ever: Option<Genome>,
-    /// Opaque workload state ([`Evaluator::state`]), e.g. the
-    /// nonstationary drift phase offset.
+    /// Opaque workload state ([`Evaluator::state`]), e.g. a task
+    /// sequence's generation offset.
     pub workload_state: u64,
 }
 
@@ -476,8 +477,9 @@ pub enum SessionError {
         /// Population size.
         population: usize,
     },
-    /// A [`RunState`] kind was imported into a backend of the other kind
-    /// (e.g. an archipelago checkpoint into a monolithic population).
+    /// A [`RunState`] kind was restored into a backend that cannot hold
+    /// it (an archipelago checkpoint into the SoC model, which has one
+    /// shared genome buffer).
     BackendMismatch,
     /// The innovation counter does not exceed a node id the state carries,
     /// so a later structural mutation would hand that id out again.
@@ -596,15 +598,6 @@ pub trait Backend {
     /// Captures the complete evolution state at the current generation
     /// boundary (see [`RunState`]).
     fn export_state(&self) -> RunState;
-
-    /// Replaces this backend's state with a previously exported one.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`SessionError`] if the state fails validation, or
-    /// [`SessionError::BackendMismatch`] if the state kind belongs to the
-    /// other backend kind and this backend cannot switch.
-    fn import_state(&mut self, state: RunState) -> Result<(), SessionError>;
 }
 
 /// One generation's worth of progress, streamed to observers as it

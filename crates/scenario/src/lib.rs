@@ -8,15 +8,21 @@
 //!
 //! * [`DriftSchedule`] — when the world changes: sudden, cyclic, linear,
 //!   or compound schedules, each a pure function from generation index
-//!   to regime label. [`DriftedEnv`] turns a regime into a deterministic
-//!   observation-space (sensor gain/polarity) transform over any
-//!   [`Environment`](genesys_gym::Environment).
+//!   to regime label. [`DriftedEnv`](genesys_gym::DriftedEnv) turns a
+//!   regime into a deterministic observation-space (sensor gain/polarity)
+//!   transform over any [`Environment`](genesys_gym::Environment).
 //! * [`TaskSequence`] — ordered environment-family curricula
 //!   (e.g. CartPole → Acrobot → LunarLander) behind one fixed genome
-//!   interface, with per-task [`IoAdapter`]s mapping each task's
-//!   observation/action spaces onto it. A session `Evaluator` whose only
+//!   interface, with per-task [`IoAdapter`](genesys_gym::IoAdapter)s
+//!   mapping each task's observation/action spaces onto it. A session `Evaluator` whose only
 //!   workload state is a single `u64`, so `Session::resume` continues a
 //!   curriculum mid-sequence (or mid-drift) **bit-identically**.
+//!
+//!   Both are the workspace's one drift mechanism. They live in
+//!   `genesys_gym` (its `drift` and `sequence` modules), where the session
+//!   server reaches them too; import them from there. This crate
+//!   re-exports [`DriftSchedule`], [`Task`], [`TaskPlan`] and
+//!   [`TaskSequence`] at its root, the names perfbench imports.
 //! * [`ContinualMetrics`] — the per-task fitness matrix (fixed-seed
 //!   probes of the generation champion at every task boundary), forgetting /
 //!   backward / forward transfer with the survey-standard definitions,
@@ -36,10 +42,8 @@
 //! # Quickstart
 //!
 //! ```
-//! use genesys_scenario::{
-//!     DriftSchedule, MetricsRecorder, RecoveryThreshold, Task, TaskPlan, TaskSequence,
-//! };
-//! use genesys_gym::EnvKind;
+//! use genesys_gym::{DriftSchedule, EnvKind, Task, TaskPlan, TaskSequence};
+//! use genesys_scenario::{MetricsRecorder, RecoveryThreshold};
 //! use genesys_neat::Session;
 //!
 //! let plan = TaskPlan::new(
@@ -65,10 +69,7 @@
 #![deny(missing_docs)]
 #![deny(missing_debug_implementations)]
 
-pub mod drift;
 pub mod metrics;
-pub mod sequence;
 
-pub use drift::{regime_gains, DriftSchedule, DriftedEnv};
+pub use genesys_gym::{DriftSchedule, Task, TaskPlan, TaskSequence};
 pub use metrics::{ContinualMetrics, DriftEvent, MetricsRecorder, ProbeRow, RecoveryThreshold};
-pub use sequence::{adapted_episode, AdapterScratch, IoAdapter, Task, TaskPlan, TaskSequence};

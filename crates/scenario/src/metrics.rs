@@ -26,11 +26,11 @@
 //! recorder to the resumed session, and the accumulated metrics equal
 //! the uninterrupted run's.
 //!
-//! [`TaskSequence`]: crate::sequence::TaskSequence
-//! [`TaskPlan::probe_fitness`]: crate::sequence::TaskPlan::probe_fitness
-//! [`TaskPlan::is_boundary`]: crate::sequence::TaskPlan::is_boundary
+//! [`TaskSequence`]: genesys_gym::TaskSequence
+//! [`TaskPlan::probe_fitness`]: genesys_gym::TaskPlan::probe_fitness
+//! [`TaskPlan::is_boundary`]: genesys_gym::TaskPlan::is_boundary
 
-use crate::sequence::TaskPlan;
+use genesys_gym::TaskPlan;
 use genesys_neat::{GenerationEvent, Network};
 use std::sync::{Arc, Mutex};
 
@@ -70,7 +70,7 @@ pub struct ProbeRow {
     /// `fitness[j]`: probe fitness on task `j` (fixed seeds, un-drifted
     /// task — see [`TaskPlan::probe_fitness`]).
     ///
-    /// [`TaskPlan::probe_fitness`]: crate::sequence::TaskPlan::probe_fitness
+    /// [`TaskPlan::probe_fitness`]: genesys_gym::TaskPlan::probe_fitness
     pub fitness: Vec<f64>,
 }
 
@@ -366,9 +366,7 @@ impl MetricsRecorder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::drift::DriftSchedule;
-    use crate::sequence::{Task, TaskPlan, TaskSequence};
-    use genesys_gym::EnvKind;
+    use genesys_gym::{DriftSchedule, EnvKind, Task, TaskSequence};
     use genesys_neat::{InitialWeights, Session};
 
     fn metrics_with_rows(rows: Vec<ProbeRow>) -> ContinualMetrics {

@@ -91,6 +91,16 @@ pub enum ServeError {
     /// The session has queued generations and cannot be evicted until
     /// they drain.
     SessionBusy(u64),
+    /// A `submit` config, or the config of a `resume` image, has a genome
+    /// interface other than the one its `Env` or `Drifting` workload's
+    /// environment has (`EnvKind::interface`). Rejected before any session
+    /// is built or any tenant is evicted.
+    WorkloadInterface {
+        /// `(inputs, outputs)` the workload's environment has.
+        workload: (usize, usize),
+        /// `(num_inputs, num_outputs)` of the config.
+        config: (usize, usize),
+    },
     /// A snapshot-image payload (submit config, resume/checkpoint state,
     /// observe event) failed to decode.
     Snapshot(SnapshotError),
@@ -131,6 +141,7 @@ impl ServeError {
             ServeError::UnknownSession(_) => 200,
             ServeError::ServerFull { .. } => 201,
             ServeError::SessionBusy(_) => 202,
+            ServeError::WorkloadInterface { .. } => 203,
             ServeError::Snapshot(e) => match e {
                 SnapshotError::BadMagic => 300,
                 SnapshotError::UnsupportedVersion(_) => 301,
@@ -172,6 +183,11 @@ impl fmt::Display for ServeError {
             ServeError::SessionBusy(id) => {
                 write!(f, "session {id} has queued generations")
             }
+            ServeError::WorkloadInterface { workload, config } => write!(
+                f,
+                "the workload's environment has a {}x{} interface, the config {}x{}",
+                workload.0, workload.1, config.0, config.1
+            ),
             ServeError::Snapshot(e) => write!(f, "snapshot payload: {e}"),
             ServeError::Session(e) => write!(f, "session state: {e}"),
             ServeError::Io(e) => write!(f, "i/o: {e}"),
@@ -231,6 +247,11 @@ mod tests {
             100
         );
         assert_eq!(ServeError::UnknownSession(1).code(), 200);
+        let interface = ServeError::WorkloadInterface {
+            workload: (4, 1),
+            config: (3, 2),
+        };
+        assert_eq!(interface.code(), 203);
         assert_eq!(ServeError::Snapshot(SnapshotError::BadMagic).code(), 300);
         assert_eq!(ServeError::Session(SessionError::EmptyState).code(), 401);
         let behind = SessionError::InnovationCounterBehind {

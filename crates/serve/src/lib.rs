@@ -20,8 +20,10 @@
 //!   `SessionError`, `SnapshotError` and the protocol errors into one
 //!   typed surface with stable numeric wire codes.
 //! * [`workload`] — the wire-nameable workloads ([`WorkloadSpec`]):
-//!   gym episode rollouts, the drifting nonstationary workload, and a
-//!   synthetic load-test fitness.
+//!   gym episode rollouts, one environment drifting by generation (a
+//!   one-task `genesys_gym::TaskSequence`), and a synthetic load-test
+//!   fitness. `submit` and `resume` refuse a workload whose environment
+//!   does not fit the config's genome interface.
 //! * [`net`] — a blocking TCP front end on the standard library alone
 //!   (offline constraint: no I/O registry deps): an accept loop, a reader
 //!   and a writer thread per connection, at most [`MAX_CONNECTIONS`]

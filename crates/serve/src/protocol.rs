@@ -43,8 +43,9 @@ use genesys_neat::{NeatConfig, OwnedGenerationEvent};
 
 /// Protocol version byte; bumped on any wire layout change, other
 /// versions rejected (the snapshot version policy). v2 added the
-/// `dropped_events` counter to the `stats` reply.
-pub const PROTOCOL_VERSION: u8 = 2;
+/// `dropped_events` counter to the `stats` reply; v3 dropped the
+/// drifting workload spec's episode count.
+pub const PROTOCOL_VERSION: u8 = 3;
 /// Hard cap on one frame's body. Large enough for megapopulation
 /// snapshot images, small enough that a hostile length prefix cannot
 /// balloon memory.
@@ -641,7 +642,6 @@ mod tests {
             WorkloadSpec::Drifting {
                 world_seed: 7,
                 period: 40,
-                episodes_per_generation: 16,
             },
         ]
     }
@@ -712,6 +712,27 @@ mod tests {
             take_frame(&mut buf),
             Err(ServeError::Frame(FrameError::Oversize { .. }))
         ));
+    }
+
+    /// Tag 2 is `[world_seed: u64] [period: u64]`: a drifting workload
+    /// is always CartPole, so the spec carries no env code.
+    #[test]
+    fn drifting_spec_layout_is_pinned() {
+        let request = Request::Resume {
+            workload: WorkloadSpec::Drifting {
+                world_seed: 5,
+                period: 9,
+            },
+            snapshot: Vec::new(),
+        };
+        let mut frame = encode_request(1, &request);
+        let spec = 4 + HEADER_BYTES;
+        let mut want = vec![2, 0];
+        want.extend_from_slice(&5u64.to_le_bytes());
+        want.extend_from_slice(&9u64.to_le_bytes());
+        assert_eq!(frame[spec..spec + want.len()], want[..]);
+        let body = take_complete_frame(&mut frame);
+        assert_eq!(decode_request(&body).unwrap(), (1, request));
     }
 
     #[test]

@@ -313,6 +313,7 @@ impl Scheduler {
                 workload,
                 config,
             } => {
+                workload.check_interface(&config)?;
                 self.admit()?;
                 let session = Session::builder(*config, seed)?;
                 let session = self.finish_build(session.workload(workload.build()));
@@ -327,6 +328,7 @@ impl Scheduler {
             Request::Resume { workload, snapshot } => {
                 self.admit()?;
                 let state = snapshot_from_bytes(&snapshot)?;
+                workload.check_interface(state.config())?;
                 let generation = state.generation();
                 let session = Session::resume(state)?;
                 let session = self.finish_build(session.workload(workload.build()));

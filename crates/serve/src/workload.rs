@@ -12,9 +12,9 @@
 
 use crate::error::{FrameError, ServeError};
 use crate::protocol::{Reader, Writer};
-use genesys_gym::{DriftingEvaluator, EnvKind, EpisodeEvaluator};
+use genesys_gym::{DriftSchedule, EnvKind, EpisodeEvaluator, TaskPlan, TaskSequence};
 use genesys_neat::{
-    evaluate_each, EvalContext, Evaluation, Evaluator, Genome, Network, NetworkPlan,
+    evaluate_each, EvalContext, Evaluation, Evaluator, Genome, NeatConfig, Network, NetworkPlan,
 };
 
 /// A serializable workload description — what the `submit` and `resume`
@@ -33,24 +33,28 @@ pub enum WorkloadSpec {
         /// Episodes averaged per evaluation (≥ 1).
         episodes: u32,
     },
-    /// The nonstationary drifting-CartPole workload
-    /// (`DriftingEvaluator`); its drift phase rides in the session's
-    /// `workload_state` and survives eviction.
+    /// CartPole whose world drifts: a one-task [`TaskSequence`] under
+    /// `DriftSchedule::Linear { period }`. Generation `g` faces regime
+    /// `g / period` of the `DriftedEnv` sensor gains keyed by
+    /// `world_seed`, the same regime for every genome of the generation.
+    /// Its sequence position rides in the session's `workload_state` and
+    /// survives eviction.
     Drifting {
-        /// World seed of the drift schedule.
+        /// Keys every regime's sensor gains.
         world_seed: u64,
-        /// Episodes per regime.
+        /// Generations per regime (0 counts as 1).
         period: u64,
-        /// Episodes consumed per generation (normally the population
-        /// size).
-        episodes_per_generation: u64,
     },
 }
 
+/// The environment of a [`WorkloadSpec::Drifting`] workload.
+const DRIFTING_ENV: EnvKind = EnvKind::CartPole;
+
 /// The `Env` spec's last word, reserved: it held the lane count of the
-/// retired per-genome episode-batch kernel. Protocol v2 keeps it so frames
-/// stay byte-identical; it is always written as this value, and any other
-/// value is rejected as [`FrameError::BadPayload`] (code 105).
+/// retired per-genome episode-batch kernel. The protocol keeps it until
+/// the next snapshot format break; it is always written as this value,
+/// and any other value is rejected as [`FrameError::BadPayload`]
+/// (code 105).
 const RESERVED_ENV_WORD: u32 = 1;
 
 /// Stable wire code of an [`EnvKind`] (never renumbered; new kinds take
@@ -94,15 +98,10 @@ impl WorkloadSpec {
                 w.put_u32(episodes);
                 w.put_u32(RESERVED_ENV_WORD);
             }
-            WorkloadSpec::Drifting {
-                world_seed,
-                period,
-                episodes_per_generation,
-            } => {
+            WorkloadSpec::Drifting { world_seed, period } => {
                 w.put_u16(2);
                 w.put_u64(world_seed);
                 w.put_u64(period);
-                w.put_u64(episodes_per_generation);
             }
         }
     }
@@ -130,7 +129,6 @@ impl WorkloadSpec {
             2 => WorkloadSpec::Drifting {
                 world_seed: r.take_u64()?,
                 period: r.take_u64()?,
-                episodes_per_generation: r.take_u64()?,
             },
             _ => {
                 return Err(ServeError::Frame(FrameError::BadPayload(
@@ -138,6 +136,29 @@ impl WorkloadSpec {
                 )))
             }
         })
+    }
+
+    /// Rejects a `config` whose genome interface is not the one this
+    /// workload's environment has, before any session is built: such a
+    /// session would panic on its first step. `Synthetic` takes any
+    /// interface.
+    ///
+    /// # Errors
+    ///
+    /// [`ServeError::WorkloadInterface`] (code 203) on a mismatch.
+    pub(crate) fn check_interface(&self, config: &NeatConfig) -> Result<(), ServeError> {
+        let kind = match *self {
+            WorkloadSpec::Synthetic => return Ok(()),
+            WorkloadSpec::Env { kind, .. } => kind,
+            WorkloadSpec::Drifting { .. } => DRIFTING_ENV,
+        };
+        let workload = kind.interface();
+        let config = (config.num_inputs, config.num_outputs);
+        if workload == config {
+            Ok(())
+        } else {
+            Err(ServeError::WorkloadInterface { workload, config })
+        }
     }
 
     /// Instantiates the evaluator this spec names. Each call builds a
@@ -150,15 +171,17 @@ impl WorkloadSpec {
             WorkloadSpec::Env { kind, episodes } => {
                 ServeWorkload::Episode(EpisodeEvaluator::new(kind).episodes(episodes as usize))
             }
-            WorkloadSpec::Drifting {
-                world_seed,
-                period,
-                episodes_per_generation,
-            } => ServeWorkload::Drifting(DriftingEvaluator::new(
-                world_seed,
-                period,
-                episodes_per_generation,
-            )),
+            WorkloadSpec::Drifting { world_seed, period } => {
+                // One task that never ends: past its budget a plan stays in
+                // its last task with the drift clock running.
+                let plan = TaskPlan::drifting(
+                    DRIFTING_ENV,
+                    DriftSchedule::Linear { period },
+                    world_seed,
+                    u64::MAX,
+                );
+                ServeWorkload::Drifting(TaskSequence::new(plan))
+            }
         }
     }
 }
@@ -173,7 +196,7 @@ pub enum ServeWorkload {
     /// See [`WorkloadSpec::Env`].
     Episode(EpisodeEvaluator),
     /// See [`WorkloadSpec::Drifting`].
-    Drifting(DriftingEvaluator),
+    Drifting(TaskSequence),
 }
 
 /// The synthetic fitness: a pure function of `(ctx.seed(), network)`.
@@ -274,11 +297,49 @@ mod tests {
     }
 
     #[test]
+    fn only_the_environment_interface_is_accepted() {
+        let config = |i, o| NeatConfig::builder(i, o).build().unwrap();
+        let cartpole = WorkloadSpec::Env {
+            kind: EnvKind::CartPole,
+            episodes: 1,
+        };
+        assert_eq!(cartpole.check_interface(&config(4, 1)), Ok(()));
+        assert_eq!(
+            cartpole.check_interface(&config(3, 2)),
+            Err(ServeError::WorkloadInterface {
+                workload: (4, 1),
+                config: (3, 2),
+            })
+        );
+        let alien = WorkloadSpec::Env {
+            kind: EnvKind::Alien,
+            episodes: 1,
+        };
+        assert_eq!(alien.check_interface(&config(128, 1)), Ok(()));
+        assert!(alien.check_interface(&config(4, 1)).is_err());
+        let drifting = WorkloadSpec::Drifting {
+            world_seed: 1,
+            period: 2,
+        };
+        assert_eq!(drifting.check_interface(&config(4, 1)), Ok(()));
+        assert_eq!(
+            drifting.check_interface(&config(128, 1)),
+            Err(ServeError::WorkloadInterface {
+                workload: (4, 1),
+                config: (128, 1),
+            })
+        );
+        assert_eq!(
+            WorkloadSpec::Synthetic.check_interface(&config(3, 2)),
+            Ok(())
+        );
+    }
+
+    #[test]
     fn drifting_state_rides_through_the_serve_workload() {
         let mut w = WorkloadSpec::Drifting {
             world_seed: 9,
             period: 3,
-            episodes_per_generation: 8,
         }
         .build();
         assert_eq!(w.state(), 0);

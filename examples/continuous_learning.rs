@@ -1,24 +1,25 @@
 //! Continuous learning — the paper's title scenario, with a power cycle
 //! in the middle.
 //!
-//! The environment drifts: every few generations the cart-pole's physics
-//! change (pole length, motor force). The evolving population keeps
-//! adapting, because evolution *is* its steady state. This demo goes one
+//! The world drifts: every few generations what the cart-pole's sensors
+//! report changes (a fresh per-dimension gain and polarity), and every
+//! genome of a generation faces the same world. The evolving population
+//! keeps adapting, because evolution *is* its steady state. This demo goes one
 //! step further than watching fitness recover: **mid-drift, the run is
 //! checkpointed to a binary snapshot, torn down, restored from bytes and
 //! resumed** — and the resumed half is verified bit-identical to a run
 //! that never stopped. That is the full continuous-learning loop GeneSys
 //! argues for: learning that survives the power switch.
 //!
-//! Determinism note: drift regimes and episode seeds derive purely from
-//! `(seed, generation, genome index)` — the order-dependent episode
-//! counter this example once used could not be checkpointed, because its
-//! value depended on thread scheduling.
+//! Determinism note: the regime a generation faces and every episode seed
+//! derive purely from `(seed, generation, genome index)`, and the
+//! workload's one piece of state, its position in the drift schedule,
+//! rides in the checkpoint.
 //!
 //! Run with: `cargo run --release --example continuous_learning`
 //! (flags: `--pop N --generations N --threads N --seed N`)
 
-use genesys::gym::DriftingEvaluator;
+use genesys::gym::{DriftSchedule, EnvKind, TaskPlan, TaskSequence};
 use genesys::neat::{GenerationStats, NeatConfig, Session};
 use genesys::soc::{snapshot_from_bytes, snapshot_to_bytes};
 use genesys_bench::ExperimentArgs;
@@ -35,29 +36,33 @@ fn main() {
         .pop_size(pop)
         .build()
         .expect("valid");
-    // One shared drifting world: all genomes face the same physics, and
-    // the regime advances with the global episode index (pop episodes per
-    // generation, new regime every 300 episodes ≈ every ~3 generations).
-    let workload = || DriftingEvaluator::new(world_seed, 300, pop as u64);
-    let print_generation = move |stats: &GenerationStats, last_regime: &mut u64| {
-        let probe =
-            DriftingEvaluator::new(world_seed, 300, pop as u64).probe(stats.generation as u64 + 1);
-        let (len, force) = probe.physics();
-        let regime = probe.regime();
-        let marker = if regime != *last_regime {
+    // One shared drifting world that never ends: a new sensor regime every
+    // 3 generations, the same regime for every genome of a generation.
+    let plan = TaskPlan::drifting(
+        EnvKind::CartPole,
+        DriftSchedule::Linear { period: 3 },
+        world_seed,
+        u64::MAX,
+    );
+    let workload = || TaskSequence::new(plan.clone());
+    let print_generation = |stats: &GenerationStats| {
+        let g = stats.generation as u64;
+        let marker = if plan.is_boundary(g) {
             "  <-- regime shift"
         } else {
             ""
         };
-        *last_regime = regime;
         println!(
-            "{:>3} | {:>6} | {:>8.2} | {:>5.1} | {:>8.1} | {:>8.1}{}",
-            stats.generation, regime, len, force, stats.max_fitness, stats.mean_fitness, marker
+            "{:>3} | {:>6} | {:>8.1} | {:>8.1}{}",
+            stats.generation,
+            plan.regime(g),
+            stats.max_fitness,
+            stats.mean_fitness,
+            marker
         );
     };
 
-    println!("gen | regime | pole len | force | best fit | mean fit");
-    let mut last_regime = u64::MAX;
+    println!("gen | regime | best fit | mean fit");
 
     // ---- Phase 1: evolve up to the checkpoint --------------------------
     let mut session = Session::builder(config.clone(), world_seed)
@@ -67,7 +72,7 @@ fn main() {
         .build();
     for _ in 0..checkpoint_at {
         let stats = session.step();
-        print_generation(&stats, &mut last_regime);
+        print_generation(&stats);
     }
 
     // ---- Checkpoint: serialize the full evolution state to bytes -------
@@ -92,7 +97,7 @@ fn main() {
     let mut resumed_history = Vec::new();
     for _ in checkpoint_at..generations {
         let stats = resumed.step();
-        print_generation(&stats, &mut last_regime);
+        print_generation(&stats);
         resumed_history.push(stats);
     }
 
@@ -116,7 +121,7 @@ fn main() {
     println!("\nverified: checkpoint at generation {checkpoint_at} + restore + resume is");
     println!("bit-identical to a run that never stopped (genomes, fitness, species),");
     println!("even across different worker counts. The population re-adapts after");
-    println!("every physics shift with no reset or retraining — and now it survives");
+    println!("every sensor shift with no reset or retraining — and now it survives");
     println!("power cycles, too: the continuous-learning loop GeneSys is designed");
     println!("to keep running at the edge.");
 }

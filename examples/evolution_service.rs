@@ -30,13 +30,12 @@ fn config() -> NeatConfig {
         .expect("valid config")
 }
 
-/// The drifting workload: the world regenerates every `period`
+/// The drifting workload: CartPole whose sensors change every `period`
 /// generations, so a checkpoint must capture mid-drift state exactly.
 fn workload() -> WorkloadSpec {
     WorkloadSpec::Drifting {
         world_seed: SEED,
         period: 2,
-        episodes_per_generation: 8,
     }
 }
 

@@ -21,11 +21,9 @@
 //! Run with: `cargo run --release --example scenario_suite`
 //! (flags: `--pop N --generations N --threads N --seed N`)
 
-use genesys::gym::EnvKind;
+use genesys::gym::{DriftSchedule, EnvKind, Task, TaskPlan, TaskSequence};
 use genesys::neat::{GenerationStats, InitialWeights, Session};
-use genesys::scenario::{
-    DriftSchedule, MetricsRecorder, RecoveryThreshold, Task, TaskPlan, TaskSequence,
-};
+use genesys::scenario::{MetricsRecorder, RecoveryThreshold};
 use genesys::soc::{snapshot_from_bytes, snapshot_to_bytes};
 use genesys_bench::ExperimentArgs;
 

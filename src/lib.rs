@@ -7,12 +7,12 @@
 //! * [`neat`] — the NEAT neuro-evolution algorithm (genes, genomes,
 //!   speciation, reproduction) and the [`Session`] run surface.
 //! * [`gym`] — the environment suite from Table I of the paper, plus the
-//!   session workloads ([`gym::EpisodeEvaluator`],
-//!   [`gym::DriftingEvaluator`]).
-//! * [`scenario`] — the continual-learning scenario suite: drift
-//!   schedules, task-sequence curricula with io-adapter mapping, and the
-//!   continual metrics (fitness matrix, forgetting, recovery) computed by
-//!   a session observer.
+//!   session workloads ([`gym::EpisodeEvaluator`], and
+//!   [`gym::TaskSequence`] for drift schedules and task-sequence
+//!   curricula).
+//! * [`scenario`] — the continual metrics (fitness matrix, forgetting,
+//!   recovery) of a [`gym::TaskSequence`] run, computed by a session
+//!   observer.
 //! * [`soc`] — the GeneSys SoC simulator (EvE, ADAM, SRAM, NoC, energy),
 //!   which doubles as a session [`Backend`], and the binary
 //!   [`soc::snapshot`] checkpoint format.

@@ -14,9 +14,8 @@
 //! Run it with `cargo test --release --test diagnostics_budget -- --nocapture`
 //! to see the reading.
 
-use genesys::gym::EnvKind;
+use genesys::gym::{EnvKind, Task, TaskPlan, TaskSequence};
 use genesys::neat::{InitialWeights, PopulationDiagnostics, Session};
-use genesys::scenario::{Task, TaskPlan, TaskSequence};
 use std::time::Instant;
 
 /// Pinned population for the budget.

@@ -1,6 +1,6 @@
 //! Zero-copy observations, checked against the copying loops they replaced.
 //!
-//! `genesys_gym::episode_into` and `genesys_scenario::adapted_episode` have
+//! `genesys_gym::episode_into` and `genesys_gym::adapted_episode` have
 //! the environment write each observation straight into the network's
 //! input slots (`Scratch::input_slots`) and evaluate it there
 //! (`Network::activate_in_place`). The value slots are never zero-filled:
@@ -15,13 +15,15 @@
 //! environment that emits NaN and ±∞, and through one scratch reused
 //! across interfaces of different widths.
 
-use genesys::gym::{episode_into, ActionKind, EnvKind, Environment, RolloutScratch};
+use genesys::gym::{
+    adapted_episode, episode_into, regime_gains, ActionKind, AdapterScratch, DriftedEnv, EnvKind,
+    Environment, IoAdapter, RolloutScratch,
+};
 use genesys::neat::trace::OpCounters;
 use genesys::neat::{
     Activation, Aggregation, Genome, InitialWeights, InnovationTracker, NeatConfig, Network,
     Scratch, XorWow,
 };
-use genesys::scenario::{adapted_episode, regime_gains, AdapterScratch, DriftedEnv, IoAdapter};
 
 /// An evolved policy on `config`'s interface: uniform initial weights, so
 /// every input edge (padding inputs included) carries a live weight, every

@@ -14,12 +14,9 @@
 //! 3. **Observability plumbing** — scenario events carry the population
 //!    diagnostics and survive the event codec round trip.
 
-use genesys::gym::EnvKind;
+use genesys::gym::{DriftSchedule, EnvKind, Task, TaskPlan, TaskSequence};
 use genesys::neat::{InitialWeights, NeatConfig, OwnedGenerationEvent, RunState, Session};
-use genesys::scenario::{
-    ContinualMetrics, DriftSchedule, MetricsRecorder, RecoveryThreshold, Task, TaskPlan,
-    TaskSequence,
-};
+use genesys::scenario::{ContinualMetrics, MetricsRecorder, RecoveryThreshold};
 use genesys::soc::snapshot::{event_from_bytes, event_to_bytes};
 use genesys::soc::{encode_population, snapshot_from_bytes, snapshot_to_bytes};
 use std::sync::{Arc, Mutex};

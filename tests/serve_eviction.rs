@@ -1,12 +1,14 @@
 //! End-to-end guarantees of the session server: interleaved multi-tenant
 //! stepping with checkpoint/evict/resume is **bit-identical** to direct
-//! `Session` runs at any worker count, and the TCP layer answers corrupt
-//! frames with typed errors without dying, pipelines replies in
-//! completion order, isolates a client that stops reading, caps its
-//! connections and shuts down without waiting for queued work.
+//! `Session` runs at any worker count, a workload whose environment does
+//! not fit the config is refused before it can reach the scheduler, and
+//! the TCP layer answers corrupt frames with typed errors without dying,
+//! pipelines replies in completion order, isolates a client that stops
+//! reading, caps its connections and shuts down without waiting for
+//! queued work.
 
 use genesys::gym::EnvKind;
-use genesys::neat::{NeatConfig, Session};
+use genesys::neat::{Evaluator, NeatConfig, Session};
 use genesys::serve::net::serve;
 use genesys::serve::protocol::{decode_reply, encode_request, take_frame};
 use genesys::serve::{
@@ -37,7 +39,7 @@ fn temp_dir(tag: &str) -> PathBuf {
 
 /// The tenant mix: different workload shapes and seeds, so eviction and
 /// rehydration must round-trip heterogeneous state (including the
-/// drifting workload's episode offset).
+/// drifting workload's position in its schedule).
 fn tenants() -> Vec<(u64, WorkloadSpec, NeatConfig)> {
     let mut cartpole = EnvKind::CartPole.neat_config();
     cartpole.pop_size = 8;
@@ -58,7 +60,6 @@ fn tenants() -> Vec<(u64, WorkloadSpec, NeatConfig)> {
                 WorkloadSpec::Drifting {
                     world_seed: *seed,
                     period: 2,
-                    episodes_per_generation: 8,
                 },
                 drift_cfg.clone(),
             ),
@@ -239,6 +240,122 @@ fn resumed_checkpoints_continue_bit_identically_across_servers() {
     };
 
     assert_eq!(image, direct_image(seed, &workload, &config));
+}
+
+/// A config whose interface is not its environment's would panic the
+/// scheduler on its first step and disconnect every tenant. `submit` and
+/// `resume` refuse it with a typed error before building a session or
+/// evicting anyone, and the server keeps serving.
+#[test]
+fn a_workload_that_does_not_fit_the_config_is_refused() {
+    let server = Server::start(ServerConfig::new(temp_dir("interface")).max_resident(1)).unwrap();
+    let client = server.client();
+    let (seed, workload, config) = tenants().remove(0);
+    let Reply::Submitted { session, .. } = client
+        .call(Request::Submit {
+            seed,
+            workload,
+            config: Box::new(config.clone()),
+        })
+        .unwrap()
+    else {
+        panic!("expected Submitted")
+    };
+
+    let cartpole = WorkloadSpec::Env {
+        kind: EnvKind::CartPole,
+        episodes: 1,
+    };
+    let submitted = client.call(Request::Submit {
+        seed: 3,
+        workload: cartpole,
+        config: Box::new(NeatConfig::builder(3, 2).pop_size(8).build().unwrap()),
+    });
+    let want = ServeError::WorkloadInterface {
+        workload: (4, 1),
+        config: (3, 2),
+    };
+    assert_eq!(submitted, Err(want));
+
+    let narrow = NeatConfig::builder(2, 1).pop_size(8).build().unwrap();
+    let image = direct_image(5, &WorkloadSpec::Synthetic, &narrow);
+    let resumed = client.call(Request::Resume {
+        workload: cartpole,
+        snapshot: image,
+    });
+    let want = ServeError::WorkloadInterface {
+        workload: (4, 1),
+        config: (2, 1),
+    };
+    assert_eq!(resumed.as_ref().map_err(ServeError::code), Err(203));
+    assert_eq!(resumed, Err(want));
+
+    // The resident tenant was not evicted to make room for either, still
+    // steps, and matches its direct run.
+    let Reply::Stats(stats) = client.call(Request::Stats).unwrap() else {
+        panic!("expected Stats")
+    };
+    assert_eq!((stats.sessions, stats.evictions), (1, 0));
+    client
+        .call(Request::Step {
+            session,
+            generations: GENERATIONS,
+        })
+        .unwrap();
+    let Reply::Snapshot { image, .. } = client.call(Request::Checkpoint { session }).unwrap()
+    else {
+        panic!("expected Snapshot")
+    };
+    assert_eq!(image, direct_image(seed, &workload, &config));
+    assert!(matches!(client.call(Request::Stats), Ok(Reply::Stats(_))));
+}
+
+/// A resume image carries the drifting workload's sequence position,
+/// and a client may send any value there. A `Drifting` tenant resumed at
+/// position `u64::MAX` steps past it (the scenario generation wraps) to
+/// its direct-run bytes instead of panicking the scheduler.
+#[test]
+fn a_drifting_tenant_resumed_at_the_last_position_steps() {
+    let (seed, workload, config) = tenants().remove(2);
+    assert!(matches!(workload, WorkloadSpec::Drifting { .. }));
+    let session_at = |position: u64| {
+        let mut w = workload.build();
+        w.restore_state(position);
+        Session::builder(config.clone(), seed)
+            .unwrap()
+            .workload(w)
+            .build()
+    };
+    let mut direct = session_at(u64::MAX);
+    for _ in 0..GENERATIONS {
+        direct.step();
+    }
+    let want = snapshot_to_bytes(&direct.export_state()).unwrap();
+
+    let server = Server::start(ServerConfig::new(temp_dir("last-position"))).unwrap();
+    let client = server.client();
+    let image = snapshot_to_bytes(&session_at(u64::MAX).export_state()).unwrap();
+    let Reply::Submitted { session, .. } = client
+        .call(Request::Resume {
+            workload,
+            snapshot: image,
+        })
+        .unwrap()
+    else {
+        panic!("expected Submitted")
+    };
+    client
+        .call(Request::Step {
+            session,
+            generations: GENERATIONS,
+        })
+        .unwrap();
+    let Reply::Snapshot { image, .. } = client.call(Request::Checkpoint { session }).unwrap()
+    else {
+        panic!("expected Snapshot")
+    };
+    assert_eq!(image, want);
+    assert!(matches!(client.call(Request::Stats), Ok(Reply::Stats(_))));
 }
 
 /// A server behind [`serve`] on a loopback port.

@@ -8,7 +8,9 @@ use genesys::neat::{trace::OpCounters, GenerationStats, NeatConfig, PopulationDi
 use genesys::serve::protocol::{
     decode_reply, decode_request, encode_reply, encode_request, request_id_of, take_frame,
 };
-use genesys::serve::{FrameError, Reply, Request, ServeError, ServerStats, WorkloadSpec};
+use genesys::serve::{
+    FrameError, Reply, Request, ServeError, ServerStats, WorkloadSpec, PROTOCOL_VERSION,
+};
 use genesys::{BestSummary, OwnedGenerationEvent};
 use proptest::prelude::*;
 
@@ -31,7 +33,6 @@ impl Strategy for ArbWorkload {
             _ => WorkloadSpec::Drifting {
                 world_seed: rng.next_u64(),
                 period: 1 + rng.next_u64() % 100,
-                episodes_per_generation: 1 + rng.next_u64() % 50,
             },
         }
     }
@@ -186,6 +187,13 @@ fn pinned_errors() -> Vec<(ServeError, u32)> {
         (ServeError::UnknownSession(5), 200),
         (ServeError::ServerFull { live: 2, cap: 2 }, 201),
         (ServeError::SessionBusy(5), 202),
+        (
+            ServeError::WorkloadInterface {
+                workload: (4, 1),
+                config: (3, 2),
+            },
+            203,
+        ),
         (ServeError::Io("gone".into()), 500),
         (ServeError::Disconnected, 501),
         (ServeError::TooManyConnections { cap: 256 }, 502),
@@ -293,6 +301,20 @@ fn error_codes_are_pinned_across_the_wire() {
             other => panic!("expected Remote error, got {other:?}"),
         }
     }
+}
+
+/// Protocol v3: every body opens with version byte 3, and a v2 body is
+/// rejected as `BadVersion` (102), never guessed at.
+#[test]
+fn protocol_version_is_pinned_at_3() {
+    assert_eq!(PROTOCOL_VERSION, 3);
+    let mut buf = encode_request(1, &Request::Stats);
+    let mut body = take_frame(&mut buf).unwrap().expect("whole frame present");
+    assert_eq!(body[0], 3);
+    body[0] = 2;
+    let err = decode_request(&body).unwrap_err();
+    assert_eq!(err, ServeError::Frame(FrameError::BadVersion(2)));
+    assert_eq!(err.code(), 102);
 }
 
 #[test]

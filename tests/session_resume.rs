@@ -4,14 +4,14 @@
 //! format), restore into a fresh process-equivalent `Session`, run N more
 //! generations: the fitness history, species assignments and genome bytes
 //! must be identical to an uninterrupted G+N run — at 1 and 4 workers, on
-//! CartPole and on the nonstationary drift environment, and across
+//! CartPole and on drifting CartPole (a one-task `TaskSequence`), and across
 //! *different* worker counts before and after the power cycle. A
 //! checkpoint whose innovation counter was rewound below an id it carries
 //! is rejected at decode, validation and resume, served or not, and an
 //! archipelago checkpoint missing an island state is rejected as an
 //! island-count mismatch.
 
-use genesys::gym::{DriftingEvaluator, EnvKind, EpisodeEvaluator};
+use genesys::gym::{DriftSchedule, EnvKind, EpisodeEvaluator, TaskPlan, TaskSequence};
 use genesys::neat::{EvalContext, Evaluator, NeatConfig, Network, RunState, Session, SessionError};
 use genesys::serve::{Reply, Request, Server, ServerConfig, WorkloadSpec};
 use genesys::soc::snapshot::SnapshotError;
@@ -30,6 +30,18 @@ fn cartpole_config() -> NeatConfig {
 
 fn drift_config() -> NeatConfig {
     NeatConfig::builder(4, 1).pop_size(POP).build().unwrap()
+}
+
+/// CartPole whose sensor regime changes every 2 generations: the resumed
+/// half starts mid-regime and crosses a change.
+fn drifting(world_seed: u64) -> TaskSequence {
+    let drift = DriftSchedule::Linear { period: 2 };
+    TaskSequence::new(TaskPlan::drifting(
+        EnvKind::CartPole,
+        drift,
+        world_seed,
+        u64::MAX,
+    ))
 }
 
 /// Runs the uninterrupted G+N reference and the checkpointed G → bytes →
@@ -145,27 +157,13 @@ fn cartpole_resume_is_bit_identical_at_4_workers() {
 }
 
 #[test]
-fn nonstationary_resume_is_bit_identical_at_1_worker() {
-    assert_resume_bit_identical(
-        drift_config(),
-        4242,
-        || DriftingEvaluator::new(4242, 30, POP as u64),
-        1,
-        1,
-        "drift w1",
-    );
+fn drifting_resume_is_bit_identical_at_1_worker() {
+    assert_resume_bit_identical(drift_config(), 4242, || drifting(4242), 1, 1, "drift w1");
 }
 
 #[test]
-fn nonstationary_resume_is_bit_identical_at_4_workers() {
-    assert_resume_bit_identical(
-        drift_config(),
-        4242,
-        || DriftingEvaluator::new(4242, 30, POP as u64),
-        4,
-        4,
-        "drift w4",
-    );
+fn drifting_resume_is_bit_identical_at_4_workers() {
+    assert_resume_bit_identical(drift_config(), 4242, || drifting(4242), 4, 4, "drift w4");
 }
 
 #[test]
@@ -180,22 +178,15 @@ fn worker_count_may_change_across_the_power_cycle() {
         4,
         "cartpole w1->w4",
     );
-    assert_resume_bit_identical(
-        drift_config(),
-        99,
-        || DriftingEvaluator::new(99, 30, POP as u64),
-        4,
-        1,
-        "drift w4->w1",
-    );
+    assert_resume_bit_identical(drift_config(), 99, || drifting(99), 4, 1, "drift w4->w1");
 }
 
 #[test]
 fn drift_phase_offset_survives_the_snapshot() {
-    // A run whose drift started mid-world (nonzero episode offset) must
-    // resume in the same regime schedule.
+    // A run whose drift started mid-world (nonzero generation offset)
+    // must resume in the same regime schedule.
     let config = drift_config();
-    let make = || DriftingEvaluator::new(5, 20, POP as u64).with_episode_offset(123);
+    let make = || drifting(5).with_generation_offset(123);
 
     let mut full = Session::builder(config.clone(), 5)
         .unwrap()
@@ -211,12 +202,12 @@ fn drift_phase_offset_survives_the_snapshot() {
     let bytes = snapshot_to_bytes(&head.export_state()).unwrap();
     let state = snapshot_from_bytes(&bytes).unwrap();
     assert_eq!(state.workload_state(), 123, "offset rides in the snapshot");
-    // Resume with a *fresh* evaluator (offset 0): the snapshot restores it.
+    // Resume with a *fresh* workload (offset 0): the snapshot restores it.
     let mut tail = Session::resume(state)
         .unwrap()
-        .workload(DriftingEvaluator::new(5, 20, POP as u64))
+        .workload(drifting(5))
         .build();
-    assert_eq!(tail.workload().episode_offset(), 123);
+    assert_eq!(tail.workload().generation_offset(), 123);
     let tail_report = tail.run(2);
     assert_eq!(&full_report.history[2..], &tail_report.history[..]);
 }

@@ -3,7 +3,7 @@
 //! truncation, bit flips, garbage — returns a typed error and never
 //! panics.
 
-use genesys::gym::{DriftingEvaluator, EnvKind, EpisodeEvaluator};
+use genesys::gym::{DriftSchedule, EnvKind, EpisodeEvaluator, TaskPlan, TaskSequence};
 use genesys::neat::{
     EvalContext, Genome, NeatConfig, Network, NodeGene, NodeId, RunState, Session,
 };
@@ -62,11 +62,11 @@ fn evolved_state(seed: u64, generations: usize, pop: usize, workload: u8) -> Run
         }
         _ => {
             let config = NeatConfig::builder(4, 1).pop_size(pop).build().unwrap();
+            let drift = DriftSchedule::Linear { period: 10 };
+            let plan = TaskPlan::drifting(EnvKind::CartPole, drift, seed, u64::MAX);
             let mut s = Session::builder(config, seed)
                 .unwrap()
-                .workload(
-                    DriftingEvaluator::new(seed, 10, pop as u64).with_episode_offset(seed % 977),
-                )
+                .workload(TaskSequence::new(plan).with_generation_offset(seed % 977))
                 .build();
             s.run(generations.min(3));
             s.export_state()

@@ -10,13 +10,15 @@
 //! mirror of the paper's premise that EvE/ADAM execute gene-level
 //! operations out of fixed buffers with no dynamic memory.
 
-use genesys::gym::{episode_into, EnvKind, Environment, EpisodeEvaluator, RolloutScratch};
+use genesys::gym::{
+    adapted_episode, episode_into, AdapterScratch, DriftedEnv, EnvKind, Environment,
+    EpisodeEvaluator, IoAdapter, RolloutScratch,
+};
 use genesys::neat::trace::OpCounters;
 use genesys::neat::{
     Activation, Aggregation, ConnGene, EvalContext, Evaluation, Evaluator, Genome, InitialWeights,
     InnovationTracker, Network, NetworkPlan, NodeGene, NodeId, Scratch, SpeciesSet, XorWow,
 };
-use genesys::scenario::{adapted_episode, AdapterScratch, DriftedEnv, IoAdapter};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
