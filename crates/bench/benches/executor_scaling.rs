@@ -1,21 +1,22 @@
-//! Why the persistent work-stealing executor exists: an imbalanced
-//! population (job cost growing quadratically with index, like deep
-//! late-generation genomes or long gym episodes) under three schedules:
+//! Why the persistent executor exists: an imbalanced population (job cost
+//! growing quadratically with index, like deep late-generation genomes or
+//! long gym episodes) under three schedules:
 //!
 //! * `serial` — one thread, the lower bound on total work.
 //! * `static_chunks` — the pre-executor PLP path: fresh scoped threads per
 //!   generation and `div_ceil` index chunking, so the last chunk (holding
 //!   all the expensive jobs) serializes the batch and the spawn cost is
 //!   paid every iteration.
-//! * `work_stealing` — a persistent `genesys_neat::Executor`: threads
-//!   spawned once outside the measurement loop, stragglers backfilled by
-//!   idle workers stealing queued jobs.
+//! * `pool` — a persistent `genesys_neat::Executor`: threads spawned once
+//!   outside the measurement loop, the workers and the caller claiming
+//!   short runs of indices from one shared counter, so whoever finishes
+//!   early takes the next unclaimed jobs.
 //!
-//! On an imbalanced load `work_stealing` should approach `serial /
-//! workers`, while `static_chunks` is pinned near the cost of its heaviest
-//! chunk (~53 % of serial here, for quadratic costs over 4 chunks). On a
-//! single-core machine all three arms converge to serial cost — the gap
-//! only opens with real hardware parallelism.
+//! On an imbalanced load `pool` should approach `serial / workers`, while
+//! `static_chunks` is pinned near the cost of its heaviest chunk (~53 % of
+//! serial here, for quadratic costs over 4 chunks). On a single-core
+//! machine all three arms converge to serial cost — the gap only opens
+//! with real hardware parallelism.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use genesys_neat::Executor;
@@ -50,23 +51,22 @@ fn bench_imbalanced(c: &mut Criterion) {
             let indices: Vec<usize> = (0..JOBS).collect();
             let chunk = JOBS.div_ceil(WORKERS);
             let mut out = vec![0u64; JOBS];
-            crossbeam::thread::scope(|scope| {
+            std::thread::scope(|scope| {
                 for (idx_chunk, out_chunk) in indices.chunks(chunk).zip(out.chunks_mut(chunk)) {
-                    scope.spawn(move |_| {
+                    scope.spawn(move || {
                         for (i, o) in idx_chunk.iter().zip(out_chunk.iter_mut()) {
                             *o = spin(job_cost(*i));
                         }
                     });
                 }
-            })
-            .expect("chunk threads must not panic");
+            });
             out.iter().sum::<u64>()
         })
     });
 
     // Spawned once, outside the measurement loop — the whole point.
     let pool = Executor::new(WORKERS);
-    group.bench_function(BenchmarkId::new("work_stealing", WORKERS), |b| {
+    group.bench_function(BenchmarkId::new("pool", WORKERS), |b| {
         b.iter(|| pool.map(JOBS, |i| spin(job_cost(i))).iter().sum::<u64>())
     });
 

@@ -60,7 +60,7 @@ const CALIBRATION_ID: &str = "calibration/spin";
 /// speed. When baseline and results report different core counts (the shim
 /// records `"cores"` per line), these are shown but not gated — the
 /// single-thread calibration probe cannot normalize a core-count gap.
-const PARALLEL_MARKERS: &[&str] = &["_threads/", "static_chunks", "work_stealing"];
+const PARALLEL_MARKERS: &[&str] = &["_threads/", "static_chunks", "/pool/"];
 
 fn is_parallel_bench(id: &str) -> bool {
     PARALLEL_MARKERS.iter().any(|m| id.contains(m))

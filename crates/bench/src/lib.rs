@@ -79,7 +79,7 @@ impl WorkloadRun {
 /// Runs `generations` generations of NEAT on `kind`, recording statistics.
 /// `pop_size` overrides the paper's 150 (useful for fast smoke runs).
 /// Evaluation is serial; use [`run_workload_on`] to fan episodes out over a
-/// persistent work-stealing pool.
+/// persistent evaluation pool.
 pub fn run_workload(
     kind: EnvKind,
     generations: usize,

@@ -56,12 +56,6 @@ impl SocConfig {
         self
     }
 
-    /// Builder-style override of the allocation policy.
-    pub fn with_alloc_policy(mut self, policy: AllocPolicy) -> Self {
-        self.alloc_policy = policy;
-        self
-    }
-
     /// Builder-style override of the PRNG seed.
     pub fn with_prng_seed(mut self, seed: u64) -> Self {
         self.prng_seed = seed;

@@ -215,12 +215,6 @@ impl GatingModel {
         (active_mw * busy_s + active_mw * self.idle_power_fraction * idle_s) / total
     }
 
-    /// Energy over the same window, in millijoules.
-    pub fn energy_mj(&self, active_mw: f64, busy_s: f64, idle_s: f64, tech: &TechModel) -> f64 {
-        let wake_s = self.wake_overhead_cycles as f64 * tech.cycle_time_s();
-        active_mw * (busy_s + wake_s) + active_mw * self.idle_power_fraction * idle_s
-    }
-
     /// Duty cycle below which gating wins a ≥10× average-power reduction.
     pub fn ten_x_duty_cycle(&self) -> f64 {
         // avg = active*(d + f(1-d)); solve avg = active/10.

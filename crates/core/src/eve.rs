@@ -71,12 +71,6 @@ impl EveEngine {
         self.num_pes
     }
 
-    /// Updates the PE configuration registers (done by the CPU between
-    /// generations as genomes grow).
-    pub fn set_pe_config(&mut self, pe_config: PeConfig) {
-        self.pe_config = pe_config;
-    }
-
     /// Executes one reproduction pass: every scheduled child is produced
     /// functionally by a PE; elites in `plans` are copied verbatim.
     ///

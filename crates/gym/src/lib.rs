@@ -177,7 +177,7 @@ pub fn episode_into(
 /// `genesys_neat::executor`): because the seed is a pure function of
 /// `(base, generation, index)` — never of a worker id or a shared counter —
 /// episode evaluation produces bit-identical fitness whether the population
-/// is evaluated serially or spread over any number of work-stealing workers.
+/// is evaluated serially or spread over any number of pool workers.
 pub fn episode_seed(base: u64, generation: u64, index: u64) -> u64 {
     // Delegates to the session API's seed mix: the formulas are one and
     // the same, so episode seeds predating `Session` remain bit-valid.

@@ -1,4 +1,4 @@
-//! Persistent work-stealing evaluation engine (population-level parallelism).
+//! Persistent evaluation engine (population-level parallelism).
 //!
 //! The paper's PLP configuration (Table III, CPU_b/CPU_d) fans genome
 //! evaluation out over OS threads. The original implementation spawned
@@ -9,10 +9,13 @@
 //! when `n % threads` was small the last thread received no work at all).
 //!
 //! An [`Executor`] fixes both: a pool of worker threads is spawned **once**
-//! and reused across generations, and each evaluation batch is distributed
-//! through a shared [`crossbeam::deque::Injector`] plus per-worker
-//! work-stealing deques, so idle workers steal queued genomes from busy
-//! ones instead of waiting at a chunk boundary.
+//! and reused across generations, and each batch hands its indices out
+//! through one shared claim counter. Every participant takes the next run
+//! of unclaimed indices with a single `fetch_add` until none remain, so a
+//! thread that finishes early claims more work instead of waiting at a
+//! chunk boundary. Runs are short (about an eighth of a fair share, at
+//! most 32 indices), so no thread is left holding a long tail of
+//! unstarted jobs when the batch runs dry.
 //!
 //! # Determinism contract
 //!
@@ -21,7 +24,7 @@
 //! captures immutably):
 //!
 //! 1. Every index in `0..n` is executed **exactly once** per batch — the
-//!    deques deliver each queued index to a single thread.
+//!    claim counter hands each index to a single thread.
 //! 2. Results are gathered **by index**, never by completion order; slot
 //!    `i` of the output always holds the result of job `i`.
 //! 3. Which thread runs a job, and in what order, is *not* deterministic.
@@ -42,27 +45,79 @@
 //!    chunk it landed in or of its neighbours — so results are identical
 //!    at any chunk length, and therefore at any worker count.
 //!
-//! A panic inside a job is caught on the worker, remaining queued jobs are
-//! drained unexecuted, and the payload is re-raised on the submitting
+//! A panic inside a job is caught on the thread that claimed it, the rest
+//! of the batch is skipped, and the payload is re-raised on the submitting
 //! thread once the batch has quiesced — the pool itself survives and can
 //! run further batches.
 
-use crossbeam::deque::{Injector, Steal, Stealer, Worker};
 use std::any::Any;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 
-/// A batch of `n` jobs, type-erased. The `'static` lifetime is a lie told
-/// to the worker threads; see the safety argument in [`Executor::run`].
-/// (`Send` holds automatically: `&T` is `Send` when `T: Sync`, and the
-/// task is `Sync` by bound.)
-#[derive(Clone, Copy)]
-struct BatchDesc {
-    task: &'static (dyn Fn(usize) + Sync),
-    epoch: u64,
+/// The longest run of indices one claim takes. It bounds the tail of a
+/// large batch: once the counter passes `n`, no participant holds more
+/// than this many unstarted jobs.
+const MAX_RUN: usize = 32;
+
+/// Indices per claim for a batch of `n` jobs shared by `participants`
+/// threads: about eight claims per participant's fair share, so early
+/// finishers keep finding work, between 1 and `MAX_RUN`.
+fn run_len(n: usize, participants: usize) -> usize {
+    (n / (8 * participants)).clamp(1, MAX_RUN)
+}
+
+/// One batch of `n` index jobs. It lives in [`Executor::run`]'s stack
+/// frame; the workers see it through a `'static` reference, a lie whose
+/// safety argument is in `run`.
+struct Batch<'a> {
+    task: &'a (dyn Fn(usize) + Sync),
+    n: usize,
+    /// Indices taken per claim.
+    run: usize,
+    /// The first unclaimed index. Claims that start at or past `n` find
+    /// the batch exhausted.
+    next: AtomicUsize,
+    /// Set when a job panicked: claimed indices are skipped, not run.
+    aborted: AtomicBool,
+    /// First panic payload of the batch.
+    panic: Mutex<Option<Box<dyn Any + Send>>>,
+}
+
+impl Batch<'_> {
+    /// Claims runs of indices and executes them until the batch is
+    /// exhausted or aborted. Shared by the worker threads and the
+    /// submitting thread.
+    fn process(&self) {
+        // `Relaxed` suffices for `next` and `aborted`: they publish no
+        // other data. Job results and the panic payload reach the
+        // submitter through the state lock every participant takes when
+        // it leaves the batch.
+        loop {
+            let start = self.next.fetch_add(self.run, Ordering::Relaxed);
+            if start >= self.n {
+                return;
+            }
+            for index in start..(start + self.run).min(self.n) {
+                if self.aborted.load(Ordering::Relaxed) {
+                    return;
+                }
+                if let Err(payload) = catch_unwind(AssertUnwindSafe(|| (self.task)(index))) {
+                    self.aborted.store(true, Ordering::Relaxed);
+                    lock(&self.panic).get_or_insert(payload);
+                    return;
+                }
+            }
+        }
+    }
+}
+
+/// Locks `mutex`, ignoring poison: every value guarded here stays
+/// consistent even if a holder panicked.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 thread_local! {
@@ -103,11 +158,13 @@ impl Drop for PoolEntryGuard {
 }
 
 struct PoolState {
-    batch: Option<BatchDesc>,
+    /// The live batch, if any.
+    batch: Option<&'static Batch<'static>>,
     /// Monotonic batch counter; lets sleeping workers distinguish a new
-    /// batch from the one they already finished.
+    /// batch from the one they already left.
     epoch: u64,
-    /// Threads currently inside the processing loop of the live batch.
+    /// Threads currently inside the live batch's processing loop. The
+    /// batch is done when this reaches 0.
     active: usize,
     shutdown: bool,
 }
@@ -118,91 +175,21 @@ struct Shared {
     job_cv: Condvar,
     /// Signals the submitter that the live batch may have quiesced.
     done_cv: Condvar,
-    /// Global queue the submitter seeds with job indices.
-    injector: Injector<usize>,
-    /// Thief handles onto every worker's local deque.
-    stealers: Vec<Stealer<usize>>,
-    /// Jobs of the live batch that have been taken off a queue (executed
-    /// or drained after a panic).
-    completed: AtomicUsize,
-    /// Set when a job panicked: remaining jobs are drained, not executed.
-    abort: AtomicBool,
-    /// First panic payload of the live batch.
-    panic: Mutex<Option<Box<dyn Any + Send>>>,
 }
 
 impl Shared {
-    /// Takes one job index: local deque first, then the injector (batched),
-    /// then stealing from sibling workers. `local` may be `None` for the
-    /// submitting thread, which steals single jobs instead of batches.
-    fn find_job(&self, local: Option<&Worker<usize>>) -> Option<usize> {
-        if let Some(local) = local {
-            if let Some(i) = local.pop() {
-                return Some(i);
-            }
-            loop {
-                match self.injector.steal_batch_and_pop(local) {
-                    Steal::Success(i) => return Some(i),
-                    Steal::Empty => break,
-                    Steal::Retry => continue,
-                }
-            }
-        } else if let Some(i) = self.injector.steal().success() {
-            return Some(i);
-        }
-        for stealer in &self.stealers {
-            loop {
-                match stealer.steal() {
-                    Steal::Success(i) => return Some(i),
-                    Steal::Empty => break,
-                    Steal::Retry => continue,
-                }
-            }
-        }
-        None
-    }
-
-    /// Runs jobs of the live batch until no queued work remains. Shared by
-    /// the worker threads and the submitting thread. The caller must have
-    /// registered itself in `state.active` while holding the state lock.
-    fn process(&self, batch: BatchDesc, n: usize, local: Option<&Worker<usize>>) {
-        while let Some(index) = self.find_job(local) {
-            if !self.abort.load(Ordering::Acquire) {
-                if let Err(payload) = catch_unwind(AssertUnwindSafe(|| (batch.task)(index))) {
-                    self.abort.store(true, Ordering::Release);
-                    let mut slot = self
-                        .panic
-                        .lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner);
-                    slot.get_or_insert(payload);
-                }
-            }
-            // Count drained-after-abort jobs too: completion means "no job
-            // left on any queue", which is what the submitter waits for.
-            if self.completed.fetch_add(1, Ordering::AcqRel) + 1 == n {
-                let _guard = self
-                    .state
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-                self.done_cv.notify_all();
-            }
-        }
-    }
-
-    fn worker_loop(&self, local: Worker<usize>) {
-        let mut last_epoch = 0u64;
+    fn worker_loop(&self) {
+        let mut seen = 0u64;
         loop {
             let batch = {
-                let mut state = self
-                    .state
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
+                let mut state = lock(&self.state);
                 loop {
                     if state.shutdown {
                         return;
                     }
                     match state.batch {
-                        Some(batch) if batch.epoch != last_epoch => {
+                        Some(batch) if state.epoch != seen => {
+                            seen = state.epoch;
                             state.active += 1;
                             break batch;
                         }
@@ -210,22 +197,14 @@ impl Shared {
                             state = self
                                 .job_cv
                                 .wait(state)
-                                .unwrap_or_else(std::sync::PoisonError::into_inner)
+                                .unwrap_or_else(PoisonError::into_inner)
                         }
                     }
                 }
             };
-            last_epoch = batch.epoch;
             let _entry = PoolEntryGuard::enter(self as *const Shared as usize);
-            // Workers pass `usize::MAX` as the batch size so the
-            // `completed == n` fast-path notification never fires here;
-            // their authoritative completion signal is `active` reaching 0
-            // when they leave the processing loop below.
-            self.process(batch, usize::MAX, Some(&local));
-            let mut state = self
-                .state
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
+            batch.process();
+            let mut state = lock(&self.state);
             state.active -= 1;
             if state.active == 0 {
                 self.done_cv.notify_all();
@@ -234,7 +213,8 @@ impl Shared {
     }
 }
 
-/// A persistent pool of evaluation workers with work-stealing scheduling.
+/// A persistent pool of evaluation workers that share each batch through
+/// one claim counter.
 ///
 /// Create one per process (or per experiment binary) and share it across
 /// populations and generations via `Arc`; see the module docs for the
@@ -267,8 +247,6 @@ impl Executor {
     /// ever spawned, no matter how many batches run.
     pub fn new(workers: usize) -> Self {
         let workers = workers.max(1);
-        let locals: Vec<Worker<usize>> = (0..workers).map(|_| Worker::new_lifo()).collect();
-        let stealers: Vec<Stealer<usize>> = locals.iter().map(Worker::stealer).collect();
         let shared = Arc::new(Shared {
             state: Mutex::new(PoolState {
                 batch: None,
@@ -278,22 +256,15 @@ impl Executor {
             }),
             job_cv: Condvar::new(),
             done_cv: Condvar::new(),
-            injector: Injector::new(),
-            stealers,
-            completed: AtomicUsize::new(0),
-            abort: AtomicBool::new(false),
-            panic: Mutex::new(None),
         });
         let threads_spawned = AtomicU64::new(0);
-        let handles = locals
-            .into_iter()
-            .enumerate()
-            .map(|(id, local)| {
+        let handles = (0..workers)
+            .map(|id| {
                 let shared = Arc::clone(&shared);
                 threads_spawned.fetch_add(1, Ordering::SeqCst);
                 std::thread::Builder::new()
                     .name(format!("genesys-eval-{id}"))
-                    .spawn(move || shared.worker_loop(local))
+                    .spawn(move || shared.worker_loop())
                     .expect("failed to spawn evaluation worker")
             })
             .collect();
@@ -321,8 +292,9 @@ impl Executor {
     }
 
     /// Runs `task(i)` for every `i in 0..n`, returning once all jobs have
-    /// finished. Jobs are pulled from a shared work-stealing deque, so the
-    /// assignment of jobs to threads is load-balanced, not chunked.
+    /// finished. The workers and the calling thread claim short runs of
+    /// indices from one shared counter, so the assignment of jobs to
+    /// threads is load-balanced, not chunked.
     ///
     /// # Panics
     ///
@@ -349,67 +321,47 @@ impl Executor {
              would deadlock; evaluate nested work serially or on a separate pool"
         );
         let _entry = PoolEntryGuard::enter(pool_id);
-        let _batch_guard = self
-            .submit
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        // SAFETY (lifetime erasure): workers only dereference `task`
+        let _batch_guard = lock(&self.submit);
+        let batch = Batch {
+            task: &task,
+            n,
+            run: run_len(n, self.workers + 1),
+            next: AtomicUsize::new(0),
+            aborted: AtomicBool::new(false),
+            panic: Mutex::new(None),
+        };
+        // SAFETY (lifetime erasure): workers only dereference the batch
         // between registering in `state.active` (under the state lock,
-        // while the batch is live) and deregistering. Before returning,
-        // this function (a) waits until every job has been taken off the
-        // queues (`completed == n`) and every participant has left the
-        // processing loop (`active == 0`), and (b) clears `state.batch`,
-        // so no thread can observe the reference afterwards. The borrow
-        // therefore outlives every dereference, and the `'static` cast is
-        // never acted upon.
-        let task_ref: &(dyn Fn(usize) + Sync) = &task;
-        let task_static: &'static (dyn Fn(usize) + Sync) = unsafe { std::mem::transmute(task_ref) };
-
-        self.shared.completed.store(0, Ordering::SeqCst);
-        self.shared.abort.store(false, Ordering::SeqCst);
-        for i in 0..n {
-            self.shared.injector.push(i);
-        }
-        let batch = {
-            let mut state = self
-                .shared
-                .state
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
+        // while `state.batch` holds it) and deregistering. Before
+        // `batch` goes out of scope, this function waits until every
+        // participant has left the processing loop (`active == 0`) and
+        // clears `state.batch` under the same lock, so no thread can
+        // reach the reference afterwards. The borrow therefore outlives
+        // every dereference, and the `'static` cast is never acted upon.
+        let erased: &'static Batch<'static> =
+            unsafe { std::mem::transmute::<&Batch<'_>, &'static Batch<'static>>(&batch) };
+        {
+            let mut state = lock(&self.shared.state);
             state.epoch += 1;
-            let batch = BatchDesc {
-                task: task_static,
-                epoch: state.epoch,
-            };
-            state.batch = Some(batch);
+            state.batch = Some(erased);
             // The submitter participates too (caller-runs).
             state.active += 1;
             self.shared.job_cv.notify_all();
-            batch
-        };
-        self.shared.process(batch, n, None);
-        let mut state = self
-            .shared
-            .state
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        }
+        batch.process();
+        let mut state = lock(&self.shared.state);
         state.active -= 1;
-        while !(self.shared.completed.load(Ordering::Acquire) >= n && state.active == 0) {
+        while state.active > 0 {
             state = self
                 .shared
                 .done_cv
                 .wait(state)
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
+                .unwrap_or_else(PoisonError::into_inner);
         }
         state.batch = None;
         drop(state);
-        let payload = self
-            .shared
-            .panic
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .take();
-        if let Some(payload) = payload {
+        let payload = batch.panic.into_inner();
+        if let Some(payload) = payload.unwrap_or_else(PoisonError::into_inner) {
             std::panic::resume_unwind(payload);
         }
     }
@@ -423,12 +375,7 @@ impl Executor {
     {
         let mut out: Vec<Option<R>> = Vec::with_capacity(n);
         out.resize_with(n, || None);
-        let slots = SliceSlots::new(&mut out);
-        self.run(n, |i| {
-            // SAFETY: each index is delivered to exactly one job (executor
-            // contract #1), so writes to distinct slots never alias.
-            unsafe { *slots.get(i) = Some(f(i)) };
-        });
+        self.for_each_mut(&mut out, |i, slot| *slot = Some(f(i)));
         out.into_iter()
             .map(|r| r.expect("executor ran every index"))
             .collect()
@@ -446,60 +393,33 @@ impl Executor {
         F: Fn(usize, &mut T) -> R + Sync,
     {
         let n = items.len();
-        let mut out: Vec<Option<R>> = Vec::with_capacity(n);
-        out.resize_with(n, || None);
-        let slots = SliceSlots::new(&mut out);
         let item_slots = SliceSlots::new(items);
-        self.run(n, |i| {
-            // SAFETY: each index is delivered to exactly one job (executor
-            // contract #1), so the item and result slots of distinct jobs
-            // never alias.
-            unsafe { *slots.get(i) = Some(f(i, &mut *item_slots.get(i))) };
-        });
-        out.into_iter()
-            .map(|r| r.expect("executor ran every index"))
-            .collect()
+        // SAFETY: each index is delivered to exactly one job (executor
+        // contract #1), so the item slots of distinct jobs never alias.
+        self.map(n, |i| f(i, unsafe { item_slots.get(i) }))
     }
 
-    /// Runs `f(i, chunk_i)` over the disjoint fixed-size chunks of
-    /// `items`, in parallel, where chunk `i` is
-    /// `items[i * chunk_len..(i + 1) * chunk_len]`. This is the primitive
-    /// behind the speciation distance matrix: row `i` (one genome against
-    /// every representative) is one index-keyed job.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `items.len()` is not a multiple of `chunk_len`.
-    pub fn for_each_chunk<T, F>(&self, items: &mut [T], chunk_len: usize, f: F)
+    /// Runs `f(i, &mut items[i])` for every index in parallel, like
+    /// [`Executor::map_mut`] without a result vector: each job writes its
+    /// output into its own slot (one speciation scan row per genome, one
+    /// evaluation chunk per job).
+    pub fn for_each_mut<T, F>(&self, items: &mut [T], f: F)
     where
         T: Send,
-        F: Fn(usize, &mut [T]) + Sync,
+        F: Fn(usize, &mut T) + Sync,
     {
-        if items.is_empty() {
-            return;
-        }
-        assert!(
-            chunk_len > 0 && items.len().is_multiple_of(chunk_len),
-            "items must split into whole chunks"
-        );
-        let n = items.len() / chunk_len;
-        let chunks = ChunkSlots::new(items, chunk_len);
-        self.run(n, |i| {
-            // SAFETY: chunks at distinct indices are disjoint, and each
-            // index is delivered to exactly one job.
-            f(i, unsafe { chunks.get(i) });
-        });
+        let n = items.len();
+        let slots = SliceSlots::new(items);
+        // SAFETY: each index is delivered to exactly one job (executor
+        // contract #1), so writes to distinct slots never alias.
+        self.run(n, |i| f(i, unsafe { slots.get(i) }));
     }
 }
 
 impl Drop for Executor {
     fn drop(&mut self) {
         {
-            let mut state = self
-                .shared
-                .state
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
+            let mut state = lock(&self.shared.state);
             state.shutdown = true;
             self.shared.job_cv.notify_all();
         }
@@ -554,22 +474,13 @@ impl<S> WorkerLocal<S> {
     /// the pool afterwards for reuse by the next job on any thread. If `f`
     /// panics the instance is dropped, not returned.
     pub fn with<R>(&self, f: impl FnOnce(&mut S) -> R) -> R {
-        let mut state = {
-            let mut free = self
-                .free
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            free.pop()
-        }
-        .unwrap_or_else(|| {
+        let free = lock(&self.free).pop();
+        let mut state = free.unwrap_or_else(|| {
             self.created.fetch_add(1, Ordering::Relaxed);
             (self.make)()
         });
         let result = f(&mut state);
-        self.free
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .push(state);
+        lock(&self.free).push(state);
         result
     }
 
@@ -587,7 +498,11 @@ struct SliceSlots<T> {
     ptr: *mut T,
 }
 
+// SAFETY: the one field points into a slice whose slots `get` hands out
+// only to distinct jobs, so sharing or sending a `SliceSlots` lets other
+// threads take `&mut T` to disjoint slots, which `T: Send` allows.
 unsafe impl<T: Send> Sync for SliceSlots<T> {}
+// SAFETY: as for `Sync` above.
 unsafe impl<T: Send> Send for SliceSlots<T> {}
 
 impl<T> SliceSlots<T> {
@@ -607,39 +522,11 @@ impl<T> SliceSlots<T> {
     }
 }
 
-/// Shared mutable access to disjoint fixed-size chunks of a slice; the
-/// chunked sibling of [`SliceSlots`].
-struct ChunkSlots<T> {
-    ptr: *mut T,
-    chunk_len: usize,
-}
-
-unsafe impl<T: Send> Sync for ChunkSlots<T> {}
-unsafe impl<T: Send> Send for ChunkSlots<T> {}
-
-impl<T> ChunkSlots<T> {
-    fn new(slice: &mut [T], chunk_len: usize) -> Self {
-        ChunkSlots {
-            ptr: slice.as_mut_ptr(),
-            chunk_len,
-        }
-    }
-
-    /// # Safety
-    ///
-    /// The caller must ensure chunk `i` is in bounds and that no two
-    /// threads access the same chunk concurrently.
-    #[allow(clippy::mut_from_ref)]
-    unsafe fn get(&self, i: usize) -> &mut [T] {
-        std::slice::from_raw_parts_mut(self.ptr.add(i * self.chunk_len), self.chunk_len)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::collections::HashSet;
-    use std::sync::atomic::AtomicUsize;
+    use std::sync::atomic::{AtomicU32, AtomicUsize};
 
     #[test]
     fn runs_every_index_exactly_once() {
@@ -649,6 +536,62 @@ mod tests {
             hits[i].fetch_add(1, Ordering::SeqCst);
         });
         assert!(hits.iter().all(|h| h.load(Ordering::SeqCst) == 1));
+    }
+
+    #[test]
+    fn every_index_runs_exactly_once_over_many_batches() {
+        // Three workers plus the caller contend for one counter. The sizes
+        // cover the empty batch, one job, fewer jobs than participants, a
+        // prime (runs that do not divide it) and a batch long enough to
+        // take full MAX_RUN claims.
+        const SIZES: [usize; 5] = [0, 1, 3, 1_009, 10_000];
+        let pool = Executor::new(3);
+        let hits: Vec<AtomicU32> = (0..10_000).map(|_| AtomicU32::new(0)).collect();
+        for batch in 0..1_000 {
+            let n = SIZES[batch % SIZES.len()];
+            pool.run(n, |i| {
+                hits[i].fetch_add(1, Ordering::Relaxed);
+            });
+            for (i, h) in hits.iter().enumerate() {
+                let expect = u32::from(i < n);
+                assert_eq!(
+                    h.swap(0, Ordering::Relaxed),
+                    expect,
+                    "batch {batch}, index {i}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn every_participant_claims_a_run() {
+        // Four jobs that each wait until all four are running: the batch
+        // can only finish if the three workers and the caller each claim
+        // one of them concurrently.
+        let pool = Executor::new(3);
+        let entered = AtomicUsize::new(0);
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+        let threads = pool.map(4, |_| {
+            entered.fetch_add(1, Ordering::SeqCst);
+            while entered.load(Ordering::SeqCst) < 4 && std::time::Instant::now() < deadline {
+                std::thread::yield_now();
+            }
+            std::thread::current().id()
+        });
+        assert_eq!(
+            entered.load(Ordering::SeqCst),
+            4,
+            "all four jobs ran at once"
+        );
+        assert_eq!(threads.iter().collect::<HashSet<_>>().len(), 4);
+    }
+
+    #[test]
+    fn run_length_shrinks_with_the_batch_and_is_capped() {
+        assert_eq!(run_len(1, 4), 1);
+        assert_eq!(run_len(3, 4), 1);
+        assert_eq!(run_len(64, 2), 4);
+        assert_eq!(run_len(10_000, 2), MAX_RUN);
     }
 
     #[test]
@@ -671,24 +614,12 @@ mod tests {
     }
 
     #[test]
-    fn for_each_chunk_covers_disjoint_rows() {
+    fn for_each_mut_writes_every_slot() {
         let pool = Executor::new(3);
-        let mut matrix = vec![0u32; 7 * 5];
-        pool.for_each_chunk(&mut matrix, 5, |row, chunk| {
-            for (col, cell) in chunk.iter_mut().enumerate() {
-                *cell = (row * 5 + col) as u32;
-            }
-        });
-        assert_eq!(matrix, (0..35).collect::<Vec<_>>());
-        // Empty input is a no-op regardless of chunk length.
-        pool.for_each_chunk(&mut [] as &mut [u32], 5, |_, _| panic!("no chunks"));
-    }
-
-    #[test]
-    #[should_panic(expected = "whole chunks")]
-    fn for_each_chunk_rejects_ragged_input() {
-        let pool = Executor::new(2);
-        pool.for_each_chunk(&mut [1u8, 2, 3], 2, |_, _| {});
+        let mut rows = vec![0u32; 35];
+        pool.for_each_mut(&mut rows, |i, row| *row = i as u32 * 3);
+        assert_eq!(rows, (0..35).map(|i| i * 3).collect::<Vec<_>>());
+        pool.for_each_mut(&mut [] as &mut [u32], |_, _| panic!("no slots"));
     }
 
     #[test]
@@ -730,6 +661,43 @@ mod tests {
         // The pool must still work afterwards.
         let out = pool.map(16, |i| i * 2);
         assert_eq!(out[8], 16);
+    }
+
+    #[test]
+    fn a_panic_skips_the_rest_of_its_batch_and_is_raised_once() {
+        let pool = Executor::new(3);
+        let n = 10_000;
+        assert_eq!(run_len(n, 4), MAX_RUN);
+        let ran: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(0)).collect();
+        let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            pool.run(n, |i| {
+                ran[i].fetch_add(1, Ordering::Relaxed);
+                if i % MAX_RUN == 0 {
+                    panic!("genome {i}");
+                }
+            });
+        }));
+        let payload = result.expect_err("the panic reaches the submitter");
+        let message = payload.downcast_ref::<String>().expect("a formatted panic");
+        assert!(message.starts_with("genome "), "{message}");
+        // Every claimed run opens on a panicking index, so each claim runs
+        // exactly one job: nothing else in any run executes, and the
+        // participants stop claiming once the batch has aborted.
+        let executed: Vec<usize> = (0..n)
+            .filter(|&i| ran[i].load(Ordering::Relaxed) > 0)
+            .collect();
+        assert!(executed.iter().all(|i| i % MAX_RUN == 0), "{executed:?}");
+        assert!(
+            executed.len() <= 4,
+            "one run per participant at most: {executed:?}"
+        );
+        assert!(ran.iter().all(|r| r.load(Ordering::Relaxed) <= 1));
+        // The pool then runs the next batch in full.
+        let hits: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(0)).collect();
+        pool.run(n, |i| {
+            hits[i].fetch_add(1, Ordering::Relaxed);
+        });
+        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! [`island_seed`]`(seed, island)` — and one island's *entire* generation
 //! (evaluation, speciation, reproduction) is a single unit of work on the
 //! shared [`Executor`]. Workers never wait at a phase boundary for other
-//! islands: a fast island's worker steals the next island job instead of
+//! islands: a fast island's worker claims the next island job instead of
 //! idling, which is where the multi-worker speedup comes from.
 //!
 //! # Migration
@@ -53,7 +53,9 @@ use crate::config::NeatConfig;
 use crate::executor::Executor;
 use crate::genome::Genome;
 use crate::population::Population;
-use crate::session::{Backend, EvalContext, Evaluator, EvolutionState, RunState, SessionError};
+use crate::session::{
+    check_counter, Backend, EvalContext, Evaluator, EvolutionState, RunState, SessionError,
+};
 use crate::stats::GenerationStats;
 use crate::trace::{GenerationTrace, OpCounters};
 use std::sync::Arc;
@@ -96,14 +98,16 @@ pub struct ArchipelagoState {
 }
 
 impl ArchipelagoState {
-    /// Validates internal consistency: the global config, the island
-    /// count, the population split, and every per-island state.
+    /// Validates internal consistency: the global config, the global
+    /// generation counter, the island count, the population split, and
+    /// every per-island state.
     ///
     /// # Errors
     ///
     /// Returns the first violated invariant as a [`SessionError`].
     pub fn validate(&self) -> Result<(), SessionError> {
         self.config.validate().map_err(SessionError::Config)?;
+        check_counter("generation", self.generation, u64::MAX)?;
         if self.islands.is_empty() {
             return Err(SessionError::EmptyState);
         }

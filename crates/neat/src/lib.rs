@@ -28,11 +28,11 @@
 //!   into self-contained islands, each scheduled as one whole-generation
 //!   job on the shared executor (no cross-island phase barrier), with
 //!   deterministic ring migration on an epoch schedule.
-//! * [`executor`] — the persistent work-stealing worker pool that backs
-//!   PLP: threads are spawned once and reused across generations, and
-//!   index-keyed jobs (genome evaluations, distance-matrix rows, child
-//!   builds) are balanced through work-stealing deques instead of static
-//!   chunks.
+//! * [`executor`] — the persistent worker pool that backs PLP: threads
+//!   are spawned once and reused across generations, and index-keyed jobs
+//!   (evaluation chunks, speciation scan rows, child builds, whole
+//!   islands) are balanced by claiming short runs of indices from one
+//!   shared counter instead of static chunks.
 //! * [`session`] — **the run surface**: one [`Session`] drives any
 //!   workload ([`Evaluator`]) on any backend ([`Backend`]: this crate's
 //!   [`Population`] or `genesys_core`'s SoC model), with streaming

@@ -263,9 +263,9 @@ impl Population {
     }
 
     /// Genomes per evaluation job: the whole generation when serial;
-    /// about four jobs per worker with an executor (so work stealing can
-    /// still balance uneven chunks), but never fewer than [`LANES`]
-    /// genomes, so a lane-evaluating workload can fill its lanes.
+    /// about four jobs per worker with an executor (so a worker that
+    /// finishes early claims another chunk), but never fewer than
+    /// [`LANES`] genomes, so a lane-evaluating workload can fill its lanes.
     fn chunk_len(&self) -> usize {
         let n = self.genomes.len().max(1);
         match &self.executor {
@@ -316,7 +316,7 @@ impl Population {
         match &self.executor {
             Some(pool) => {
                 let mut chunks: Vec<&mut [Evaluation]> = results.chunks_mut(chunk).collect();
-                pool.map_mut(&mut chunks, |c, out| job(c, out));
+                pool.for_each_mut(&mut chunks, |c, out| job(c, out));
             }
             None => {
                 for (c, out) in results.chunks_mut(chunk).enumerate() {

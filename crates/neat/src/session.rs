@@ -283,6 +283,13 @@ impl EvolutionState {
     /// Every invariant but the innovation counter's.
     fn validate_structure(&self) -> Result<(), SessionError> {
         self.config.validate().map_err(SessionError::Config)?;
+        check_counter("next_key", self.next_key, u64::MAX)?;
+        check_counter(
+            "species_next_id",
+            self.species_next_id.into(),
+            u32::MAX.into(),
+        )?;
+        check_counter("generation", self.generation, u64::MAX)?;
         if self.genomes.is_empty() {
             return Err(SessionError::EmptyState);
         }
@@ -345,6 +352,24 @@ impl EvolutionState {
         }
         Ok(())
     }
+}
+
+/// Fails with [`SessionError::CounterAboveCeiling`] if `value`, a run
+/// counter whose type holds at most `max`, is above half that range.
+pub(crate) fn check_counter(
+    counter: &'static str,
+    value: u64,
+    max: u64,
+) -> Result<(), SessionError> {
+    let ceiling = max / 2;
+    if value > ceiling {
+        return Err(SessionError::CounterAboveCeiling {
+            counter,
+            value,
+            ceiling,
+        });
+    }
+    Ok(())
 }
 
 /// The complete checkpoint of any backend — what [`Session::export_state`]
@@ -498,6 +523,25 @@ pub enum SessionError {
         /// Island states actually present.
         islands: usize,
     },
+    /// A run counter is above its ceiling, half of its type's range: a
+    /// state whose `next_key`, `species_next_id` or `generation` sits at
+    /// the top of the range would overflow it within a step.
+    ///
+    /// No legitimate run gets near a ceiling. `generation` grows by one
+    /// per generation and `next_key` by at most `pop_size`, so a run of
+    /// 10⁶ genomes stepping a thousand generations a second would take
+    /// about 290 years to pass 2⁶³. `species_next_id` grows by the
+    /// species a generation founds, at most `species_representative_cap`
+    /// and in practice a few: passing 2³¹ would take twenty million
+    /// generations that each found a hundred species.
+    CounterAboveCeiling {
+        /// The counter's field name.
+        counter: &'static str,
+        /// Its value.
+        value: u64,
+        /// The largest value accepted.
+        ceiling: u64,
+    },
 }
 
 impl fmt::Display for SessionError {
@@ -536,6 +580,11 @@ impl fmt::Display for SessionError {
                 f,
                 "config.islands {config} does not match {islands} island states"
             ),
+            SessionError::CounterAboveCeiling {
+                counter,
+                value,
+                ceiling,
+            } => write!(f, "{counter} {value} is above its ceiling {ceiling}"),
         }
     }
 }
@@ -990,11 +1039,6 @@ impl<W: Evaluator, B: Backend> Session<W, B> {
     /// SoC's generation reports).
     pub fn backend(&self) -> &B {
         &self.backend
-    }
-
-    /// Mutable access to the backend.
-    pub fn backend_mut(&mut self) -> &mut B {
-        &mut self.backend
     }
 
     /// The workload.

@@ -389,9 +389,7 @@ impl SpeciesSet {
         self.rows.resize(genomes.len(), ScanRow::default());
         match pool {
             Some(pool) if candidates > 0 => {
-                pool.for_each_chunk(&mut self.rows, 1, |g, row| {
-                    row[0] = ctx.scan_row(g);
-                });
+                pool.for_each_mut(&mut self.rows, |g, row| *row = ctx.scan_row(g));
             }
             _ => {
                 for (g, row) in self.rows.iter_mut().enumerate() {

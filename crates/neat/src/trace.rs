@@ -184,19 +184,6 @@ impl GenerationTrace {
         }
         uses.values().copied().max().unwrap_or(0)
     }
-
-    /// Count of distinct parents referenced by the trace.
-    pub fn distinct_parents(&self) -> usize {
-        use std::collections::HashSet;
-        let mut parents = HashSet::new();
-        for child in &self.children {
-            if !child.is_elite {
-                parents.insert(child.parent1);
-                parents.insert(child.parent2);
-            }
-        }
-        parents.len()
-    }
 }
 
 #[cfg(test)]
@@ -259,7 +246,6 @@ mod tests {
             ],
         };
         assert_eq!(trace.fittest_parent_reuse(), 3);
-        assert_eq!(trace.distinct_parents(), 4);
     }
 
     #[test]

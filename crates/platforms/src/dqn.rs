@@ -49,12 +49,6 @@ impl DqnSpec {
     pub fn memory_bytes(&self) -> u64 {
         self.replay_bytes() + self.param_activation_bytes
     }
-
-    /// Compute ops per learning step: one forward per mini-batch sample +
-    /// gradients.
-    pub fn ops_per_step(&self) -> u64 {
-        self.forward_macs + self.backprop_gradients
-    }
 }
 
 /// One comparison row of Table II.

@@ -163,6 +163,7 @@ impl ServeError {
                 SessionError::BackendMismatch => 405,
                 SessionError::InnovationCounterBehind { .. } => 406,
                 SessionError::IslandCountMismatch { .. } => 407,
+                SessionError::CounterAboveCeiling { .. } => 408,
             },
             ServeError::Io(_) => 500,
             ServeError::Disconnected => 501,
@@ -264,6 +265,12 @@ mod tests {
             islands: 3,
         };
         assert_eq!(ServeError::Session(islands).code(), 407);
+        let counter = SessionError::CounterAboveCeiling {
+            counter: "generation",
+            value: u64::MAX,
+            ceiling: u64::MAX / 2,
+        };
+        assert_eq!(ServeError::Session(counter).code(), 408);
         assert_eq!(ServeError::Io(String::new()).code(), 500);
         assert_eq!(ServeError::TooManyConnections { cap: 256 }.code(), 502);
         let remote = ServeError::Remote {

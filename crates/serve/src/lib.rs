@@ -45,7 +45,7 @@
 //! use genesys_serve::{Reply, Request, Server, ServerConfig, WorkloadSpec};
 //!
 //! let dir = std::env::temp_dir().join("genesys-serve-doc");
-//! let server = Server::start(ServerConfig::new(dir))?;
+//! let server = Server::start(ServerConfig::new(&dir))?;
 //! let client = server.client();
 //!
 //! let config = genesys_neat::NeatConfig::builder(2, 1).pop_size(8).build().unwrap();
@@ -68,6 +68,11 @@
 //!     .build();
 //! direct.run(2);
 //! assert_eq!(image, genesys_core::snapshot::snapshot_to_bytes(&direct.export_state())?);
+//!
+//! // The server does not own its spill directory: remove it once the
+//! // server is gone.
+//! drop(server);
+//! std::fs::remove_dir_all(&dir)?;
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 //!

@@ -647,16 +647,34 @@ mod tests {
         }
     }
 
-    fn temp_dir(tag: &str) -> PathBuf {
+    /// A fresh spill directory under the system temp dir, removed on
+    /// drop. Declared before the `Server` that spills into it, so it
+    /// outlives the server.
+    struct TempDir(PathBuf);
+
+    impl TempDir {
+        fn path(&self) -> &Path {
+            &self.0
+        }
+    }
+
+    impl Drop for TempDir {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+
+    fn temp_dir(tag: &str) -> TempDir {
         let dir =
             std::env::temp_dir().join(format!("genesys-serve-test-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        dir
+        TempDir(dir)
     }
 
     #[test]
     fn submit_step_checkpoint_matches_direct_session() {
-        let server = Server::start(ServerConfig::new(temp_dir("direct"))).unwrap();
+        let dir = temp_dir("direct");
+        let server = Server::start(ServerConfig::new(dir.path())).unwrap();
         let client = server.client();
         let sid = submit(&client, 42);
         assert_eq!(step(&client, sid, 3), 3);
@@ -678,7 +696,7 @@ mod tests {
     #[test]
     fn eviction_under_resident_cap_is_bit_identical() {
         let dir = temp_dir("evict");
-        let server = Server::start(ServerConfig::new(dir).max_resident(1)).unwrap();
+        let server = Server::start(ServerConfig::new(dir.path()).max_resident(1)).unwrap();
         let client = server.client();
         let a = submit(&client, 7);
         let b = submit(&client, 8);
@@ -730,8 +748,8 @@ mod tests {
     #[test]
     fn spill_write_leaves_exactly_the_last_image() {
         let dir = temp_dir("write-spill");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("sess-1.gsnap");
+        std::fs::create_dir_all(dir.path()).unwrap();
+        let path = dir.path().join("sess-1.gsnap");
         for (len, byte) in [(4096, 0xA5u8), (100, 0x3C), (5000, 0x0F)] {
             let image = vec![byte; len];
             write_spill(&path, &image).unwrap();
@@ -741,8 +759,8 @@ mod tests {
 
     #[test]
     fn repeated_spills_overwrite_bit_identically() {
-        let server =
-            Server::start(ServerConfig::new(temp_dir("overwrite")).max_resident(1)).unwrap();
+        let dir = temp_dir("overwrite");
+        let server = Server::start(ServerConfig::new(dir.path()).max_resident(1)).unwrap();
         let client = server.client();
         let a = submit(&client, 23);
         let b = submit(&client, 24);
@@ -768,7 +786,8 @@ mod tests {
 
     #[test]
     fn invalid_requests_evict_no_one() {
-        let server = Server::start(ServerConfig::new(temp_dir("invalid")).max_resident(1)).unwrap();
+        let dir = temp_dir("invalid");
+        let server = Server::start(ServerConfig::new(dir.path()).max_resident(1)).unwrap();
         let client = server.client();
         let sid = submit(&client, 31);
         step(&client, sid, 1);
@@ -802,11 +821,11 @@ mod tests {
     #[test]
     fn torn_spill_file_fails_typed_and_evicts_no_one() {
         let dir = temp_dir("torn");
-        let server = Server::start(ServerConfig::new(&dir).max_resident(1)).unwrap();
+        let server = Server::start(ServerConfig::new(dir.path()).max_resident(1)).unwrap();
         let client = server.client();
         let a = submit(&client, 41);
         let b = submit(&client, 42); // spills `a` under cap 1
-        let path = dir.join(format!("sess-{a}.gsnap"));
+        let path = dir.path().join(format!("sess-{a}.gsnap"));
         let image = std::fs::read(&path).unwrap();
         std::fs::write(&path, &image[..image.len() / 2]).unwrap();
         let before = stats(&client);
@@ -828,12 +847,12 @@ mod tests {
     #[test]
     fn checkpoint_of_a_torn_spill_file_fails_typed() {
         let dir = temp_dir("torn-checkpoint");
-        let server = Server::start(ServerConfig::new(&dir).max_resident(1)).unwrap();
+        let server = Server::start(ServerConfig::new(dir.path()).max_resident(1)).unwrap();
         let client = server.client();
         let a = submit(&client, 43);
         step(&client, a, 2);
         let b = submit(&client, 44); // spills `a` under cap 1
-        let path = dir.join(format!("sess-{a}.gsnap"));
+        let path = dir.path().join(format!("sess-{a}.gsnap"));
         let image = std::fs::read(&path).unwrap();
         assert_eq!(
             checkpoint(&client, a),
@@ -852,7 +871,8 @@ mod tests {
 
     #[test]
     fn submit_with_a_nonfinite_compatibility_coefficient_is_rejected() {
-        let server = Server::start(ServerConfig::new(temp_dir("coefficient"))).unwrap();
+        let dir = temp_dir("coefficient");
+        let server = Server::start(ServerConfig::new(dir.path())).unwrap();
         let client = server.client();
         let mut infinite = config();
         infinite.compatibility_weight_coefficient = f64::INFINITY;
@@ -870,7 +890,8 @@ mod tests {
 
     #[test]
     fn admission_cap_rejects_with_typed_error() {
-        let server = Server::start(ServerConfig::new(temp_dir("admit")).max_sessions(2)).unwrap();
+        let dir = temp_dir("admit");
+        let server = Server::start(ServerConfig::new(dir.path()).max_sessions(2)).unwrap();
         let client = server.client();
         submit(&client, 1);
         submit(&client, 2);
@@ -887,7 +908,8 @@ mod tests {
 
     #[test]
     fn unknown_sessions_and_shutdown_are_typed() {
-        let server = Server::start(ServerConfig::new(temp_dir("unknown"))).unwrap();
+        let dir = temp_dir("unknown");
+        let server = Server::start(ServerConfig::new(dir.path())).unwrap();
         let client = server.client();
         assert!(matches!(
             client.call(Request::Checkpoint { session: 99 }),
@@ -909,7 +931,8 @@ mod tests {
 
     #[test]
     fn observe_drains_the_event_ring() {
-        let server = Server::start(ServerConfig::new(temp_dir("observe")).event_buffer(2)).unwrap();
+        let dir = temp_dir("observe");
+        let server = Server::start(ServerConfig::new(dir.path()).event_buffer(2)).unwrap();
         let client = server.client();
         let sid = submit(&client, 5);
         step(&client, sid, 4);
@@ -940,7 +963,8 @@ mod tests {
 
     #[test]
     fn overflow_drops_are_counted_in_stats() {
-        let server = Server::start(ServerConfig::new(temp_dir("dropped")).event_buffer(2)).unwrap();
+        let dir = temp_dir("dropped");
+        let server = Server::start(ServerConfig::new(dir.path()).event_buffer(2)).unwrap();
         let client = server.client();
         let sid = submit(&client, 5);
         // 5 generations into a 2-slot ring with no observer: 3 events
@@ -964,7 +988,8 @@ mod tests {
 
     #[test]
     fn explicit_evict_is_idempotent_and_busy_guarded() {
-        let server = Server::start(ServerConfig::new(temp_dir("explicit"))).unwrap();
+        let dir = temp_dir("explicit");
+        let server = Server::start(ServerConfig::new(dir.path())).unwrap();
         let client = server.client();
         let sid = submit(&client, 11);
         step(&client, sid, 2);
@@ -993,7 +1018,8 @@ mod tests {
 
     #[test]
     fn resume_verb_continues_a_checkpoint_bit_identically() {
-        let server = Server::start(ServerConfig::new(temp_dir("resume"))).unwrap();
+        let dir = temp_dir("resume");
+        let server = Server::start(ServerConfig::new(dir.path())).unwrap();
         let client = server.client();
         let sid = submit(&client, 17);
         step(&client, sid, 2);

@@ -1,4 +1,4 @@
-//! Integration tests for the persistent work-stealing evaluation engine:
+//! Integration tests for the persistent evaluation engine:
 //! parallel-vs-serial fitness agreement, panic propagation, and pool reuse
 //! across generations (the "no per-generation thread spawn" guarantee).
 //! Pools reach a population only through `SessionBuilder::{executor,
@@ -28,8 +28,8 @@ fn on(pop: usize, seed: u64) -> SessionBuilder<Population> {
 
 #[test]
 fn parallel_and_serial_evaluation_agree() {
-    // The acceptance-criterion test: work-stealing evaluation at 1, 4 and
-    // 8 workers is bit-identical to serial across whole generations.
+    // The acceptance-criterion test: pooled evaluation at 1, 4 and 8
+    // workers is bit-identical to serial across whole generations.
     let mut serial = on(53, 17).workload(fitness).build();
     let serial_stats = serial.run(4).history;
     for workers in [1usize, 4, 8] {

@@ -17,7 +17,7 @@ use genesys::serve::{
 use genesys::soc::snapshot_to_bytes;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::Arc;
@@ -30,11 +30,28 @@ const GENERATIONS: u32 = 6;
 /// milliseconds, so a deadlock fails the test instead of hanging it.
 const DEADLINE: Duration = Duration::from_secs(10);
 
-fn temp_dir(tag: &str) -> PathBuf {
+/// A fresh spill directory under the system temp dir, removed on drop.
+/// Declared before the `Server` that spills into it, so it outlives the
+/// server.
+struct TempDir(PathBuf);
+
+impl TempDir {
+    fn path(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+fn temp_dir(tag: &str) -> TempDir {
     let dir =
         std::env::temp_dir().join(format!("genesys-serve-itest-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    dir
+    TempDir(dir)
 }
 
 /// The tenant mix: different workload shapes and seeds, so eviction and
@@ -88,9 +105,9 @@ fn direct_image(seed: u64, workload: &WorkloadSpec, config: &NeatConfig) -> Vec<
 /// threads with interleaved step batches plus explicit mid-run evictions.
 /// Returns the final checkpoint image of every session.
 fn server_images(threads: usize) -> Vec<Vec<u8>> {
-    let tag = format!("mix-{threads}");
+    let dir = temp_dir(&format!("mix-{threads}"));
     let server = Server::start(
-        ServerConfig::new(temp_dir(&tag))
+        ServerConfig::new(dir.path())
             .max_resident(2)
             .threads(threads),
     )
@@ -193,7 +210,8 @@ fn resumed_checkpoints_continue_bit_identically_across_servers() {
     // (cross-process migration in miniature), and compare the combined
     // trajectory with one uninterrupted direct run.
     let (seed, workload, config) = tenants().remove(5);
-    let first = Server::start(ServerConfig::new(temp_dir("migrate-a"))).unwrap();
+    let first_dir = temp_dir("migrate-a");
+    let first = Server::start(ServerConfig::new(first_dir.path())).unwrap();
     let client = first.client();
     let Reply::Submitted { session, .. } = client
         .call(Request::Submit {
@@ -217,7 +235,8 @@ fn resumed_checkpoints_continue_bit_identically_across_servers() {
     };
     drop(first);
 
-    let second = Server::start(ServerConfig::new(temp_dir("migrate-b"))).unwrap();
+    let second_dir = temp_dir("migrate-b");
+    let second = Server::start(ServerConfig::new(second_dir.path())).unwrap();
     let client = second.client();
     let Reply::Submitted { session, .. } = client
         .call(Request::Resume {
@@ -248,7 +267,8 @@ fn resumed_checkpoints_continue_bit_identically_across_servers() {
 /// evicting anyone, and the server keeps serving.
 #[test]
 fn a_workload_that_does_not_fit_the_config_is_refused() {
-    let server = Server::start(ServerConfig::new(temp_dir("interface")).max_resident(1)).unwrap();
+    let dir = temp_dir("interface");
+    let server = Server::start(ServerConfig::new(dir.path()).max_resident(1)).unwrap();
     let client = server.client();
     let (seed, workload, config) = tenants().remove(0);
     let Reply::Submitted { session, .. } = client
@@ -332,7 +352,8 @@ fn a_drifting_tenant_resumed_at_the_last_position_steps() {
     }
     let want = snapshot_to_bytes(&direct.export_state()).unwrap();
 
-    let server = Server::start(ServerConfig::new(temp_dir("last-position"))).unwrap();
+    let dir = temp_dir("last-position");
+    let server = Server::start(ServerConfig::new(dir.path())).unwrap();
     let client = server.client();
     let image = snapshot_to_bytes(&session_at(u64::MAX).export_state()).unwrap();
     let Reply::Submitted { session, .. } = client
@@ -367,8 +388,8 @@ struct Wire {
 }
 
 impl Wire {
-    fn start(tag: &str) -> Wire {
-        let server = Server::start(ServerConfig::new(temp_dir(tag))).unwrap();
+    fn start(dir: &TempDir) -> Wire {
+        let server = Server::start(ServerConfig::new(dir.path())).unwrap();
         let client = server.client();
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
@@ -436,7 +457,8 @@ fn submit_over(
 
 #[test]
 fn corrupt_wire_frames_get_typed_replies_and_the_server_survives() {
-    let wire = Wire::start("wire");
+    let dir = temp_dir("wire");
+    let wire = Wire::start(&dir);
     let addr = wire.addr;
 
     // A well-framed body with a bad protocol version: typed error reply,
@@ -484,7 +506,8 @@ fn corrupt_wire_frames_get_typed_replies_and_the_server_survives() {
 /// 2 gets a typed `BadPayload` reply, and no session is created.
 #[test]
 fn submit_with_a_reserved_env_word_other_than_one_is_rejected() {
-    let wire = Wire::start("reserved-word");
+    let dir = temp_dir("reserved-word");
+    let wire = Wire::start(&dir);
     let mut frame = encode_request(
         4,
         &Request::Submit {
@@ -535,7 +558,8 @@ fn assert_direct_round_trip(conn: &mut WireClient) {
 
 #[test]
 fn pipelined_requests_are_answered_once_each_in_completion_order() {
-    let wire = Wire::start("pipeline");
+    let dir = temp_dir("pipeline");
+    let wire = Wire::start(&dir);
     let mut conn = WireClient::connect(wire.addr).unwrap();
     // A's generations are slow enough that the reader dispatches the
     // three requests behind its step long before the eighth quantum, and
@@ -596,7 +620,8 @@ const STALLED_BYTES: usize = 8 << 20;
 
 #[test]
 fn a_client_that_never_reads_stalls_only_its_own_connection() {
-    let wire = Wire::start("slow-reader");
+    let dir = temp_dir("slow-reader");
+    let wire = Wire::start(&dir);
     let local = wire.server.client();
     let config = NeatConfig::builder(3, 2).pop_size(1000).build().unwrap();
     let Reply::Submitted { session: big, .. } = local
@@ -650,7 +675,8 @@ fn a_client_that_never_reads_stalls_only_its_own_connection() {
 
 #[test]
 fn connections_past_the_cap_get_a_typed_error_then_eof() {
-    let wire = Wire::start("cap");
+    let dir = temp_dir("cap");
+    let wire = Wire::start(&dir);
     let mut held: Vec<TcpStream> = (0..MAX_CONNECTIONS)
         .map(|_| TcpStream::connect(wire.addr).unwrap())
         .collect();
@@ -689,7 +715,8 @@ fn connections_past_the_cap_get_a_typed_error_then_eof() {
 
 #[test]
 fn shutdown_returns_without_waiting_for_queued_steps() {
-    let wire = Wire::start("shutdown");
+    let dir = temp_dir("shutdown");
+    let wire = Wire::start(&dir);
     let mut idle = TcpStream::connect(wire.addr).unwrap();
     let addr = wire.addr;
     let busy = within("queueing a long step", move || {

@@ -9,10 +9,13 @@
 //! checkpoint whose innovation counter was rewound below an id it carries
 //! is rejected at decode, validation and resume, served or not, and an
 //! archipelago checkpoint missing an island state is rejected as an
-//! island-count mismatch.
+//! island-count mismatch. So is a checkpoint whose genome-key,
+//! species-id or generation counter was forged to the top of its range.
 
 use genesys::gym::{DriftSchedule, EnvKind, EpisodeEvaluator, TaskPlan, TaskSequence};
-use genesys::neat::{EvalContext, Evaluator, NeatConfig, Network, RunState, Session, SessionError};
+use genesys::neat::{
+    EvalContext, Evaluator, EvolutionState, NeatConfig, Network, RunState, Session, SessionError,
+};
 use genesys::serve::{Reply, Request, Server, ServerConfig, WorkloadSpec};
 use genesys::soc::snapshot::SnapshotError;
 use genesys::soc::{encode_population, snapshot_from_bytes, snapshot_to_bytes};
@@ -359,6 +362,70 @@ fn an_archipelago_missing_an_island_is_an_island_count_mismatch() {
         ),
         other => panic!("expected InvalidState, got {other:?}"),
     }
+}
+
+/// Asserts that `state` fails validation because `counter` is above its
+/// ceiling, and that `Session::resume` and the snapshot decoder reject it
+/// too.
+fn assert_counter_rejected(state: &RunState, counter: &str) {
+    let error = state.validate().expect_err("a forged counter is invalid");
+    assert!(
+        matches!(error, SessionError::CounterAboveCeiling { counter: c, .. } if c == counter),
+        "{counter}: {error:?}"
+    );
+    assert_eq!(Session::resume(state.clone()).err(), Some(error));
+    let image = snapshot_to_bytes(state).expect("the encoder does not validate");
+    assert!(
+        matches!(
+            snapshot_from_bytes(&image),
+            Err(SnapshotError::InvalidState(_))
+        ),
+        "{counter}: the decoder validates"
+    );
+}
+
+#[test]
+fn counters_forged_to_the_top_of_their_range_are_rejected() {
+    // Each forgery decoded, validated and resumed before, then overflowed
+    // its counter in the first debug-build step.
+    let mut config = cartpole_config();
+    config.pop_size = 64;
+    let mut session = Session::builder(config, 7)
+        .unwrap()
+        .workload(EpisodeEvaluator::new(EnvKind::CartPole))
+        .build();
+    session.run(3);
+    let evolved = session.export_state();
+    evolved.validate().expect("an evolved state is valid");
+    type Forgery = fn(&mut EvolutionState);
+    let forgeries: [(&str, Forgery); 3] = [
+        ("next_key", |s| s.next_key = u64::MAX),
+        ("species_next_id", |s| s.species_next_id = u32::MAX),
+        ("generation", |s| s.generation = u64::MAX),
+    ];
+    for (counter, forge) in forgeries {
+        let mut state = evolved.clone();
+        let RunState::Monolithic(s) = &mut state else {
+            unreachable!("one island is the monolithic backend")
+        };
+        forge(s);
+        assert_counter_rejected(&state, counter);
+        // Half the range is the ceiling, and the ceiling itself is valid.
+        let RunState::Monolithic(s) = &mut state else {
+            unreachable!()
+        };
+        s.next_key = s.next_key.min(u64::MAX / 2);
+        s.species_next_id = s.species_next_id.min(u32::MAX / 2);
+        s.generation = s.generation.min(u64::MAX / 2);
+        state.validate().expect("a counter at its ceiling is valid");
+    }
+
+    let mut islands = xor_state(4);
+    let RunState::Archipelago(a) = &mut islands else {
+        unreachable!("four islands")
+    };
+    a.generation = u64::MAX;
+    assert_counter_rejected(&islands, "generation");
 }
 
 #[test]

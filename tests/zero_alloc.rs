@@ -6,9 +6,10 @@
 //! entry points, and whole warmed episodes of both episode loops
 //! (`episode_into`, and the curriculum's `adapted_episode` under drift and
 //! padding) allocate nothing, nor does a warmed CartPole evaluation
-//! through the population lanes (`LaneNetworks`). This is the software
-//! mirror of the paper's premise that EvE/ADAM execute gene-level
-//! operations out of fixed buffers with no dynamic memory.
+//! through the population lanes (`LaneNetworks`), nor a warmed executor
+//! batch that both pool workers join. This is the software mirror of the
+//! paper's premise that EvE/ADAM execute gene-level operations out of
+//! fixed buffers with no dynamic memory.
 
 use genesys::gym::{
     adapted_episode, episode_into, AdapterScratch, DriftedEnv, EnvKind, Environment,
@@ -16,11 +17,13 @@ use genesys::gym::{
 };
 use genesys::neat::trace::OpCounters;
 use genesys::neat::{
-    Activation, Aggregation, ConnGene, EvalContext, Evaluation, Evaluator, Genome, InitialWeights,
-    InnovationTracker, Network, NetworkPlan, NodeGene, NodeId, Scratch, SpeciesSet, XorWow,
+    Activation, Aggregation, ConnGene, EvalContext, Evaluation, Evaluator, Executor, Genome,
+    InitialWeights, InnovationTracker, Network, NetworkPlan, NodeGene, NodeId, Scratch, SpeciesSet,
+    XorWow,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::{Duration, Instant};
 
 /// System allocator wrapper that counts every allocation and reallocation
 /// (frees are not counted: the contract is "no new heap traffic", and a
@@ -428,5 +431,37 @@ fn steady_state_rollout_does_not_allocate() {
     assert_eq!(
         leaked, 0,
         "a warmed blocked speciation scan over {founded} species must not allocate"
+    );
+
+    // ---- a warmed executor batch ----------------------------------------
+    // Three jobs on two workers, each waiting until all three run, so the
+    // caller and both workers claim one apiece inside the measured batch.
+    // Once every participant has run a batch, a batch allocates nothing:
+    // its claim counter and panic slot live on the caller's stack.
+    let pool = Executor::new(2);
+    let entered = AtomicU64::new(0);
+    let rendezvous = || {
+        entered.store(0, Ordering::SeqCst);
+        let deadline = Instant::now() + Duration::from_secs(30);
+        pool.run(3, |_| {
+            entered.fetch_add(1, Ordering::SeqCst);
+            while entered.load(Ordering::SeqCst) < 3 && Instant::now() < deadline {
+                std::thread::yield_now();
+            }
+        });
+        assert_eq!(entered.load(Ordering::SeqCst), 3, "the workers joined");
+    };
+    for _ in 0..3 {
+        rendezvous(); // warm
+    }
+    let leaked = measured_delta(|| {
+        let before = allocations();
+        rendezvous();
+        let after = allocations();
+        after - before
+    });
+    assert_eq!(
+        leaked, 0,
+        "a warmed executor batch run by two workers and the caller must not allocate"
     );
 }
