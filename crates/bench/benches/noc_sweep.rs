@@ -12,9 +12,9 @@ fn traced_population() -> (GenerationTrace, Vec<usize>, Vec<usize>) {
     let mut session = Session::on(Population::new(config, 9), 9)
         .workload(|_: EvalContext, net: &Network| net.activate(&[0.2; 8])[0])
         .build();
-    let parent_sizes: Vec<usize> = session.genomes().iter().map(Genome::num_genes).collect();
+    let parent_sizes: Vec<usize> = session.genomes().map(Genome::num_genes).collect();
     session.step();
-    let child_sizes: Vec<usize> = session.genomes().iter().map(Genome::num_genes).collect();
+    let child_sizes: Vec<usize> = session.genomes().map(Genome::num_genes).collect();
     let trace = session.backend().last_trace().unwrap().clone();
     (trace, parent_sizes, child_sizes)
 }

@@ -64,9 +64,8 @@ fn main() {
         &rows,
     );
     println!(
-        "\nGating model: {:.0}% leakage while gated, {} wake cycles.",
-        gating.idle_power_fraction * 100.0,
-        gating.wake_overhead_cycles
+        "\nGating model: {:.0}% leakage while gated.",
+        gating.idle_power_fraction * 100.0
     );
     println!(
         "Duty cycle for a 10x average-power win: {:.2}%.",

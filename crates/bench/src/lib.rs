@@ -132,6 +132,7 @@ pub fn run_workload_islands(
     if migration_interval > 0 {
         config.migration_interval = migration_interval;
     }
+    let pop = config.pop_size as u64;
     let builder = Session::builder(config, seed).expect("workload presets are valid");
     let builder = match pool {
         Some(pool) => builder.executor(Arc::clone(pool)),
@@ -143,16 +144,18 @@ pub fn run_workload_islands(
     let mut total_steps = 0u64;
     let mut total_macs = 0u64;
     let mut parents: Vec<Genome> = Vec::new();
-    let mut parent_sizes: Vec<usize> = Vec::new();
-    for _ in 0..generations {
-        parents = session.genomes().to_vec();
-        parent_sizes = parents.iter().map(Genome::num_genes).collect();
+    for generation in 0..generations {
+        // The run reports the final generation's parents only.
+        if generation + 1 == generations {
+            parents = session.genomes().cloned().collect();
+        }
         let stats = session.step();
         total_steps += stats.env_steps;
-        total_macs += stats.inference_macs * stats.env_steps / parents.len().max(1) as u64;
+        total_macs += stats.inference_macs * stats.env_steps / pop;
         history.push(stats);
     }
-    let child_sizes: Vec<usize> = session.genomes().iter().map(Genome::num_genes).collect();
+    let parent_sizes: Vec<usize> = parents.iter().map(Genome::num_genes).collect();
+    let child_sizes: Vec<usize> = session.genomes().map(Genome::num_genes).collect();
     let gens = generations.max(1) as f64;
     WorkloadRun {
         kind,

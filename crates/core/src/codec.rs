@@ -264,7 +264,7 @@ fn decode_header(word: u64) -> Option<(u64, usize)> {
 /// checkpoint format of the SoC. Layout per genome: a header word
 /// (key + gene count), a raw `f64`-bits fitness word, then the gene words
 /// in buffer order.
-pub fn encode_population(genomes: &[Genome]) -> Vec<u64> {
+pub fn encode_population<'a>(genomes: impl IntoIterator<Item = &'a Genome>) -> Vec<u64> {
     let mut words = Vec::new();
     for g in genomes {
         words.push(encode_header(g.key(), g.num_genes()));

@@ -191,15 +191,12 @@ pub struct GatingModel {
     /// Fraction of active power still burned while gated (leakage +
     /// retention). 15 nm FinFET class: ~5 %.
     pub idle_power_fraction: f64,
-    /// Cycles to wake a gated domain (charged once per compute window).
-    pub wake_overhead_cycles: u64,
 }
 
 impl Default for GatingModel {
     fn default() -> Self {
         GatingModel {
             idle_power_fraction: 0.05,
-            wake_overhead_cycles: 32,
         }
     }
 }

@@ -377,7 +377,7 @@ mod tests {
         let pop = one_generation(20, 3);
         let trace = pop.backend().last_trace().unwrap();
         let parent_sizes = vec![5usize; 20];
-        let child_sizes: Vec<usize> = pop.genomes().iter().map(Genome::num_genes).collect();
+        let child_sizes: Vec<usize> = pop.genomes().map(Genome::num_genes).collect();
         let mut buffer = GenomeBuffer::new(SramConfig::default());
         let report = replay_trace(
             trace,

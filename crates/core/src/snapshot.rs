@@ -90,7 +90,7 @@
 //!
 //! session.run(2);
 //! resumed.run(2);
-//! assert_eq!(session.genomes(), resumed.genomes()); // bit-identical
+//! assert!(session.genomes().eq(resumed.genomes())); // bit-identical
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
@@ -1297,14 +1297,15 @@ mod tests {
     }
 
     /// `state.genomes[0]` with an extra hidden node of the given id,
-    /// installed as `best_ever`, with the innovation counter past it.
+    /// installed as `best_ever` under the next genome key, with the
+    /// innovation and key counters past it.
     fn with_forged_id(state: RunState, id: u32) -> RunState {
         let RunState::Monolithic(mut state) = state else {
             panic!("forged-id helper expects a monolithic state");
         };
         let config = &state.config;
         let forged = Genome::from_parts(
-            999,
+            state.next_key,
             config.num_inputs,
             config.num_outputs,
             state.genomes[0].nodes().copied().chain(std::iter::once(
@@ -1315,6 +1316,7 @@ mod tests {
         .unwrap();
         state.best_ever = Some(forged);
         state.innovation_next_node = id + 1;
+        state.next_key += 1;
         RunState::Monolithic(state)
     }
 
@@ -1399,7 +1401,7 @@ mod tests {
             .build();
         full.run(3 + 2);
         resumed.run(2);
-        assert_eq!(full.genomes(), resumed.genomes());
+        assert!(full.genomes().eq(resumed.genomes()));
     }
 
     #[test]

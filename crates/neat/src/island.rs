@@ -46,13 +46,19 @@
 //! **bit-identical to the monolithic backend**, generation by generation
 //! (the equivalence test below pins this).
 //!
+//! # The genome list
+//!
+//! The archipelago holds each genome once, in its island.
+//! [`Backend::genomes`] reads the islands' genomes lazily, concatenated
+//! in ring order (island 0's first); no concatenated copy is kept.
+//!
 //! See `docs/islands.md` for the pinned topology, schedule and seed
 //! derivation.
 
 use crate::config::NeatConfig;
 use crate::executor::Executor;
 use crate::genome::Genome;
-use crate::population::Population;
+use crate::population::{fittest, Population};
 use crate::session::{
     check_counter, Backend, EvalContext, Evaluator, EvolutionState, RunState, SessionError,
 };
@@ -148,7 +154,9 @@ fn island_config(config: &NeatConfig, island: usize) -> NeatConfig {
 /// The island-model backend: `config.islands` self-contained
 /// [`Population`]s scheduled as independent whole-generation jobs on one
 /// shared [`Executor`], with deterministic ring migration every
-/// `config.migration_interval` generations. See the [module docs](self).
+/// `config.migration_interval` generations. Its genome list is the
+/// islands' genomes concatenated in ring order, read lazily from the
+/// islands. See the [module docs](self).
 #[derive(Debug)]
 pub struct Archipelago {
     config: NeatConfig,
@@ -156,9 +164,6 @@ pub struct Archipelago {
     generation: u64,
     islands: Vec<Population>,
     executor: Option<Arc<Executor>>,
-    /// Concatenated view of every island's genomes (ring order), refreshed
-    /// after each step so [`Backend::genomes`] can return one slice.
-    genomes: Vec<Genome>,
 }
 
 impl Archipelago {
@@ -179,16 +184,13 @@ impl Archipelago {
                 island
             })
             .collect();
-        let mut archipelago = Archipelago {
+        Archipelago {
             config,
             seed,
             generation: 0,
             islands,
             executor: None,
-            genomes: Vec::new(),
-        };
-        archipelago.refresh_genome_cache();
-        archipelago
+        }
     }
 
     /// Rebuilds an archipelago from an exported state; the exact inverse
@@ -216,16 +218,13 @@ impl Archipelago {
                 island
             })
             .collect();
-        let mut archipelago = Archipelago {
+        Ok(Archipelago {
             config,
             seed,
             generation,
             islands,
             executor: None,
-            genomes: Vec::new(),
-        };
-        archipelago.refresh_genome_cache();
-        Ok(archipelago)
+        })
     }
 
     /// The islands, in ring order.
@@ -283,27 +282,6 @@ impl Archipelago {
             .collect();
         for (from, batch) in emigrants.into_iter().enumerate() {
             self.islands[(from + 1) % n].integrate_migrants(&batch);
-        }
-    }
-
-    /// Refreshes the concatenated genome cache from the islands,
-    /// reusing the cached genomes' gene storage when the shape allows.
-    fn refresh_genome_cache(&mut self) {
-        let total: usize = self.islands.iter().map(|i| i.genomes().len()).sum();
-        if self.genomes.len() == total {
-            let mut slot = 0;
-            for island in &self.islands {
-                for g in island.genomes() {
-                    self.genomes[slot].clone_from(g);
-                    slot += 1;
-                }
-            }
-        } else {
-            self.genomes.clear();
-            self.genomes.reserve(total);
-            for island in &self.islands {
-                self.genomes.extend(island.genomes().iter().cloned());
-            }
         }
     }
 
@@ -437,7 +415,6 @@ impl Backend for Archipelago {
         };
         let merged = self.merge_stats(per_island);
         self.generation += 1;
-        self.refresh_genome_cache();
         merged
     }
 
@@ -445,50 +422,16 @@ impl Backend for Archipelago {
         self.generation as usize
     }
 
-    fn genomes(&self) -> &[Genome] {
-        &self.genomes
+    fn genomes(&self) -> impl Iterator<Item = &Genome> {
+        ring_genomes(&self.islands)
     }
 
     fn best_genome(&self) -> Option<&Genome> {
-        // Fold with a strict `>`: the first island wins ties, independent
-        // of scheduling order.
-        let mut best: Option<&Genome> = None;
-        for island in &self.islands {
-            if let Some(candidate) = island.best_genome() {
-                let better = match best {
-                    None => true,
-                    Some(current) => {
-                        candidate.fitness().unwrap_or(f64::NEG_INFINITY)
-                            > current.fitness().unwrap_or(f64::NEG_INFINITY)
-                    }
-                };
-                if better {
-                    best = Some(candidate);
-                }
-            }
-        }
-        best
+        fittest_of(&self.islands, Population::best_genome)
     }
 
     fn champion(&self) -> Option<&Genome> {
-        // Same strict-`>` fold as `best_genome`: the first island wins
-        // ties, independent of scheduling order.
-        let mut champion: Option<&Genome> = None;
-        for island in &self.islands {
-            if let Some(candidate) = island.champion() {
-                let better = match champion {
-                    None => true,
-                    Some(current) => {
-                        candidate.fitness().unwrap_or(f64::NEG_INFINITY)
-                            > current.fitness().unwrap_or(f64::NEG_INFINITY)
-                    }
-                };
-                if better {
-                    champion = Some(candidate);
-                }
-            }
-        }
-        champion
+        fittest_of(&self.islands, Population::champion)
     }
 
     fn neat_config(&self) -> &NeatConfig {
@@ -508,6 +451,17 @@ impl Backend for Archipelago {
             workload_state: 0,
         }))
     }
+}
+
+/// The islands' genomes concatenated in ring order.
+fn ring_genomes(islands: &[Population]) -> impl Iterator<Item = &Genome> {
+    islands.iter().flat_map(Population::genomes)
+}
+
+/// The fittest of each island's `pick` (its best-ever genome or its
+/// champion); the first island wins ties, independent of scheduling order.
+fn fittest_of(islands: &[Population], pick: fn(&Population) -> Option<&Genome>) -> Option<&Genome> {
+    fittest(islands.iter().map(pick)).map(|(_, g)| g)
 }
 
 /// The run-surface backend: a [`Population`] when `config.islands <= 1`,
@@ -567,6 +521,15 @@ impl EvolutionBackend {
             EvolutionBackend::Archipelago(a) => a.last_trace(),
         }
     }
+
+    /// Either variant as islands in ring order: the one population, or
+    /// the archipelago's islands.
+    fn islands(&self) -> &[Population] {
+        match self {
+            EvolutionBackend::Monolithic(p) => std::slice::from_ref(p),
+            EvolutionBackend::Archipelago(a) => a.islands(),
+        }
+    }
 }
 
 impl Backend for EvolutionBackend {
@@ -584,25 +547,16 @@ impl Backend for EvolutionBackend {
         }
     }
 
-    fn genomes(&self) -> &[Genome] {
-        match self {
-            EvolutionBackend::Monolithic(p) => Backend::genomes(p),
-            EvolutionBackend::Archipelago(a) => Backend::genomes(a),
-        }
+    fn genomes(&self) -> impl Iterator<Item = &Genome> {
+        ring_genomes(self.islands())
     }
 
     fn best_genome(&self) -> Option<&Genome> {
-        match self {
-            EvolutionBackend::Monolithic(p) => Backend::best_genome(p),
-            EvolutionBackend::Archipelago(a) => Backend::best_genome(a),
-        }
+        fittest_of(self.islands(), Population::best_genome)
     }
 
     fn champion(&self) -> Option<&Genome> {
-        match self {
-            EvolutionBackend::Monolithic(p) => Backend::champion(p),
-            EvolutionBackend::Archipelago(a) => Backend::champion(a),
-        }
+        fittest_of(self.islands(), Population::champion)
     }
 
     fn neat_config(&self) -> &NeatConfig {
@@ -659,11 +613,31 @@ mod tests {
 
     #[test]
     fn population_split_covers_the_whole_population() {
-        let config = island_config_of(26, 4);
-        let a = Archipelago::new(config, 7);
-        let sizes: Vec<usize> = a.islands().iter().map(|i| i.genomes().len()).collect();
-        assert_eq!(sizes, vec![7, 7, 6, 6]);
-        assert_eq!(Backend::genomes(&a).len(), 26);
+        let mut s = Session::builder(island_config_of(26, 4), 7)
+            .unwrap()
+            .workload(proxy)
+            .build();
+        // The genome list is the islands' own genomes, borrowed in ring
+        // order, at generation 0 and after each migration generation
+        // (interval 3).
+        for _ in 0..3 {
+            let EvolutionBackend::Archipelago(a) = s.backend() else {
+                panic!("four islands build an archipelago");
+            };
+            let sizes: Vec<usize> = a.islands().iter().map(|i| i.genomes().len()).collect();
+            assert_eq!(sizes, vec![7, 7, 6, 6]);
+            let ring: Vec<*const Genome> = a
+                .islands()
+                .iter()
+                .flat_map(|i| i.genomes())
+                .map(std::ptr::from_ref)
+                .collect();
+            assert!(Backend::genomes(a)
+                .map(std::ptr::from_ref)
+                .eq(ring.iter().copied()));
+            assert!(s.genomes().map(std::ptr::from_ref).eq(ring));
+            s.run(3);
+        }
     }
 
     #[test]
@@ -689,7 +663,7 @@ mod tests {
                     pool.is_some()
                 );
             }
-            assert_eq!(mono.genomes(), Backend::genomes(&arch));
+            assert!(mono.genomes().eq(Backend::genomes(&arch)));
         }
     }
 
@@ -708,9 +682,8 @@ mod tests {
             for _ in 0..7 {
                 a.step(&proxy, 17);
             }
-            assert_eq!(
-                Backend::genomes(&a),
-                Backend::genomes(&reference),
+            assert!(
+                Backend::genomes(&a).eq(Backend::genomes(&reference)),
                 "workers={workers}"
             );
             assert_eq!(Backend::export_state(&a), Backend::export_state(&reference));
@@ -756,7 +729,7 @@ mod tests {
         for _ in 0..4 {
             tail.step(&proxy, 23);
         }
-        assert_eq!(Backend::genomes(&full), Backend::genomes(&tail));
+        assert!(Backend::genomes(&full).eq(Backend::genomes(&tail)));
         assert_eq!(Backend::export_state(&full), Backend::export_state(&tail));
     }
 
@@ -788,7 +761,7 @@ mod tests {
         let report = s.run(4);
         assert_eq!(report.history.len(), 4);
         assert_eq!(s.generation(), 4);
-        assert_eq!(s.genomes().len(), 24);
+        assert_eq!(s.genomes().count(), 24);
         assert!(report.best.is_some());
 
         // And resume through the session surface is bit-identical.
@@ -796,7 +769,7 @@ mod tests {
         let mut resumed = Session::resume(state).unwrap().workload(proxy).build();
         s.run(3);
         resumed.run(3);
-        assert_eq!(s.genomes(), resumed.genomes());
+        assert!(s.genomes().eq(resumed.genomes()));
     }
 
     #[test]

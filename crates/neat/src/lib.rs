@@ -74,7 +74,6 @@ pub mod error;
 pub mod executor;
 pub mod gene;
 pub mod genome;
-pub mod hyperneat;
 pub mod innovation;
 pub mod island;
 pub mod network;
@@ -94,7 +93,6 @@ pub use error::{ConfigError, GenomeError};
 pub use executor::{Executor, WorkerLocal};
 pub use gene::{ConnGene, ConnKey, NodeGene, NodeId, NodeType};
 pub use genome::Genome;
-pub use hyperneat::{HyperNeat, Substrate};
 pub use innovation::{InnovationSource, InnovationTracker, SplitRecorder};
 pub use island::{island_seed, Archipelago, ArchipelagoState, EvolutionBackend};
 pub use network::{LaneNetworks, Network, NetworkPlan, Scratch, LANES};

@@ -43,14 +43,17 @@ pub struct Population {
     executor: Option<Arc<Executor>>,
     last_trace: Option<GenerationTrace>,
     best_ever: Option<Genome>,
-    /// Champion of the most recently *evaluated* generation (contrast
-    /// `best_ever`, which is monotone across the whole run). Transient
-    /// observability state: not serialized — the first step after a
-    /// restore repopulates it before any observer can see it.
-    last_champion: Option<Genome>,
+    /// Index into `arena` of the champion of the most recently
+    /// *evaluated* generation (contrast `best_ever`, which is monotone
+    /// across the whole run). Transient observability state: not
+    /// serialized — the first step after a restore repopulates it before
+    /// any observer can see it.
+    last_champion: Option<usize>,
     /// Generation-scoped child arena: the *outgoing* generation's genome
     /// shells, recycled as the next generation's child buffers so
     /// reproduction reuses gene storage instead of allocating per child.
+    /// Between steps it holds the evaluated generation, which is where
+    /// `last_champion` points.
     arena: Vec<Genome>,
     /// Per-worker compiled-plan scratch: each evaluation job checks one
     /// out and hands it to [`Evaluator::evaluate_genomes`], which
@@ -259,7 +262,7 @@ impl Population {
     /// before the first evaluated generation and right after a restore
     /// (the next step repopulates it).
     pub fn champion(&self) -> Option<&Genome> {
-        self.last_champion.as_ref()
+        self.last_champion.map(|i| &self.arena[i])
     }
 
     /// Genomes per evaluation job: the whole generation when serial;
@@ -398,31 +401,13 @@ impl Population {
         stats
             .diagnostics
             .set_species_sizes(self.species.iter().map(|s| s.members.len()));
-        // Keep the evaluated generation's champion for observers before
-        // the arena swap discards the generation. Computed here (after
-        // any migration exchange) so its fitness matches
-        // `stats.max_fitness` exactly; strict `>` makes the first index
-        // win ties, independent of worker count.
-        let mut champ: Option<usize> = None;
-        for (i, genome) in self.genomes.iter().enumerate() {
-            let fitness = genome.fitness().unwrap_or(f64::NEG_INFINITY);
-            let better = champ
-                .is_none_or(|c| fitness > self.genomes[c].fitness().unwrap_or(f64::NEG_INFINITY));
-            if better {
-                champ = Some(i);
-            }
-        }
-        if let Some(idx) = champ {
-            // Buffer-reusing clone: steady-state champion tracking
-            // allocates nothing once the slot exists.
-            match &mut self.last_champion {
-                Some(current) => current.clone_from(&self.genomes[idx]),
-                None => self.last_champion = Some(self.genomes[idx].clone()),
-            }
-        }
+        // The evaluated generation's champion, picked after any migration
+        // exchange so its fitness matches `stats.max_fitness` exactly.
+        self.last_champion = fittest(self.genomes.iter().map(Some)).map(|(i, _)| i);
         self.last_trace = Some(trace);
-        // The arena now holds the new generation; the old generation's
-        // shells become the next reproduction's child buffers.
+        // The arena held the new generation; after the swap it holds the
+        // evaluated one (where `last_champion` points) until the next
+        // reproduction recycles its shells as child buffers.
         std::mem::swap(&mut self.genomes, &mut self.arena);
         self.generation += 1;
         stats
@@ -467,6 +452,24 @@ impl Population {
     }
 }
 
+/// The fittest of `candidates` and its position: a strict-`>` fold over
+/// fitness (unevaluated counts as −∞), so the first candidate wins ties,
+/// independent of worker count and scheduling order.
+pub(crate) fn fittest<'a>(
+    candidates: impl Iterator<Item = Option<&'a Genome>>,
+) -> Option<(usize, &'a Genome)> {
+    let score = |g: &Genome| g.fitness().unwrap_or(f64::NEG_INFINITY);
+    let mut best: Option<(usize, &Genome)> = None;
+    for (i, candidate) in candidates.enumerate() {
+        if let Some(g) = candidate {
+            if best.is_none_or(|(_, b)| score(g) > score(b)) {
+                best = Some((i, g));
+            }
+        }
+    }
+    best
+}
+
 /// The software backend. A step runs the whole generation (evaluation,
 /// speciation's distance matrix and child construction) on the attached
 /// executor, with results bit-identical to the serial path at any worker
@@ -493,8 +496,8 @@ impl Backend for Population {
         self.generation
     }
 
-    fn genomes(&self) -> &[Genome] {
-        &self.genomes
+    fn genomes(&self) -> impl Iterator<Item = &Genome> {
+        self.genomes.iter()
     }
 
     fn best_genome(&self) -> Option<&Genome> {
@@ -502,7 +505,7 @@ impl Backend for Population {
     }
 
     fn champion(&self) -> Option<&Genome> {
-        self.last_champion.as_ref()
+        Population::champion(self)
     }
 
     fn neat_config(&self) -> &NeatConfig {
@@ -569,7 +572,7 @@ mod tests {
         let stats = s.step();
         assert_eq!(stats.generation, 0);
         assert_eq!(s.generation(), 1);
-        assert_eq!(s.genomes().len(), 40);
+        assert_eq!(s.genomes().count(), 40);
         assert!(s.backend().last_trace().is_some());
         assert!(stats.ops.total() > 0);
     }
@@ -677,7 +680,7 @@ mod tests {
         let mut s = session(13);
         for _ in 0..10 {
             s.step();
-            assert_eq!(s.genomes().len(), 40);
+            assert_eq!(s.genomes().count(), 40);
         }
     }
 }

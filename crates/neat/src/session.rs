@@ -255,10 +255,11 @@ pub struct EvolutionState {
 
 impl EvolutionState {
     /// Validates internal consistency (config validity, interface match,
-    /// species membership in range, and an innovation counter beyond every
-    /// node id in the genomes, the species representatives and
-    /// `best_ever`, so no structural mutation can hand out an id already
-    /// in use).
+    /// species membership in range, a `next_key` beyond every genome key
+    /// and a `species_next_id` beyond every species id, and an innovation
+    /// counter beyond every node id in the genomes, the species
+    /// representatives and `best_ever`, so no new genome, species or
+    /// structural mutation can take an id already in use).
     ///
     /// # Errors
     ///
@@ -321,19 +322,28 @@ impl EvolutionState {
                 }
             }
         }
-        Ok(())
+        check_above("next_key", self.next_key, self.lineage().map(Genome::key))?;
+        check_above(
+            "species_next_id",
+            self.species_next_id.into(),
+            self.species.iter().map(|s| s.id.0.into()),
+        )
+    }
+
+    /// Every genome the state carries: the genomes, the species
+    /// representatives and `best_ever`.
+    fn lineage(&self) -> impl Iterator<Item = &Genome> {
+        self.genomes
+            .iter()
+            .chain(self.species.iter().map(|s| &s.representative))
+            .chain(&self.best_ever)
     }
 
     /// Fails if a node id of `counter`'s residue class modulo `stride` in
     /// the genomes, the species representatives or `best_ever` is not
     /// below `counter`.
     fn check_innovation_counter(&self, counter: u32, stride: u32) -> Result<(), SessionError> {
-        let lineage = self
-            .genomes
-            .iter()
-            .chain(self.species.iter().map(|s| &s.representative))
-            .chain(&self.best_ever);
-        for genome in lineage {
+        for genome in self.lineage() {
             // Node ids ascend, so a genome whose largest id is below the
             // counter costs one comparison.
             if genome.max_node_id() < counter {
@@ -370,6 +380,19 @@ pub(crate) fn check_counter(
         });
     }
     Ok(())
+}
+
+/// Fails with [`SessionError::CounterBehind`] unless `value`, the counter
+/// that hands out the next id, exceeds every id in `ids`.
+fn check_above(
+    counter: &'static str,
+    value: u64,
+    ids: impl Iterator<Item = u64>,
+) -> Result<(), SessionError> {
+    match ids.max() {
+        Some(id) if id >= value => Err(SessionError::CounterBehind { counter, value, id }),
+        _ => Ok(()),
+    }
 }
 
 /// The complete checkpoint of any backend — what [`Session::export_state`]
@@ -542,6 +565,18 @@ pub enum SessionError {
         /// The largest value accepted.
         ceiling: u64,
     },
+    /// A run counter does not exceed an id the state already uses, so the
+    /// next genome or species would take that id again: `next_key` must
+    /// exceed every genome key (the genomes, the species representatives
+    /// and `best_ever`), and `species_next_id` every species id.
+    CounterBehind {
+        /// The counter's field name.
+        counter: &'static str,
+        /// Its value.
+        value: u64,
+        /// The largest id in use, which it fails to exceed.
+        id: u64,
+    },
 }
 
 impl fmt::Display for SessionError {
@@ -585,6 +620,9 @@ impl fmt::Display for SessionError {
                 value,
                 ceiling,
             } => write!(f, "{counter} {value} is above its ceiling {ceiling}"),
+            SessionError::CounterBehind { counter, value, id } => {
+                write!(f, "{counter} {value} does not exceed id {id} in use")
+            }
         }
     }
 }
@@ -620,8 +658,9 @@ pub trait Backend {
     /// Current generation index (0 before the first step).
     fn generation(&self) -> usize;
 
-    /// Genomes of the current generation.
-    fn genomes(&self) -> &[Genome];
+    /// Genomes of the current generation, borrowed in place: for an
+    /// archipelago, every island's genomes in ring order.
+    fn genomes(&self) -> impl Iterator<Item = &Genome>;
 
     /// Best genome observed so far.
     fn best_genome(&self) -> Option<&Genome>;
@@ -1018,8 +1057,10 @@ impl<W: Evaluator, B: Backend> Session<W, B> {
         self.backend.generation()
     }
 
-    /// Genomes of the current generation.
-    pub fn genomes(&self) -> &[Genome] {
+    /// Genomes of the current generation, read lazily from the backend:
+    /// for an archipelago, the islands' genomes concatenated in ring
+    /// order.
+    pub fn genomes(&self) -> impl Iterator<Item = &Genome> {
         self.backend.genomes()
     }
 
@@ -1106,21 +1147,28 @@ mod tests {
 
     #[test]
     fn champion_tracks_the_evaluated_generation() {
-        let mut s = Session::builder(small_config(), 7)
-            .unwrap()
-            .workload(proxy)
-            .build();
-        assert!(s.champion().is_none(), "no champion before the first step");
-        for _ in 0..4 {
-            let stats = s.step();
-            let champion = s.champion().expect("champion after a step");
-            // The champion is the evaluated generation's max, exactly.
-            assert_eq!(champion.fitness(), Some(stats.max_fitness));
+        // Four islands migrating every 3 generations: 7 steps read the
+        // champion after two migration generations as well.
+        let islands = NeatConfig::builder(2, 1)
+            .pop_size(32)
+            .islands(4)
+            .migration_interval(3)
+            .build()
+            .unwrap();
+        for (config, steps) in [(small_config(), 4), (islands, 7)] {
+            let mut s = Session::builder(config, 7).unwrap().workload(proxy).build();
+            assert!(s.champion().is_none(), "no champion before the first step");
+            for step in 0..steps {
+                let stats = s.step();
+                let champion = s.champion().expect("champion after a step");
+                // The champion is the evaluated generation's max, exactly.
+                assert_eq!(champion.fitness(), Some(stats.max_fitness), "{step}");
+            }
+            // `best` is monotone; the champion need not be, but it can
+            // never exceed the session-wide best.
+            let best = s.best_genome().unwrap().fitness().unwrap();
+            assert!(s.champion().unwrap().fitness().unwrap() <= best);
         }
-        // `best` is monotone; the champion need not be, but it can never
-        // exceed the session-wide best.
-        let best = s.best_genome().unwrap().fitness().unwrap();
-        assert!(s.champion().unwrap().fitness().unwrap() <= best);
     }
 
     #[test]
@@ -1145,7 +1193,7 @@ mod tests {
         assert_eq!(&full_report.history[3..], &tail_report.history[..]);
         // Final genomes byte-for-byte equal (Genome: PartialEq over every
         // gene and attribute).
-        assert_eq!(full.genomes(), tail.genomes());
+        assert!(full.genomes().eq(tail.genomes()));
         assert_eq!(
             full.best_genome().unwrap().key(),
             tail.best_genome().unwrap().key()

@@ -180,14 +180,15 @@ impl PopulationDiagnostics {
     /// `unique_genomes`) over one evaluated population. Species fields
     /// start at zero; backends that know the species assignments fill
     /// them with [`PopulationDiagnostics::set_species_sizes`].
-    pub fn collect(genomes: &[Genome]) -> PopulationDiagnostics {
+    pub fn collect<'a>(genomes: impl IntoIterator<Item = &'a Genome>) -> PopulationDiagnostics {
+        let genomes = genomes.into_iter();
         // Every genome is hashed for the identity count (folded in
         // place, no buffer), but only the first `LZ_SCAN_CAP` words are
         // materialized for the entropy probe — the collector never
         // builds the multi-megabyte population stream a pop-10⁴
         // generation would otherwise cost.
         let mut stream: Vec<u64> = Vec::new();
-        let mut hashes = Vec::with_capacity(genomes.len());
+        let mut hashes = Vec::with_capacity(genomes.size_hint().0);
         // The input prefix is folded once per input count, in practice
         // once per call.
         let mut prefix = (usize::MAX, FNV_OFFSET);

@@ -164,6 +164,7 @@ impl ServeError {
                 SessionError::InnovationCounterBehind { .. } => 406,
                 SessionError::IslandCountMismatch { .. } => 407,
                 SessionError::CounterAboveCeiling { .. } => 408,
+                SessionError::CounterBehind { .. } => 409,
             },
             ServeError::Io(_) => 500,
             ServeError::Disconnected => 501,
@@ -271,6 +272,12 @@ mod tests {
             ceiling: u64::MAX / 2,
         };
         assert_eq!(ServeError::Session(counter).code(), 408);
+        let behind = SessionError::CounterBehind {
+            counter: "species_next_id",
+            value: 0,
+            id: 3,
+        };
+        assert_eq!(ServeError::Session(behind).code(), 409);
         assert_eq!(ServeError::Io(String::new()).code(), 500);
         assert_eq!(ServeError::TooManyConnections { cap: 256 }.code(), 502);
         let remote = ServeError::Remote {

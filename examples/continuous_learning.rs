@@ -112,9 +112,8 @@ fn main() {
         &resumed_history[..],
         "resumed trajectory must be bit-identical to the uninterrupted run"
     );
-    assert_eq!(
-        uninterrupted.genomes(),
-        resumed.genomes(),
+    assert!(
+        uninterrupted.genomes().eq(resumed.genomes()),
         "final genomes must be byte-identical"
     );
 

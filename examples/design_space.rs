@@ -25,10 +25,10 @@ fn main() {
         .expect("valid config")
         .workload(|_ctx: EvalContext, net: &Network| net.activate(&[0.1; 8])[0])
         .build();
-    let parent_sizes: Vec<usize> = session.genomes().iter().map(Genome::num_genes).collect();
+    let parent_sizes: Vec<usize> = session.genomes().map(Genome::num_genes).collect();
     session.step();
     let trace = session.backend().last_trace().expect("reproduced").clone();
-    let child_sizes: Vec<usize> = session.genomes().iter().map(Genome::num_genes).collect();
+    let child_sizes: Vec<usize> = session.genomes().map(Genome::num_genes).collect();
 
     let tech = TechModel::default();
     println!("EvE PEs | NoC        | cycles | evo time | SRAM reads | power mW | area mm2");
@@ -56,7 +56,7 @@ fn main() {
     // (Narrow rounds make the grouping effect visible: with 8-child rounds
     // a greedy schedule touches fewer distinct parents per round.)
     println!("\nPE allocation policy (8 PEs, multicast tree):");
-    let mut genomes = session.genomes().to_vec();
+    let mut genomes: Vec<Genome> = session.genomes().cloned().collect();
     for (i, g) in genomes.iter_mut().enumerate() {
         g.set_fitness((i % 13) as f64);
     }

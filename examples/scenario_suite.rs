@@ -127,9 +127,8 @@ fn main() {
         &history[..],
         "checkpointed trajectory must be bit-identical to the uninterrupted run"
     );
-    assert_eq!(
-        uninterrupted.genomes(),
-        resumed.genomes(),
+    assert!(
+        uninterrupted.genomes().eq(resumed.genomes()),
         "final genomes must be byte-identical"
     );
     let metrics = recorder.snapshot();

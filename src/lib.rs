@@ -49,7 +49,7 @@
 //!     .build();
 //! session.run(2);
 //! resumed.run(2);
-//! assert_eq!(session.genomes(), resumed.genomes());
+//! assert!(session.genomes().eq(resumed.genomes()));
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 

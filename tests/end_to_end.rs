@@ -105,10 +105,10 @@ fn trace_replay_is_consistent_with_the_trace() {
     let mut session = Session::on(Population::new(config, 9), 9)
         .workload(|_: EvalContext, net: &Network| net.activate(&[0.5; 6]).iter().sum())
         .build();
-    let parent_sizes: Vec<usize> = session.genomes().iter().map(Genome::num_genes).collect();
+    let parent_sizes: Vec<usize> = session.genomes().map(Genome::num_genes).collect();
     session.step();
     let trace = session.backend().last_trace().unwrap().clone();
-    let child_sizes: Vec<usize> = session.genomes().iter().map(Genome::num_genes).collect();
+    let child_sizes: Vec<usize> = session.genomes().map(Genome::num_genes).collect();
 
     let mut buffer = GenomeBuffer::new(SramConfig::default());
     let report = replay_trace(
@@ -194,10 +194,10 @@ fn checkpoint_restore_resumes_evolution() {
         .build();
     let stats = resumed.step();
     assert_eq!(stats.generation, 0);
-    assert_eq!(resumed.genomes().len(), 24);
+    assert_eq!(resumed.genomes().count(), 24);
     // Structural knowledge survived the checkpoint: resumed genomes keep
     // whatever hidden structure evolution had built.
-    let genes_before: usize = session.genomes().iter().map(Genome::num_genes).sum();
+    let genes_before: usize = session.genomes().map(Genome::num_genes).sum();
     assert!(genes_before > 0);
     for g in resumed.genomes() {
         assert!(g.validate().is_ok());

@@ -66,7 +66,7 @@ fn evolve_once_bit_identical_at_1_4_8_workers() {
             session.step();
             traces.push(session.backend().last_trace().expect("reproduced").clone());
         }
-        let genomes: Vec<Genome> = session.genomes().to_vec();
+        let genomes: Vec<Genome> = session.genomes().cloned().collect();
         (
             genomes,
             species_fingerprint(session.backend().species()),
@@ -109,7 +109,10 @@ fn shared_pool_across_generations_stays_in_lockstep() {
         assert_eq!(a.max_fitness.to_bits(), b.max_fitness.to_bits());
         assert_eq!(a.total_genes, b.total_genes);
         assert_eq!(a.ops, b.ops, "generation {generation}");
-        assert_eq!(serial.genomes(), parallel.genomes());
+        assert!(
+            serial.genomes().eq(parallel.genomes()),
+            "generation {generation}"
+        );
     }
     assert_eq!(pool.threads_spawned(), 4, "no hidden thread growth");
 }

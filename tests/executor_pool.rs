@@ -77,7 +77,7 @@ fn pool_is_reused_across_generations() {
     for _ in 0..3 {
         let stats = odd.step();
         assert!(stats.max_fitness.is_finite());
-        assert_eq!(odd.genomes().len(), 9);
+        assert_eq!(odd.genomes().count(), 9);
     }
     assert_eq!(odd_pool.threads_spawned(), 8);
     let serial = on(9, 3).workload(fitness).threads(1).build();

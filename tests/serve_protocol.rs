@@ -4,7 +4,9 @@
 //! with a stable numeric code and never panics.
 
 use genesys::gym::EnvKind;
-use genesys::neat::{trace::OpCounters, GenerationStats, NeatConfig, PopulationDiagnostics};
+use genesys::neat::{
+    trace::OpCounters, GenerationStats, NeatConfig, PopulationDiagnostics, SessionError,
+};
 use genesys::serve::protocol::{
     decode_reply, decode_request, encode_reply, encode_request, request_id_of, take_frame,
 };
@@ -193,6 +195,14 @@ fn pinned_errors() -> Vec<(ServeError, u32)> {
                 config: (3, 2),
             },
             203,
+        ),
+        (
+            ServeError::Session(SessionError::CounterBehind {
+                counter: "next_key",
+                value: 0,
+                id: 63,
+            }),
+            409,
         ),
         (ServeError::Io("gone".into()), 500),
         (ServeError::Disconnected, 501),

@@ -10,7 +10,9 @@
 //! is rejected at decode, validation and resume, served or not, and an
 //! archipelago checkpoint missing an island state is rejected as an
 //! island-count mismatch. So is a checkpoint whose genome-key,
-//! species-id or generation counter was forged to the top of its range.
+//! species-id or generation counter was forged to the top of its range,
+//! or whose genome-key or species-id counter was rewound below an id in
+//! use.
 
 use genesys::gym::{DriftSchedule, EnvKind, EpisodeEvaluator, TaskPlan, TaskSequence};
 use genesys::neat::{
@@ -365,12 +367,16 @@ fn an_archipelago_missing_an_island_is_an_island_count_mismatch() {
 }
 
 /// Asserts that `state` fails validation because `counter` is above its
-/// ceiling, and that `Session::resume` and the snapshot decoder reject it
-/// too.
+/// ceiling or does not exceed an id in use, and that `Session::resume`
+/// and the snapshot decoder reject it too.
 fn assert_counter_rejected(state: &RunState, counter: &str) {
     let error = state.validate().expect_err("a forged counter is invalid");
     assert!(
-        matches!(error, SessionError::CounterAboveCeiling { counter: c, .. } if c == counter),
+        matches!(
+            error,
+            SessionError::CounterAboveCeiling { counter: c, .. }
+                | SessionError::CounterBehind { counter: c, .. } if c == counter
+        ),
         "{counter}: {error:?}"
     );
     assert_eq!(Session::resume(state.clone()).err(), Some(error));
@@ -426,6 +432,37 @@ fn counters_forged_to_the_top_of_their_range_are_rejected() {
     };
     a.generation = u64::MAX;
     assert_counter_rejected(&islands, "generation");
+}
+
+#[test]
+fn counters_rewound_below_an_id_in_use_are_rejected() {
+    // Each forgery used to decode, validate, resume and run, handing the
+    // next species or genome an id already in use.
+    type Forgery = fn(&mut EvolutionState);
+    let forgeries: [(&str, Forgery); 2] = [
+        ("species_next_id", |s| s.species_next_id = 0),
+        ("next_key", |s| s.next_key = 0),
+    ];
+    for islands in [1, 4] {
+        let mut config = cartpole_config();
+        config.pop_size = 64;
+        config.islands = islands;
+        let mut session = Session::builder(config, 7)
+            .unwrap()
+            .workload(EpisodeEvaluator::new(EnvKind::CartPole))
+            .build();
+        session.run(3);
+        let evolved = session.export_state();
+        evolved.validate().expect("an evolved state is valid");
+        for (counter, forge) in forgeries {
+            let mut state = evolved.clone();
+            match &mut state {
+                RunState::Monolithic(s) => forge(s),
+                RunState::Archipelago(a) => forge(&mut a.islands[2]),
+            }
+            assert_counter_rejected(&state, counter);
+        }
+    }
 }
 
 #[test]

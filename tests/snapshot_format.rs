@@ -161,7 +161,7 @@ proptest! {
         let state = evolved_state(seed, 1, 8, 0);
         let mut state = state.as_monolithic().expect("monolithic workload").clone();
         let forged = Genome::from_parts(
-            999,
+            state.next_key,
             state.config.num_inputs,
             state.config.num_outputs,
             state.genomes[0]
@@ -172,14 +172,15 @@ proptest! {
         )
         .unwrap();
         state.best_ever = Some(forged.clone());
-        // A consistent state's counter exceeds every id it carries.
+        // A consistent state's counters exceed every id they hand out.
         state.innovation_next_node = id + 1;
+        state.next_key += 1;
         let wrapped = RunState::Monolithic(Box::new(state.clone()));
         let words = encode_snapshot(&wrapped).expect("31-bit ids encode");
         prop_assert_eq!(decode_snapshot(&words).unwrap(), wrapped);
 
         let overflowed = Genome::from_parts(
-            999,
+            forged.key(),
             state.config.num_inputs,
             state.config.num_outputs,
             forged

@@ -110,7 +110,7 @@ fn tiny_population_of_two_survives_many_generations() {
     let mut pop = session(config, 5, |_, net| net.activate(&[0.5, 0.5])[0]);
     for _ in 0..30 {
         let stats = pop.step();
-        assert_eq!(pop.genomes().len(), 2);
+        assert_eq!(pop.genomes().count(), 2);
         assert!(stats.max_fitness.is_finite());
     }
 }
@@ -129,7 +129,7 @@ fn soc_with_one_pe_and_one_genome_per_species_runs() {
         .build();
     for _ in 0..3 {
         soc.step();
-        assert_eq!(soc.genomes().len(), 4);
+        assert_eq!(soc.genomes().count(), 4);
         assert!(soc.backend().last_report().unwrap().evolution.rounds >= 1);
     }
 }
